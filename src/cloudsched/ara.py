@@ -7,7 +7,7 @@ truth by in-flight messages; hosts re-check against ground truth before
 committing, so a stale snapshot costs at worst one declined round.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import (LeaseFlag, LeaseState, Requirements, VmDescriptor,
                     available_time)
@@ -151,7 +151,3 @@ def make_proposal(vm: VmDescriptor | None, reqs: Requirements, tau: float,
             and vm.bandwidth >= reqs.max_bandwidth and completion <= reqs.deadline):
         return None
     return HostProposal(reqs.user_id, vm.vm_id, start, completion)
-
-
-def refresh_available_time(snapshot: VmSnapshot, at: float) -> VmSnapshot:
-    return replace(snapshot, available_time=at)

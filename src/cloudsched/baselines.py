@@ -9,6 +9,7 @@ weakness is modeled explicitly: reallocation decisions cost wall time
 serially, so a stream of events backs the scheduler up and commits land late.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from . import model, rescheduling
@@ -45,33 +46,42 @@ class RingCursor:
         self.position = (index + 1) % self.size
 
 
-def _avail_cache(vms: list[VmDescriptor], tau: float) -> dict[str, float]:
-    return {vm.vm_id: model.available_time(vm, tau) for vm in vms}
+def _earliest(vms: list[VmDescriptor], reqs: model.Requirements,
+              avail: dict[str, float]) -> tuple[float, str, int] | None:
+    """(completion, vm_id, index into vms) minimal over `vms`, ties broken by
+    vm id; `avail` maps each VM id to the time it can start new work."""
+    if not vms:
+        return None
+    workload = reqs.total_workload
+    return min((avail[vm.vm_id] + workload / vm.cpu, vm.vm_id, i)
+               for i, vm in enumerate(vms))
+
+
+def _assign_in_order(pending: list[BatchState], vms: list[VmDescriptor],
+                     tau: float, queue_aware: bool) -> list[tuple[str, str | None]]:
+    """Each batch, in order, goes to the capacity-feasible VM with the earliest
+    completion, counting the VM's queue or not; ties by vm id."""
+    assignments: list[tuple[str, str | None]] = []
+    for batch in pending:
+        reqs = batch.remaining_requirements()
+        fits = [vm for vm in vms if model.capacity_feasible(vm, reqs)]
+        avail = {vm.vm_id: model.available_time(vm, tau) if queue_aware else 0.0
+                 for vm in fits}
+        best = _earliest(fits, reqs, avail)
+        if best is None:
+            assignments.append((batch.request.user_id, None))
+            continue
+        vm = fits[best[2]]
+        model.reserve(vm, reqs, model.available_time(vm, tau))
+        assignments.append((batch.request.user_id, vm.vm_id))
+    return assignments
 
 
 def assign_mct(pending: list[BatchState], vms: list[VmDescriptor],
                tau: float) -> list[tuple[str, str | None]]:
     """Each batch, in order, goes to the capacity-feasible VM with the earliest
     expected completion (queue-aware)."""
-    assignments: list[tuple[str, str | None]] = []
-    avail = _avail_cache(vms, tau)
-    for batch in pending:
-        reqs = batch.remaining_requirements()
-        best = None
-        for vm in vms:
-            if not model.capacity_feasible(vm, reqs):
-                continue
-            key = (avail[vm.vm_id] + reqs.total_workload / vm.cpu, vm.vm_id)
-            if best is None or key < best[0]:
-                best = (key, vm)
-        if best is None:
-            assignments.append((batch.request.user_id, None))
-            continue
-        vm = best[1]
-        reservation = model.reserve(vm, reqs, avail[vm.vm_id])
-        avail[vm.vm_id] = reservation.end
-        assignments.append((batch.request.user_id, vm.vm_id))
-    return assignments
+    return _assign_in_order(pending, vms, tau, queue_aware=True)
 
 
 def assign_met(pending: list[BatchState], vms: list[VmDescriptor],
@@ -79,64 +89,58 @@ def assign_met(pending: list[BatchState], vms: list[VmDescriptor],
     """Each batch goes to the capacity-feasible VM with the shortest raw
     execution time, ignoring the queue (ties by vm id) - so powerful VMs
     accumulate everything."""
-    assignments: list[tuple[str, str | None]] = []
-    avail = _avail_cache(vms, tau)
-    for batch in pending:
-        reqs = batch.remaining_requirements()
-        best = None
-        for vm in vms:
-            if not model.capacity_feasible(vm, reqs):
-                continue
-            key = (reqs.total_workload / vm.cpu, vm.vm_id)
-            if best is None or key < best[0]:
-                best = (key, vm)
-        if best is None:
-            assignments.append((batch.request.user_id, None))
-            continue
-        vm = best[1]
-        reservation = model.reserve(vm, reqs, avail[vm.vm_id])
-        avail[vm.vm_id] = reservation.end
-        assignments.append((batch.request.user_id, vm.vm_id))
-    return assignments
+    return _assign_in_order(pending, vms, tau, queue_aware=False)
 
 
 def assign_min_min(pending: list[BatchState], vms: list[VmDescriptor],
                    tau: float) -> list[tuple[str, str | None]]:
     """Repeatedly commit the batch whose minimum completion over feasible VMs
-    is smallest (shortest batch first), updating availability each round."""
+    is smallest (shortest batch first), updating availability each round.
+
+    Batches no VM can hold are emitted first, in pending order. Capacities do
+    not change inside a flush, so each batch's feasible VMs are listed once,
+    and a commit to VM v raises only v's availability: only the batches whose
+    best VM was v need re-quoting, every other best (and its vm-id tie-break)
+    stands. The current bests sit in a heap keyed (completion, user, vm).
+    """
     assignments: list[tuple[str, str | None]] = []
-    remaining = list(pending)
-    reqs_of = {b.request.user_id: b.remaining_requirements() for b in remaining}
-    avail = _avail_cache(vms, tau)
-    while remaining:
-        best = None   # ((completion, user_id, vm_id), batch, vm)
-        infeasible = []
-        for batch in remaining:
-            reqs = reqs_of[batch.request.user_id]
-            pick = None
-            for vm in vms:
-                if not model.capacity_feasible(vm, reqs):
-                    continue
-                key = (avail[vm.vm_id] + reqs.total_workload / vm.cpu, vm.vm_id)
-                if pick is None or key < pick[0]:
-                    pick = (key, vm)
-            if pick is None:
-                infeasible.append(batch)
-                continue
-            key = (pick[0][0], batch.request.user_id, pick[1].vm_id)
-            if best is None or key < best[0]:
-                best = (key, batch, pick[1])
-        for batch in infeasible:
-            assignments.append((batch.request.user_id, None))
-            remaining.remove(batch)
-        if best is None:
-            break
-        _, batch, vm = best
-        reqs = reqs_of[batch.request.user_id]
-        reservation = model.reserve(vm, reqs, avail[vm.vm_id])
-        avail[vm.vm_id] = reservation.end
-        assignments.append((batch.request.user_id, vm.vm_id))
-        remaining.remove(batch)
+    reqs_of: dict[str, model.Requirements] = {}
+    options: dict[str, list[VmDescriptor]] = {}
+    for batch in pending:
+        user_id = batch.request.user_id
+        reqs = reqs_of[user_id] = batch.remaining_requirements()
+        fits = [vm for vm in vms if model.capacity_feasible(vm, reqs)]
+        if fits:
+            options[user_id] = fits
+        else:
+            assignments.append((user_id, None))
+    avail = {vm.vm_id: model.available_time(vm, tau) for vm in vms}
+    best: dict[str, tuple[float, str, str, int]] = {}
+    waiting: dict[str, list[str]] = {}   # vm_id -> users whose best it is
+    heap: list[tuple[float, str, str, int]] = []
+
+    def quote(user_id: str) -> None:
+        completion, vm_id, i = _earliest(options[user_id], reqs_of[user_id],
+                                         avail)
+        best[user_id] = entry = (completion, user_id, vm_id, i)
+        waiting.setdefault(vm_id, []).append(user_id)
+        heapq.heappush(heap, entry)
+
+    for user_id in options:
+        quote(user_id)
+    while heap:
+        entry = heapq.heappop(heap)
+        _, user_id, vm_id, i = entry
+        if best.get(user_id) is not entry:
+            continue   # placed already, or re-quoted since this was pushed
+        del best[user_id]
+        reservation = model.reserve(options[user_id][i], reqs_of[user_id],
+                                    avail[vm_id])
+        avail[vm_id] = reservation.end
+        assignments.append((user_id, vm_id))
+        for other in waiting.pop(vm_id):
+            if other in best:
+                quote(other)
     return assignments
 
 
@@ -145,7 +149,6 @@ def assign_round_robin(pending: list[BatchState], vms: list[VmDescriptor],
     """Batches in arrival order take the next capacity-feasible VM in circular
     order; the cursor persists across calls and infeasible VMs are skipped."""
     assignments: list[tuple[str, str | None]] = []
-    avail = _avail_cache(vms, tau)
     for batch in pending:
         reqs = batch.remaining_requirements()
         chosen = None
@@ -158,8 +161,7 @@ def assign_round_robin(pending: list[BatchState], vms: list[VmDescriptor],
             assignments.append((batch.request.user_id, None))
             continue
         vm = vms[chosen]
-        reservation = model.reserve(vm, reqs, avail[vm.vm_id])
-        avail[vm.vm_id] = reservation.end
+        model.reserve(vm, reqs, model.available_time(vm, tau))
         assignments.append((batch.request.user_id, vm.vm_id))
         cursor.advance_past(chosen)
     return assignments
@@ -220,7 +222,6 @@ class CentralScheduler:
         if not pending:
             return
         tau = self.kernel.now
-        marks = {vm.vm_id: len(vm.reservations) for vm in self.vms}
         if self.kind == MCT:
             pairs = assign_mct(pending, self.vms, tau)
         elif self.kind == MET:
@@ -229,22 +230,21 @@ class CentralScheduler:
             pairs = assign_min_min(pending, self.vms, tau)
         else:
             pairs = assign_round_robin(pending, self.vms, tau, self.cursor)
-        self._absorb(pairs, marks)
+        self._absorb(pairs)
 
-    def _absorb(self, pairs: list[tuple[str, str | None]],
-                marks: dict[str, int]) -> None:
+    def _absorb(self, pairs: list[tuple[str, str | None]]) -> None:
         """Bind the reservations the assign functions committed to batch state,
-        schedule completion entries, and fail unplaceable batches."""
-        fresh: dict[str, list[model.Reservation]] = {}
-        for vm in self.vms:
-            for res in vm.reservations[marks[vm.vm_id]:]:
-                fresh.setdefault(res.user_id, []).append(res)
+        schedule completion entries, and fail unplaceable batches. Bookings
+        append to the ledger tail, so a batch's reservation is the newest
+        entry for its user on the VM it was placed on."""
         for user_id, vm_id in pairs:
             batch = self.world.batches[user_id]
             if vm_id is None:
                 self._fail(batch)
                 continue
-            reservation = fresh[user_id].pop(0)
+            reservation = next(res for res in
+                               reversed(self.world.vms[vm_id].reservations)
+                               if res.user_id == user_id)
             batch.reservation = reservation
             batch.request.status = RequestStatus.SCHEDULED
             if batch.completion_entry is not None:

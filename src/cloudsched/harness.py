@@ -3,7 +3,9 @@ scheduler, inject uncertain events, and emit metrics rows.
 
 Runs with a nonzero event probability first execute a no-event twin of the same
 seed to estimate the horizon; event fire times are then drawn uniformly over
-(0, horizon) so events land during execution for every scheduler.
+(0, horizon) so events land during execution for every scheduler. `sweep` and
+`compare` probe each (config, seed) once and share the horizon across
+probabilities.
 """
 
 import csv
@@ -94,6 +96,25 @@ def _execute(config: ScenarioConfig, events: list[UncertainEvent],
                      runtime=runtime)
 
 
+def _probe_horizon(config: ScenarioConfig) -> float:
+    """Makespan of the no-event twin: the horizon event times are drawn over."""
+    probe = _execute(config.replaced(event_probability=0.0), [],
+                     TraceLog(enabled=False))
+    return probe.metrics.makespan
+
+
+def _shared_horizon(config: ScenarioConfig,
+                    probed: dict[tuple[str, int], float]) -> float | None:
+    """The probe horizon of a run that draws events, probed once per (config
+    without its probability, seed) and kept in `probed`; else None."""
+    if config.event_probability <= 0.0 or config.events is not None:
+        return None
+    key = (config.replaced(event_probability=0.0).config_hash(), config.seed)
+    if key not in probed:
+        probed[key] = _probe_horizon(config)
+    return probed[key]
+
+
 def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
                    events: list[UncertainEvent] | None = None,
                    horizon: float | None = None) -> RunResult:
@@ -106,9 +127,7 @@ def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
         events = []
         if config.event_probability > 0.0:
             if horizon is None:
-                probe = _execute(config.replaced(event_probability=0.0), [],
-                                 TraceLog(enabled=False))
-                horizon = probe.metrics.makespan
+                horizon = _probe_horizon(config)
             if horizon <= 0.0:
                 horizon = max(1.0, config.arrival_window[1])
             streams = RngStreams(config.seed)
@@ -147,6 +166,7 @@ def sweep(config: ScenarioConfig, axis: str, values: list, reps: int = 1,
     if not values:
         raise ValueError("sweep requires at least one axis value")
     rows = []
+    probed: dict[tuple[str, int], float] = {}
     for value in values:
         for rep in range(reps):
             seed = config.seed + rep
@@ -156,7 +176,8 @@ def sweep(config: ScenarioConfig, axis: str, values: list, reps: int = 1,
                 cfg = config.replaced(hosts=int(value), seed=seed)
             else:
                 cfg = config.replaced(event_probability=float(value), seed=seed)
-            result = run_simulation(cfg, collect_trace=collect_trace)
+            result = run_simulation(cfg, collect_trace=collect_trace,
+                                    horizon=_shared_horizon(cfg, probed))
             rows.append(result_row(result, axis=axis, axis_value=value))
     rows.sort(key=lambda r: (float(r["axis_value"]), r["seed"]))
     return rows
@@ -164,15 +185,18 @@ def sweep(config: ScenarioConfig, axis: str, values: list, reps: int = 1,
 
 def compare(config: ScenarioConfig, schedulers: list[str],
             probabilities: list[float], reps: int = 1) -> list[dict]:
-    """Grid of scheduler x event probability x repetition seed."""
+    """Grid of scheduler x event probability x repetition seed; the no-event
+    probe runs once per (scheduler, seed), not once per probability."""
     rows = []
+    probed: dict[tuple[str, int], float] = {}
     for scheduler in schedulers:
         for p in probabilities:
             for rep in range(reps):
                 cfg = config.replaced(scheduler=scheduler,
                                       event_probability=float(p),
                                       seed=config.seed + rep)
-                result = run_simulation(cfg)
+                result = run_simulation(cfg,
+                                        horizon=_shared_horizon(cfg, probed))
                 rows.append(result_row(result, axis="probability", axis_value=p))
     rows.sort(key=lambda r: (r["scheduler"], float(r["axis_value"]), r["seed"]))
     return rows

@@ -97,12 +97,6 @@ class Reservation:
     def effective_end(self) -> float:
         return self.end if self.released_at is None else self.released_at
 
-    def busy_time(self) -> float:
-        return max(0.0, self.effective_end - self.start)
-
-    def active_at(self, tau: float) -> bool:
-        return self.released_at is None and self.effective_end > tau
-
 
 @dataclass
 class VmDescriptor:
@@ -145,13 +139,6 @@ class Datacenter:
     def all_vms(self) -> list[VmDescriptor]:
         return [vm for host in self.hosts for vm in host.vms]
 
-    def vm(self, vm_id: str) -> VmDescriptor | None:
-        for host in self.hosts:
-            vm = host.vm(vm_id)
-            if vm is not None:
-                return vm
-        return None
-
 
 @dataclass(frozen=True)
 class Requirements:
@@ -186,23 +173,24 @@ def available_time(vm: VmDescriptor, tau: float,
 
     `exclude` ignores one reservation, used when re-quoting a batch on its own
     VM as if its unconsumed remainder were already released.
+
+    The ledger is sorted by start and its intervals are disjoint, so their
+    effective ends are sorted too and the latest one is the tail's (or, when
+    the tail is excluded, the entry before it).
     """
-    at = tau
-    for res in vm.reservations:
-        if res is exclude:
-            continue
-        if res.effective_end > at:
-            at = res.effective_end
-    return at
+    ledger = vm.reservations
+    i = len(ledger) - 1
+    if i >= 0 and ledger[i] is exclude:
+        i -= 1
+    if i < 0:
+        return tau
+    end = ledger[i].effective_end
+    return end if end > tau else tau
 
 
 def expected_completion(vm: VmDescriptor, total_workload: float, tau: float) -> float:
     """available_time plus the batch's summed workload at this VM's cpu."""
     return available_time(vm, tau) + total_workload / vm.cpu
-
-
-def execution_time(vm: VmDescriptor, total_workload: float) -> float:
-    return total_workload / vm.cpu
 
 
 def capacity_feasible(vm: VmDescriptor, reqs: Requirements) -> bool:

@@ -64,6 +64,18 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ConfigError(f"{name}: min {lo} > max {hi}")
+        for name in ("vm_cpu", "vm_ram", "vm_storage", "vm_bandwidth",
+                     "task_workload"):
+            if getattr(self, name)[0] <= 0:
+                raise ConfigError(f"{name}: min must be positive")
+        for name in ("task_ram", "task_storage", "task_bandwidth",
+                     "arrival_window"):
+            if getattr(self, name)[0] < 0:
+                raise ConfigError(f"{name}: min cannot be negative")
+        if self.vms_per_host[0] < 0 or self.vms_per_host[1] < 1:
+            raise ConfigError("vms_per_host: need min >= 0 and max >= 1")
+        if self.tasks_per_user[0] < 1:
+            raise ConfigError("tasks_per_user: min must be at least 1")
         if self.deadline is not None:
             lo, hi = self.deadline
             if lo > hi or lo <= 0:

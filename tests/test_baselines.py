@@ -180,6 +180,96 @@ class TestOracleEquivalence:
                 f"rr case {case}"
 
 
+def full_scan_available(vm, tau):
+    """available_time by its definition: tau or the latest effective end."""
+    return max([tau] + [r.effective_end for r in vm.reservations])
+
+
+class TestStressOracle:
+    """Larger instances than TestOracleEquivalence: 40-80 batches on 6-12 VMs
+    with integer workloads and cpus (so completions tie and the vm-id and
+    user-id tie-breaks decide), pre-booked ledgers and tau > 0 (so VMs start
+    at different availabilities), and batches some or all VMs cannot hold."""
+
+    POLICIES = ("mct", "met", "min_min", "round_robin")
+
+    def _instance(self, rng):
+        tau = rng.choice([0.0, 7.0, 30.0])
+        vms = []
+        for i in range(rng.randint(6, 12)):
+            vm = make_vm(f"v{i:02d}", cpu=float(rng.choice([500, 1000, 2000])),
+                         ram=float(rng.choice([1000, 1250, 1740])))
+            start = float(rng.choice([0, 5, 20]))
+            for k in range(rng.randint(0, 3)):
+                pre = make_request(f"p{i:02d}{k}",
+                                   workloads=(float(rng.randint(1, 6) * 5000),))
+                res = model.reserve(vm, model.batch_requirements(pre), start)
+                if rng.random() < 0.3:
+                    res.released_at = res.start + (res.end - res.start) / 2
+                start = res.effective_end + rng.choice([0, 0, 3])
+            vms.append(vm)
+        batches = []
+        for n in range(rng.randint(40, 80)):
+            req = make_request(
+                f"u{n:05d}",
+                workloads=tuple(float(rng.randint(1, 8) * 5000)
+                                for _ in range(rng.randint(1, 3))),
+                ram=float(rng.choice([800, 1200, 1200, 1600, 1800])))
+            batches.append(BatchState(req))
+        rng.shuffle(batches)
+        return vms, batches, tau
+
+    def _tuples(self, vms, batches, tau):
+        vm_tuples = [(vm.vm_id, vm.cpu, vm.ram, vm.storage, vm.bandwidth,
+                      full_scan_available(vm, tau)) for vm in vms]
+        batch_tuples = [(b.request.user_id, reqs.total_workload, reqs.max_ram,
+                         reqs.max_storage, reqs.max_bandwidth)
+                        for b in batches
+                        for reqs in [b.remaining_requirements()]]
+        return vm_tuples, batch_tuples
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_random_instances_match_oracle(self, policy):
+        rng = random.Random(f"stress-{policy}")
+        for case in range(25):
+            vms, batches, tau = self._instance(rng)
+            vm_tuples, batch_tuples = self._tuples(vms, batches, tau)
+            if policy == "round_robin":
+                start = rng.randrange(len(vms))
+                cursor = RingCursor(len(vms))
+                cursor.position = start
+                expected = oracles.oracle_round_robin(batch_tuples, vm_tuples,
+                                                      start=start)
+                actual = assign_round_robin(batches, vms, tau, cursor)
+            else:
+                oracle = getattr(oracles, f"oracle_{policy}")
+                assign = {"mct": assign_mct, "met": assign_met,
+                          "min_min": assign_min_min}[policy]
+                expected = oracle(batch_tuples, vm_tuples)
+                actual = assign(batches, vms, tau)
+            assert actual == expected, f"{policy} case {case}"
+            for vm, vm_tuple in zip(vms, vm_tuples):
+                # new bookings chain from the pre-booked availability
+                model.assert_no_overlap(vm)
+                at = vm_tuple[5]
+                for res in vm.reservations:
+                    if res.user_id.startswith("u"):
+                        assert res.start == at
+                        at = res.end
+
+    def test_all_ties_break_by_user_then_vm(self):
+        vms = [make_vm(f"v{i:02d}", cpu=1000.0) for i in range(6)]
+        batches = fresh_batches([(f"u{i:05d}", 10000.0) for i in range(40)])
+        batches.reverse()
+        vm_tuples, batch_tuples = self._tuples(vms, batches, 0.0)
+        expected = oracles.oracle_min_min(batch_tuples, vm_tuples)
+        assert assign_min_min(batches, vms, 0.0) == expected
+        assert expected[:7] == [("u00000", "v00"), ("u00001", "v01"),
+                                ("u00002", "v02"), ("u00003", "v03"),
+                                ("u00004", "v04"), ("u00005", "v05"),
+                                ("u00006", "v00")]
+
+
 class TestReactiveRealloc:
     def _driver(self, world, kind="mct", cost=None):
         kernel = Kernel()

@@ -65,6 +65,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "r.csv")]) == 2
 
+    def test_negative_arrival_window_is_config_error(self, tmp_path):
+        path = write_config(tmp_path, arrival_window=[-10, 0])
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_hosts_without_vms_is_config_error(self, tmp_path):
+        path = write_config(tmp_path, vms_per_host=[0, 0])
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+
     def test_bad_range_is_config_error(self, tmp_path):
         path = write_config(tmp_path, vm_cpu=[2500, 500])
         assert main(["run", "--config", path,

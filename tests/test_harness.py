@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from cloudsched.harness import run_simulation, sweep
+from cloudsched import harness
+from cloudsched.harness import (compare, csv_bytes, result_row,
+                                run_simulation, sweep)
 from cloudsched.kernel import RngStream
 from cloudsched.rescheduling import generate_events
 from cloudsched.scenario import ScenarioConfig, generate_scenario
@@ -76,3 +78,39 @@ def test_hosts_axis_changes_world_size():
     config = ScenarioConfig(seed=10, users=20, hosts=2, arrival_window=(0, 10))
     rows = sweep(config, "hosts", [1, 3])
     assert rows[0]["vm_count"] < rows[1]["vm_count"]
+
+
+def test_compare_rows_equal_per_cell_runs(monkeypatch):
+    """compare probes once per (scheduler, seed); every row must still equal
+    the row of its cell run on its own, which probes for itself."""
+    config = ScenarioConfig(seed=7, users=40, hosts=2, theta=2,
+                            arrival_window=(0, 20), deadline=(300.0, 800.0))
+    schedulers, probabilities = ["ara", "mct", "min_min"], [0.0, 0.5, 1.0]
+    executions = []
+    execute = harness._execute
+    monkeypatch.setattr(harness, "_execute",
+                        lambda *a: executions.append(1) or execute(*a))
+    rows = compare(config, schedulers, probabilities, reps=2)
+    # 18 cells plus one probe per (scheduler, seed), not one per p > 0
+    assert len(executions) == 18 + 3 * 2
+    monkeypatch.undo()
+    expected = []
+    for scheduler in sorted(schedulers):
+        for p in probabilities:
+            for seed in (7, 8):
+                cfg = config.replaced(scheduler=scheduler, event_probability=p,
+                                      seed=seed)
+                expected.append(result_row(run_simulation(cfg),
+                                           axis="probability", axis_value=p))
+    assert csv_bytes(rows) == csv_bytes(expected)
+
+
+def test_probability_sweep_rows_equal_per_cell_runs():
+    config = ScenarioConfig(seed=3, users=40, hosts=2, scheduler="mct",
+                            arrival_window=(0, 20), deadline=(300.0, 800.0))
+    rows = sweep(config, "probability", [0.5, 1.0], reps=2)
+    expected = [result_row(run_simulation(config.replaced(
+                    event_probability=p, seed=seed)),
+                    axis="probability", axis_value=p)
+                for p in (0.5, 1.0) for seed in (3, 4)]
+    assert csv_bytes(rows) == csv_bytes(expected)

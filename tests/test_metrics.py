@@ -114,6 +114,24 @@ class TestScenarioGeneration:
         with pytest.raises(ConfigError):
             ScenarioConfig(vm_cpu=(2500.0, 500.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_window", (-10.0, 0.0)),
+        ("vms_per_host", (0, 0)),
+        ("vms_per_host", (-1, 3)),
+        ("tasks_per_user", (0, 4)),
+        ("vm_cpu", (0.0, 2500.0)),
+        ("vm_storage", (-1.0, 10.0)),
+        ("task_workload", (0.0, 40000.0)),
+        ("task_ram", (-5.0, 1200.0)),
+    ])
+    def test_unrunnable_range_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**{field: value})
+
+    def test_boundary_ranges_accepted(self):
+        ScenarioConfig(arrival_window=(0.0, 0.0), vms_per_host=(0, 1),
+                       tasks_per_user=(1, 1), task_ram=(0.0, 0.0))
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"users": 5, "warp_drive": True})
