@@ -147,6 +147,12 @@ class HostAgent(Agent):
         for vm in self.host.vms:
             self.sync_vm(vm)
 
+    def _vm(self, vm_id: str) -> model.VmDescriptor | None:
+        """The VM if this host owns it, else None."""
+        if self.world.host_of_vm.get(vm_id) != self.host.host_id:
+            return None
+        return self.world.vms[vm_id]
+
     def sync_vm(self, vm: model.VmDescriptor) -> None:
         snap = VmSnapshot.of(vm, self.host.host_id, self.now)
         self.update_belief(f"vm:{vm.vm_id}",
@@ -178,11 +184,9 @@ class HostAgent(Agent):
                 self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
                                        INFORM, info, reply=True))
         elif msg.performative == INFORM and isinstance(body, ReleaseNotice):
-            vm = self.host.vm(body.vm_id)
+            vm = self._vm(body.vm_id)
             if vm is not None:
                 self.sync_vm(vm)
-        elif msg.performative == REJECT:
-            pass   # declined proposal: nothing was held for it
 
     # -- quoting and committing ----------------------------------------------
 
@@ -195,7 +199,7 @@ class HostAgent(Agent):
             return None
         if req.purpose == "samehost":
             return self._best_sibling(reqs, exclude_vm=req.vm_id)
-        vm = self.host.vm(req.vm_id)
+        vm = self._vm(req.vm_id)
         exclude = None
         if (batch.reservation is not None and vm is not None
                 and batch.reservation.vm_id == vm.vm_id):
@@ -219,7 +223,7 @@ class HostAgent(Agent):
     def commit_contract(self, user_id: str, vm_id: str) -> model.Reservation | None:
         """Re-check ground truth and commit; replacement releases the old
         interval atomically with the new reservation."""
-        vm = self.host.vm(vm_id)
+        vm = self._vm(vm_id)
         batch = self.world.batches.get(user_id)
         if vm is None or batch is None or batch.terminal:
             return None
@@ -278,7 +282,7 @@ class HostAgent(Agent):
     # -- degraded-VM rescue ---------------------------------------------------
 
     def on_vm_event(self, event: rescheduling.UncertainEvent) -> None:
-        vm = self.host.vm(event.target_id)
+        vm = self._vm(event.target_id)
         if vm is None:
             return
         affected = rescheduling.apply_vm_degrade(vm, event, self.world.batches,
@@ -537,10 +541,6 @@ class UserAgent(Agent):
             recommended=recommended,
             proposals=[[p.vm_id, p.completion] for p, _ in state.proposals],
             chosen=best.vm_id)
-        for proposal, host in state.proposals:
-            if proposal is not best:
-                self.send(AgentMessage(state.conversation, self.id, host,
-                                       REJECT, proposal))
         conv = f"{state.conversation}:acc"
         self.send(
             AgentMessage(conv, self.id, best_host, ACCEPT,
@@ -648,10 +648,8 @@ class UserAgent(Agent):
         if self._cycle is None:
             return
         intention = self._current_intention
-        if intention is not None:
-            intention.running = False
-            if not ok:
-                intention.exhausted = True
+        if intention is not None and not ok:
+            intention.exhausted = True
         self._current_intention = None
         if ok:
             self._end_cycle(True)
@@ -665,7 +663,6 @@ class UserAgent(Agent):
         self.desires["reschedule"].active = False
         for intention in self.intentions["reschedule"]:
             intention.exhausted = False
-            intention.running = False
         if self._retry_entry is not None:
             self.runtime.kernel.cancel(self._retry_entry)
             self._retry_entry = None
@@ -740,8 +737,6 @@ class UserAgent(Agent):
         elif msg.performative == INFORM and isinstance(body, SlotExpired):
             if not self.batch.terminal and self._cycle is None:
                 self._begin_cycle(self._last_event_id)
-        elif msg.performative == REJECT:
-            pass
 
     def _on_replacement_offer(self, msg: AgentMessage) -> None:
         offer: ReplacementOffer = msg.body

@@ -7,6 +7,7 @@ truth by in-flight messages; hosts re-check against ground truth before
 committing, so a stale snapshot costs at worst one declined round.
 """
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .model import (LeaseFlag, LeaseState, Requirements, VmDescriptor,
@@ -42,7 +43,7 @@ def snapshot_feasible(snap: VmSnapshot, reqs: Requirements, tau: float) -> bool:
 class RegistryEntry:
     snapshot: VmSnapshot
     lease: LeaseState = field(default_factory=LeaseState)
-    conversation: str | None = None
+    rank: int = 0           # position in first-sync (insertion) order
 
 
 @dataclass
@@ -63,30 +64,33 @@ class HostProposal:
 
 class VmRegistry:
     """Belief store of the supervise agent: per-VM snapshot plus lease label,
-    priority-indexed by available time ascending (earlier = higher priority)."""
+    priority-indexed by available time ascending (earlier = higher priority).
+
+    The index is a list of (available_time, vm_id) kept sorted by bisection on
+    every sync; `_leased` maps each conversation to the VMs it holds BUSY."""
 
     def __init__(self, trace: TraceLog | None = None):
         self.entries: dict[str, RegistryEntry] = {}
         self.trace = trace if trace is not None else NULL_TRACE
-        self._order: list[str] = []
-        self._dirty = True
+        self._order: list[tuple[float, str]] = []
+        self._leased: dict[str, list[str]] = {}
 
     def sync(self, snapshot: VmSnapshot) -> None:
         """Replace (or create, on first sync) a VM's snapshot; the lease label is
         orthogonal to snapshot data and is preserved."""
-        entry = self.entries.get(snapshot.vm_id)
+        vm_id = snapshot.vm_id
+        entry = self.entries.get(vm_id)
         if entry is None:
-            self.entries[snapshot.vm_id] = RegistryEntry(snapshot)
+            self.entries[vm_id] = RegistryEntry(snapshot, rank=len(self.entries))
         else:
-            entry.snapshot = snapshot
-        self._dirty = True
+            old, entry.snapshot = entry.snapshot.available_time, snapshot
+            if old == snapshot.available_time:
+                return
+            del self._order[bisect_left(self._order, (old, vm_id))]
+        insort(self._order, (snapshot.available_time, vm_id))
 
     def ordered_ids(self) -> list[str]:
-        if self._dirty:
-            self._order = sorted(
-                self.entries, key=lambda v: (self.entries[v].snapshot.available_time, v))
-            self._dirty = False
-        return self._order
+        return [vm_id for _, vm_id in self._order]
 
     def ready_count(self) -> int:
         return sum(1 for e in self.entries.values() if e.lease.state is LeaseFlag.READY)
@@ -100,7 +104,7 @@ class VmRegistry:
         if theta < 1:
             raise ValueError("theta must be >= 1")
         collected: list[VmSnapshot] = []
-        for vm_id in self.ordered_ids():
+        for _, vm_id in self._order:
             if len(collected) >= theta:
                 break
             entry = self.entries[vm_id]
@@ -108,26 +112,23 @@ class VmRegistry:
                 continue
             if not snapshot_feasible(entry.snapshot, reqs, tau):
                 continue
-            entry.lease.acquire(reqs.user_id, tau)
-            entry.conversation = conversation_id
+            entry.lease.acquire(reqs.user_id)
+            self._leased.setdefault(conversation_id, []).append(vm_id)
             self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="BUSY",
                             holder=reqs.user_id, conversation=conversation_id)
             collected.append(entry.snapshot)
         return Recommendation(conversation_id, reqs.user_id, collected, theta)
 
     def finalize(self, conversation_id: str, tau: float) -> int:
-        """Release every lease held under this conversation back to READY.
-        Idempotent: a second finalize for the same conversation is a no-op.
-        Returns the number of leases released."""
-        released = 0
-        for vm_id, entry in self.entries.items():
-            if entry.conversation == conversation_id:
-                entry.lease.release()
-                entry.conversation = None
-                released += 1
-                self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="READY",
-                                conversation=conversation_id)
-        return released
+        """Release every lease held under this conversation back to READY, in
+        first-sync order. Idempotent: a second finalize for the same
+        conversation is a no-op. Returns the number of leases released."""
+        leased = self._leased.pop(conversation_id, [])
+        for vm_id in sorted(leased, key=lambda v: self.entries[v].rank):
+            self.entries[vm_id].lease.release()
+            self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="READY",
+                            conversation=conversation_id)
+        return len(leased)
 
 
 def select_best(proposals: list[HostProposal]) -> HostProposal:

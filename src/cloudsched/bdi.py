@@ -87,7 +87,6 @@ class Intention:
     plan: Callable[[], None]
     priority: int           # lower rank = tried first
     exhausted: bool = False
-    running: bool = False
 
 
 @dataclass
@@ -134,7 +133,7 @@ class Agent:
         return desire
 
     def update_belief(self, key: str, value: Any) -> None:
-        if self.beliefs.set(key, value):
+        if self.beliefs.set(key, value) and self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "belief",
                                     key=key, version=self.beliefs.version(key))
 
@@ -147,7 +146,7 @@ class Agent:
 
 def deliberate(agent: Agent) -> Optional[Intention]:
     """Select the lowest-rank not-yet-exhausted intention of the most urgent
-    active desire; marks it running. Returns None when every plan is exhausted
+    active desire. Returns None when every plan is exhausted
     (caller resets the cycle) or no desire is active."""
     active = [d for d in agent.desires.values() if d.active]
     if not active:
@@ -155,9 +154,10 @@ def deliberate(agent: Agent) -> Optional[Intention]:
     desire = min(active, key=lambda d: (d.priority, d.name))
     for intention in agent.intentions[desire.name]:
         if not intention.exhausted:
-            intention.running = True
-            agent.runtime.trace.emit(agent.now, str(agent.id), "intention",
-                                     desire=desire.name, intention=intention.name)
+            if agent.runtime.trace.enabled:
+                agent.runtime.trace.emit(agent.now, str(agent.id), "intention",
+                                         desire=desire.name,
+                                         intention=intention.name)
             return intention
     return None
 
@@ -182,9 +182,6 @@ class AgentRuntime:
             raise ValueError(f"duplicate agent id {agent.id}")
         self.agents[agent.id] = agent
 
-    def deregister(self, agent_id: AgentId) -> None:
-        self.agents.pop(agent_id, None)
-
     def add_listener(self, owner: AgentId, listener: ResultListener) -> None:
         key = (owner, listener.conversation_id)
         self._listeners[key] = listener
@@ -206,16 +203,15 @@ class AgentRuntime:
         """Enqueue delivery at now + latency; the sender continues immediately."""
         if listener is not None:
             self.add_listener(msg.sender, listener)
-        if self.drop_filter is not None and self.drop_filter(msg):
-            self.trace.emit(self.kernel.now, str(msg.sender), "drop",
+        dropped = self.drop_filter is not None and self.drop_filter(msg)
+        if self.trace.enabled:
+            self.trace.emit(self.kernel.now, str(msg.sender),
+                            "drop" if dropped else "send",
                             to=str(msg.to), performative=msg.performative,
                             conversation=msg.conversation_id)
-            return
-        self.trace.emit(self.kernel.now, str(msg.sender), "send",
-                        to=str(msg.to), performative=msg.performative,
-                        conversation=msg.conversation_id)
-        self.kernel.schedule(self.kernel.now + self.latency,
-                             lambda: self._deliver(msg), kind="deliver")
+        if not dropped:
+            self.kernel.schedule(self.kernel.now + self.latency,
+                                 lambda: self._deliver(msg), kind="deliver")
 
     def _deliver(self, msg: AgentMessage) -> None:
         recipient = self.agents.get(msg.to)
@@ -228,9 +224,10 @@ class AgentRuntime:
             self.kernel.schedule(self.kernel.now + self.latency,
                                  lambda: self._deliver(bounce), kind="deliver")
             return
-        self.trace.emit(self.kernel.now, str(msg.to), "deliver",
-                        sender=str(msg.sender), performative=msg.performative,
-                        conversation=msg.conversation_id)
+        if self.trace.enabled:
+            self.trace.emit(self.kernel.now, str(msg.to), "deliver",
+                            sender=str(msg.sender), performative=msg.performative,
+                            conversation=msg.conversation_id)
         key = (msg.to, msg.conversation_id)
         listener = self._listeners.get(key)
         if listener is not None:

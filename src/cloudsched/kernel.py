@@ -16,70 +16,63 @@ class SchedulingInPastError(Exception):
     """Raised when an entry is scheduled before the current clock (a logic bug)."""
 
 
-@dataclass
-class TimedEntry:
-    fire_at: float
-    seq: int
-    action: Callable[[], Any]
-    kind: str = "timer"
-    cancelled: bool = False
-
-
 class Kernel:
     """Single-threaded event loop owning the virtual clock.
 
     Agents are logically concurrent but physically serialized: one entry's
-    action runs to completion before the next is dequeued.
+    action runs to completion before the next is dequeued. The heap holds
+    plain (fire_at, seq, action) tuples; an entry is pending while its seq is
+    in `_pending`, so cancelling only forgets the seq and the loop skips the
+    stale tuple when it surfaces.
     """
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, TimedEntry]] = []
+        self._heap: list[tuple[float, int, Callable[[], Any]]] = []
         self._seq = 0
-        self._live: dict[int, TimedEntry] = {}
+        self._pending: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self._pending)
 
     def schedule(self, fire_at: float, action: Callable[[], Any], kind: str = "timer") -> int:
-        """Enqueue an action at a future (or current) virtual time; returns the entry id."""
+        """Enqueue an action at a future (or current) virtual time; returns the
+        entry id. `kind` labels the entry for tracers that wrap this method."""
         if fire_at < self.now:
             raise SchedulingInPastError(
                 f"schedule at t={fire_at} before now={self.now}")
-        entry = TimedEntry(fire_at, self._seq, action, kind)
-        self._seq += 1
-        heapq.heappush(self._heap, (entry.fire_at, entry.seq, entry))
-        self._live[entry.seq] = entry
-        return entry.seq
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_at, seq, action))
+        self._pending.add(seq)
+        return seq
 
     def cancel(self, entry_id: int) -> bool:
         """True iff the entry existed and had not fired; cancelled entries never fire."""
-        entry = self._live.pop(entry_id, None)
-        if entry is None:
-            return False
-        entry.cancelled = True
-        return True
-
-    def _purge_cancelled(self) -> None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        if entry_id in self._pending:
+            self._pending.remove(entry_id)
+            return True
+        return False
 
     def run_until_quiescent(self, limit: float = float("inf")) -> float:
         """Process entries in (fire_at, seq) order until the queue drains or the clock
         would pass `limit`. Hitting the limit is a normal outcome: the clock is left
         at `limit` and remaining entries stay queued."""
-        while True:
-            self._purge_cancelled()
-            if not self._heap:
-                return self.now
-            fire_at, _, entry = self._heap[0]
+        heap, pending = self._heap, self._pending
+        pop = heapq.heappop
+        while heap:
+            fire_at, seq, action = heap[0]
+            if seq not in pending:
+                pop(heap)
+                continue
             if fire_at > limit:
                 self.now = limit
-                return self.now
-            heapq.heappop(self._heap)
-            del self._live[entry.seq]
+                return limit
+            pop(heap)
+            pending.remove(seq)
             self.now = fire_at
-            entry.action()
+            action()
+        return self.now
 
 
 class RngStream(random.Random):

@@ -32,13 +32,11 @@ class LeaseState:
 
     state: LeaseFlag = LeaseFlag.READY
     holder: str | None = None
-    leased_at: float = 0.0
 
-    def acquire(self, holder: str, now: float) -> None:
+    def acquire(self, holder: str) -> None:
         assert self.state is LeaseFlag.READY, "lease already held"
         self.state = LeaseFlag.BUSY
         self.holder = holder
-        self.leased_at = now
 
     def release(self) -> None:
         self.state = LeaseFlag.READY
@@ -117,12 +115,6 @@ class VmDescriptor:
 class Host:
     host_id: str
     vms: list[VmDescriptor]
-
-    def vm(self, vm_id: str) -> VmDescriptor | None:
-        for vm in self.vms:
-            if vm.vm_id == vm_id:
-                return vm
-        return None
 
 
 @dataclass
@@ -250,6 +242,10 @@ class BatchState:
     inflation scales only the not-yet-executed remainder. Between checkpoints
     the VM's cpu and the task workloads are constant, so pouring cpu * dt MI
     into the remaining tasks reproduces the contract timeline exactly.
+
+    `view` caches remaining_requirements(); `checkpoint` (when it pours work)
+    and `rescheduling.apply_user_event` (before it mutates) reset it to None,
+    as they are the only writers of the fractions, task fields and deadline.
     """
 
     request: UserRequest
@@ -259,6 +255,8 @@ class BatchState:
     reservation: Reservation | None = None
     last_checkpoint: float = 0.0
     completion_entry: int | None = None
+    view: Requirements | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         n = len(self.request.tasks)
@@ -282,18 +280,22 @@ class BatchState:
 
     def remaining_requirements(self) -> Requirements:
         """Aggregate view of the work still to execute, at current ground truth."""
-        idx = self.incomplete_indices()
-        tasks = self.request.tasks
-        return Requirements(
-            user_id=self.request.user_id,
-            total_workload=sum(self.remaining_workload(i) for i in idx),
-            max_ram=max((tasks[i].ram for i in idx), default=0.0),
-            max_storage=max((tasks[i].storage for i in idx), default=0.0),
-            max_bandwidth=max((tasks[i].bandwidth for i in idx), default=0.0),
-            deadline=self.request.deadline,
-            workloads=tuple(self.remaining_workload(i) for i in idx),
-            task_indices=tuple(idx),
-        )
+        if self.view is not None:
+            return self.view
+        idx, workloads = [], []
+        ram = storage = bandwidth = 0.0
+        for i, task in enumerate(self.request.tasks):
+            remaining = task.workload * (1.0 - self.fractions[i])
+            if remaining > MI_EPS:
+                idx.append(i)
+                workloads.append(remaining)
+                ram = max(ram, task.ram)
+                storage = max(storage, task.storage)
+                bandwidth = max(bandwidth, task.bandwidth)
+        self.view = Requirements(self.request.user_id, sum(workloads), ram,
+                                 storage, bandwidth, self.request.deadline,
+                                 tuple(workloads), tuple(idx))
+        return self.view
 
 
 def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
@@ -316,6 +318,7 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
         return newly_done
     if batch.request.status is RequestStatus.SCHEDULED:
         batch.request.status = RequestStatus.EXECUTING
+    batch.view = None
     budget = vm.cpu * (hi - lo)
     cursor = lo
     for i in batch.incomplete_indices():

@@ -148,6 +148,7 @@ def apply_user_event(batch: BatchState, vm: VmDescriptor | None,
         if batch.terminal:
             return False
     mutation = event.mutation
+    batch.view = None
     if isinstance(mutation, TaskInflate):
         for i in batch.incomplete_indices():
             task = batch.request.tasks[i]

@@ -92,6 +92,10 @@ class ScenarioConfig:
                      "minmin_interval", "time_limit"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.collect_timeout <= 2 * self.latency:
+            # a reply arrives two hops after its request; a listener expiring
+            # no later than that (a tie fires the timeout first) never resolves
+            raise ConfigError("collect_timeout must exceed 2 * latency")
         if self.events is not None:
             for entry in self.events:
                 if not isinstance(entry, dict) or "mutation" not in entry:
@@ -169,6 +173,8 @@ def generate_scenario(config: ScenarioConfig, rng: random.Random) -> SimWorld:
                 bandwidth=rng.uniform(*config.vm_bandwidth),
             ))
         hosts.append(Host(host_id, vms))
+    if not any(host.vms for host in hosts):
+        raise ConfigError(f"seed {config.seed}: the drawn datacenter holds no VM")
     users = []
     for n in range(config.users):
         user_id = f"u{n:05d}"

@@ -17,9 +17,6 @@ class TraceLog:
         if self.enabled:
             self.records.append({"t": t, "agent": agent, "kind": kind, "detail": detail})
 
-    def of_kind(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r["kind"] == kind]
-
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
             for record in self.records:

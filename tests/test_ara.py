@@ -1,13 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cloudsched import model
 from cloudsched.agents import HostAgent, SuperviseAgent, UserAgent
 from cloudsched.ara import (HostProposal, VmRegistry, VmSnapshot,
-                            make_proposal, select_best)
+                            make_proposal, select_best, snapshot_feasible)
 from cloudsched.bdi import ACCEPT, INFORM, AgentRuntime
 from cloudsched.kernel import Kernel
 from cloudsched.model import LeaseFlag, RequestStatus, batch_requirements
@@ -95,6 +95,61 @@ class TestRegistry:
         rec = registry.recommend(reqs(total=40000.0, deadline=50.0), theta=5,
                                  tau=0.0, conversation_id="c")
         assert [s.vm_id for s in rec.vm_refs] == ["fast"]
+
+
+registry_ops = st.lists(st.one_of(
+    st.tuples(st.just("sync"), st.integers(0, 5),
+              st.sampled_from([0.0, 5.0, 9.0, 20.0]),
+              st.sampled_from([1740.0, 100.0])),
+    st.tuples(st.just("recommend"), st.integers(1, 4),
+              st.sampled_from([math.inf, 15.0, 30.0])),
+    st.tuples(st.just("finalize"), st.integers(0, 12))), max_size=40)
+
+
+@given(registry_ops)
+@example([("sync", 1, 20.0, 1740.0), ("sync", 0, 0.0, 1740.0),
+          ("recommend", 2, math.inf), ("finalize", 0)])
+def test_registry_matches_full_sort_reference(ops):
+    """Random sync / recommend / finalize sequences (the supervise agent's
+    lease expiry is a finalize too) against a model that re-sorts every time:
+    the index equals a full sort by (available_time, vm_id), recommend takes
+    the first theta READY feasible VMs in that order, and finalize releases
+    exactly its conversation's leases, in first-sync order, once."""
+    trace = TraceLog()
+    registry = VmRegistry(trace=trace)
+    snaps, busy, conversations = {}, {}, []
+    tau = 0.0
+    for op in ops:
+        tau += 1.0
+        if op[0] == "sync":
+            _, k, at, ram = op
+            snaps[f"v{k}"] = snap(f"v{k}", at=at, ram=ram)
+            registry.sync(snaps[f"v{k}"])
+        elif op[0] == "recommend":
+            _, theta, deadline = op
+            conv = f"c{len(conversations)}"
+            conversations.append(conv)
+            want = reqs(total=10000.0, deadline=deadline)
+            order = sorted(snaps, key=lambda v: (snaps[v].available_time, v))
+            expected = [v for v in order if v not in busy and
+                        snapshot_feasible(snaps[v], want, tau)][:theta]
+            rec = registry.recommend(want, theta, tau, conv)
+            assert [s.vm_id for s in rec.vm_refs] == expected
+            busy.update((v, conv) for v in expected)
+        else:
+            conv = conversations[op[1] % len(conversations)] \
+                if conversations else "never-issued"
+            held = [v for v in snaps if busy.get(v) == conv]
+            del trace.records[:]
+            assert registry.finalize(conv, tau) == len(held)
+            assert [r["detail"]["vm"] for r in trace.records] == held
+            assert registry.finalize(conv, tau) == 0
+            for v in held:
+                del busy[v]
+        assert registry.ordered_ids() == sorted(
+            snaps, key=lambda v: (snaps[v].available_time, v))
+        assert {v for v, e in registry.entries.items()
+                if e.lease.state is LeaseFlag.BUSY} == set(busy)
 
 
 class TestSelectBest:

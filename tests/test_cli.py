@@ -75,6 +75,23 @@ class TestRunCommand:
         assert main(["run", "--config", path,
                      "--out", str(tmp_path / "r.csv")]) == 2
 
+    def test_listener_shorter_than_round_trip_is_config_error(self, tmp_path):
+        # every reply would arrive after its listener expired: the run used
+        # to retry the unbounded-deadline batches forever
+        path = write_config(tmp_path, users=40, hosts=2, collect_timeout=0.015,
+                            latency=0.01, time_limit=5000)
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("scheduler", ["ara", "mct"])
+    def test_drawn_datacenter_without_vms_is_config_error(self, tmp_path,
+                                                          scheduler):
+        # vms_per_host [0, 1] passes validation; seed 2 draws no VM at all
+        path = write_config(tmp_path, seed=2, hosts=1, vms_per_host=[0, 1],
+                            scheduler=scheduler)
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+
     def test_bad_range_is_config_error(self, tmp_path):
         path = write_config(tmp_path, vm_cpu=[2500, 500])
         assert main(["run", "--config", path,

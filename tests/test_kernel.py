@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudsched.kernel import Kernel, RngStream, RngStreams, SchedulingInPastError
@@ -121,3 +121,90 @@ def test_rng_streams_independent():
     streams2.scenario.random()
     assert [streams2.events.random() for _ in range(3)] == first
     assert RngStream(7, "scenario").random() != RngStream(7, "events").random()
+
+
+class NaiveKernel:
+    """Reference semantics: pending entries in a dict, the next one found by a
+    full scan for the smallest (fire_at, seq)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = {}
+        self.next_seq = 0
+
+    def __len__(self):
+        return len(self.pending)
+
+    def schedule(self, fire_at, action, kind="timer"):
+        if fire_at < self.now:
+            raise SchedulingInPastError(fire_at)
+        seq = self.next_seq
+        self.next_seq += 1
+        self.pending[seq] = (fire_at, action)
+        return seq
+
+    def cancel(self, entry_id):
+        return self.pending.pop(entry_id, None) is not None
+
+    def run_until_quiescent(self, limit=float("inf")):
+        while self.pending:
+            seq = min(self.pending, key=lambda s: (self.pending[s][0], s))
+            fire_at, action = self.pending[seq]
+            if fire_at > limit:
+                self.now = limit
+                return limit
+            del self.pending[seq]
+            self.now = fire_at
+            action()
+        return self.now
+
+
+# offsets from a few shared values so that fire times tie often
+offsets = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])
+leaf_ops = st.one_of(
+    st.tuples(st.just("schedule"), offsets, st.just(())),
+    st.tuples(st.just("cancel"), st.integers(0, 60)))
+entry_ops = st.one_of(
+    leaf_ops,
+    st.tuples(st.just("schedule"), offsets, st.lists(leaf_ops, max_size=3)))
+programs = st.lists(
+    st.one_of(entry_ops,
+              st.tuples(st.just("run"), st.one_of(st.none(), offsets))),
+    max_size=40)
+
+
+def execute(kernel, program):
+    """Runs a program of schedule / cancel / run(limit) steps; a scheduled
+    entry, when it fires, runs its own nested steps. Cancels pick among every
+    id issued so far (pending, fired or cancelled), or an id never issued."""
+    log, ids = [], []
+
+    def step(op):
+        if op[0] == "schedule":
+            _, offset, children = op
+            label = len(ids)
+
+            def fire():
+                log.append(("fire", label, kernel.now, len(kernel)))
+                for child in children:
+                    step(child)
+            ids.append(kernel.schedule(kernel.now + offset, fire))
+            log.append(("id", ids[-1], len(kernel)))
+        elif op[0] == "cancel":
+            target = ids[op[1] % len(ids)] if op[1] < 50 and ids else 10_000 + op[1]
+            log.append(("cancel", target, kernel.cancel(target), len(kernel)))
+        else:
+            limit = float("inf") if op[1] is None else kernel.now + op[1]
+            log.append(("run", kernel.run_until_quiescent(limit), kernel.now,
+                        len(kernel)))
+
+    for op in program:
+        step(op)
+    log.append(("end", kernel.run_until_quiescent(), len(kernel)))
+    return log
+
+
+@settings(max_examples=300)
+@given(programs)
+def test_kernel_matches_naive_reference(program):
+    assert execute(Kernel(), program) == execute(NaiveKernel(), program)

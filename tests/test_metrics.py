@@ -132,6 +132,19 @@ class TestScenarioGeneration:
         ScenarioConfig(arrival_window=(0.0, 0.0), vms_per_host=(0, 1),
                        tasks_per_user=(1, 1), task_ram=(0.0, 0.0))
 
+    def test_collect_timeout_must_exceed_round_trip(self):
+        # a reply lands exactly 2 * latency after its request, and a listener
+        # timeout at the same instant fires first
+        with pytest.raises(ConfigError):
+            ScenarioConfig(collect_timeout=0.02, latency=0.01)
+        ScenarioConfig(collect_timeout=0.021, latency=0.01)
+
+    @pytest.mark.parametrize("seed", [2, 3, 6])
+    def test_drawn_datacenter_without_vms_rejected(self, seed):
+        config = ScenarioConfig(seed=seed, hosts=1, vms_per_host=(0, 1), users=20)
+        with pytest.raises(ConfigError):
+            generate_scenario(config, RngStream(seed, "scenario"))
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"users": 5, "warp_drive": True})

@@ -3,12 +3,14 @@ import math
 import pytest
 
 from cloudsched import model
+from cloudsched.harness import run_simulation
 from cloudsched.kernel import RngStream
 from cloudsched.model import BatchState, RequestStatus, batch_requirements
 from cloudsched.rescheduling import (DeadlineCut, TaskInflate, UncertainEvent,
                                      VmDegrade, apply_user_event,
                                      apply_vm_degrade, generate_events,
                                      validate_contract)
+from cloudsched.scenario import ScenarioConfig
 
 from conftest import make_request, make_vm, make_world
 from test_ara import build_sim
@@ -163,6 +165,74 @@ class TestValidateContract:
         batch = contracted_batch(vm, workloads=(10000.0,), deadline=1000.0)
         apply_vm_degrade(vm, degrade_event(vm.vm_id, 0.5), {"u00000": batch}, 0.0)
         assert validate_contract(batch, vm, 0.0) is True
+
+
+def scratch_requirements(batch):
+    """The remaining-work view recomputed from the batch's ground truth."""
+    idx = [i for i in range(len(batch.fractions))
+           if batch.remaining_workload(i) > model.MI_EPS]
+    tasks = batch.request.tasks
+    return model.Requirements(
+        user_id=batch.request.user_id,
+        total_workload=sum(batch.remaining_workload(i) for i in idx),
+        max_ram=max((tasks[i].ram for i in idx), default=0.0),
+        max_storage=max((tasks[i].storage for i in idx), default=0.0),
+        max_bandwidth=max((tasks[i].bandwidth for i in idx), default=0.0),
+        deadline=batch.request.deadline,
+        workloads=tuple(batch.remaining_workload(i) for i in idx),
+        task_indices=tuple(idx))
+
+
+class TestRequirementsView:
+    """remaining_requirements() is cached on the batch; every writer of what
+    it reads must reset the cache."""
+
+    def test_view_follows_every_writer(self):
+        vm = make_vm(cpu=1000.0)
+        batch = contracted_batch(
+            vm, workloads=(10000.0, 20000.0, 10000.0), deadline=500.0)
+        batch.request.tasks[2].ram = 1100.0
+
+        def check():
+            assert batch.remaining_requirements() == scratch_requirements(batch)
+
+        check()
+        model.checkpoint(batch, vm, 15.0)                   # partial
+        check()
+        apply_user_event(batch, vm, inflate_event("u00000", 1.2), 15.0)
+        check()
+        apply_user_event(batch, vm, cut_event("u00000", 100.0), 16.0)
+        check()
+        model.release_remainder(batch, vm, 20.0)
+        check()
+        batch.reservation = model.reserve(vm, batch.remaining_requirements(), 20.0)
+        model.checkpoint(batch, vm, 100.0)                  # completing
+        assert batch.request.status is RequestStatus.COMPLETED
+        check()
+        assert batch.remaining_requirements().task_indices == ()
+
+    @pytest.mark.parametrize("scheduler", ["ara", "mct", "min_min"])
+    def test_every_call_during_a_run_matches_scratch(self, scheduler):
+        cached = BatchState.remaining_requirements
+        calls = []
+
+        def checked(batch):
+            got = cached(batch)
+            assert got == scratch_requirements(batch), batch.request.user_id
+            calls.append(1)
+            return got
+
+        config = ScenarioConfig(seed=5, users=120, hosts=3, scheduler=scheduler,
+                                event_probability=0.7,
+                                deadline=(200.0, 1200.0))
+        BatchState.remaining_requirements = checked
+        try:
+            result = run_simulation(config)
+        finally:
+            BatchState.remaining_requirements = cached
+        assert calls
+        mutations = {type(e.mutation) for e in result.events}
+        assert {TaskInflate, DeadlineCut, VmDegrade} <= mutations
 
 
 class TestIntentions:
