@@ -254,10 +254,11 @@ class HostAgent(Agent):
         batch.completion_entry = self.runtime.kernel.schedule(
             reservation.end, lambda: self._on_slot_end(batch), kind="completion")
         self.sync_vm(vm)
-        self.runtime.trace.emit(self.now, str(self.id), "contract",
-                                user=user_id, vm=vm.vm_id,
-                                start=reservation.start, end=reservation.end,
-                                deadline=reqs.deadline)
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "contract",
+                                    user=user_id, vm=vm.vm_id,
+                                    start=reservation.start, end=reservation.end,
+                                    deadline=reqs.deadline)
         return reservation
 
     def _on_slot_end(self, batch: BatchState) -> None:
@@ -267,14 +268,14 @@ class HostAgent(Agent):
         vm = self.world.vms[res.vm_id]
         model.checkpoint(batch, vm, res.end)
         batch.completion_entry = None
-        if batch.request.status is RequestStatus.COMPLETED:
-            self.runtime.trace.emit(self.now, str(self.id), "completed",
+        completed = batch.request.status is RequestStatus.COMPLETED
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id),
+                                    "completed" if completed else "slot_expired",
                                     user=batch.request.user_id, vm=res.vm_id)
-        else:
+        if not completed:
             # written slot expired with work left (un-repaired inflation);
             # nudge the owner in case its cycle is not already hunting
-            self.runtime.trace.emit(self.now, str(self.id), "slot_expired",
-                                    user=batch.request.user_id, vm=res.vm_id)
             self.send(AgentMessage(self._next_conv("exp"), self.id,
                                    AgentId(USER, batch.request.user_id),
                                    INFORM, SlotExpired(res.vm_id)))
@@ -523,24 +524,20 @@ class UserAgent(Agent):
             self._send_outcome(state.conversation, None)
             state.done(False)
             return
-        recommended = [s.vm_id for s in state.rec.vm_refs]
-        if not state.proposals:
-            self.runtime.trace.emit(self.now, str(self.id), "round",
-                                    conversation=state.conversation,
-                                    theta=state.rec.theta,
-                                    recommended=recommended, proposals=[],
-                                    chosen=None)
+        best = select_best([p for p, _ in state.proposals]) \
+            if state.proposals else None
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(
+                self.now, str(self.id), "round",
+                conversation=state.conversation, theta=state.rec.theta,
+                recommended=[s.vm_id for s in state.rec.vm_refs],
+                proposals=[[p.vm_id, p.completion] for p, _ in state.proposals],
+                chosen=None if best is None else best.vm_id)
+        if best is None:
             self._send_outcome(state.conversation, None)
             state.done(False)
             return
-        best = select_best([p for p, _ in state.proposals])
         best_host = next(h for p, h in state.proposals if p is best)
-        self.runtime.trace.emit(
-            self.now, str(self.id), "round",
-            conversation=state.conversation, theta=state.rec.theta,
-            recommended=recommended,
-            proposals=[[p.vm_id, p.completion] for p, _ in state.proposals],
-            chosen=best.vm_id)
         conv = f"{state.conversation}:acc"
         self.send(
             AgentMessage(conv, self.id, best_host, ACCEPT,

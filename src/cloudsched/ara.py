@@ -114,8 +114,9 @@ class VmRegistry:
                 continue
             entry.lease.acquire(reqs.user_id)
             self._leased.setdefault(conversation_id, []).append(vm_id)
-            self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="BUSY",
-                            holder=reqs.user_id, conversation=conversation_id)
+            if self.trace.enabled:
+                self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="BUSY",
+                                holder=reqs.user_id, conversation=conversation_id)
             collected.append(entry.snapshot)
         return Recommendation(conversation_id, reqs.user_id, collected, theta)
 
@@ -126,8 +127,9 @@ class VmRegistry:
         leased = self._leased.pop(conversation_id, [])
         for vm_id in sorted(leased, key=lambda v: self.entries[v].rank):
             self.entries[vm_id].lease.release()
-            self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="READY",
-                            conversation=conversation_id)
+            if self.trace.enabled:
+                self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="READY",
+                                conversation=conversation_id)
         return len(leased)
 
 

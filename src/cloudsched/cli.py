@@ -9,6 +9,7 @@ unknown fields are rejected. Exit code 0 on success, 2 on a config error.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -78,10 +79,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             if args.seed is not None:
                 config = config.replaced(seed=args.seed)
-            result = harness.run_simulation(config,
-                                            collect_trace=args.trace is not None)
-            if args.trace:
-                result.trace.write(args.trace)
+            with (open(args.trace, "w") if args.trace
+                  else contextlib.nullcontext()) as sink:
+                result = harness.run_simulation(config, trace_sink=sink)
             if args.dump_events:
                 with open(args.dump_events, "w") as fh:
                     json.dump([e.to_json() for e in result.events], fh, indent=1)

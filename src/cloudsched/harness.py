@@ -11,6 +11,7 @@ probabilities.
 import csv
 import io
 from dataclasses import dataclass
+from typing import TextIO
 
 from . import rescheduling
 from .agents import HostAgent, SuperviseAgent, UserAgent
@@ -39,10 +40,12 @@ class RunResult:
     runtime: AgentRuntime | None = None
 
 
-def _execute(config: ScenarioConfig, events: list[UncertainEvent],
-             trace: TraceLog) -> RunResult:
-    streams = RngStreams(config.seed)
-    world = generate_scenario(config, streams.scenario)
+def _world(config: ScenarioConfig) -> SimWorld:
+    return generate_scenario(config, RngStreams(config.seed).scenario)
+
+
+def _execute(config: ScenarioConfig, world: SimWorld,
+             events: list[UncertainEvent], trace: TraceLog) -> RunResult:
     kernel = Kernel()
     runtime = None
     if config.scheduler == "ara":
@@ -98,8 +101,8 @@ def _execute(config: ScenarioConfig, events: list[UncertainEvent],
 
 def _probe_horizon(config: ScenarioConfig) -> float:
     """Makespan of the no-event twin: the horizon event times are drawn over."""
-    probe = _execute(config.replaced(event_probability=0.0), [],
-                     TraceLog(enabled=False))
+    config = config.replaced(event_probability=0.0)
+    probe = _execute(config, _world(config), [], TraceLog(enabled=False))
     return probe.metrics.makespan
 
 
@@ -117,10 +120,15 @@ def _shared_horizon(config: ScenarioConfig,
 
 def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
                    events: list[UncertainEvent] | None = None,
-                   horizon: float | None = None) -> RunResult:
+                   horizon: float | None = None,
+                   trace_sink: TextIO | None = None) -> RunResult:
     """One full run. With event_probability > 0 (and no explicit event list),
     a no-event twin of the same seed supplies the horizon for event times;
-    callers sweeping several probabilities can pass that horizon in once."""
+    callers sweeping several probabilities can pass that horizon in once.
+
+    With `trace_sink` (an open text file) the trace streams into it, and every
+    record is in the file when the run returns or raises."""
+    world = _world(config)
     if events is None and config.events is not None:
         events = [UncertainEvent.from_json(e) for e in config.events]
     if events is None:
@@ -130,12 +138,16 @@ def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
                 horizon = _probe_horizon(config)
             if horizon <= 0.0:
                 horizon = max(1.0, config.arrival_window[1])
-            streams = RngStreams(config.seed)
-            world = generate_scenario(config, streams.scenario)
             events = rescheduling.generate_events(
-                world.users, list(world.vms.values()),
-                config.event_probability, streams.events, horizon)
-    return _execute(config, events, TraceLog(enabled=collect_trace))
+                world.users, list(world.vms.values()), config.event_probability,
+                RngStreams(config.seed).events, horizon)
+    trace = TraceLog(enabled=collect_trace or trace_sink is not None,
+                     sink=trace_sink)
+    try:
+        return _execute(config, world, events, trace)
+    finally:
+        if trace_sink is not None:
+            trace.write()
 
 
 def result_row(result: RunResult, axis: str = "", axis_value="") -> dict:

@@ -1,0 +1,105 @@
+"""The streamed trace: a run with a sink writes the same bytes that encoding
+the in-memory records of the same run gives, and holds at most one chunk of
+records at a time. Because the stream encodes a record long before the run
+ends, a `detail` object mutated after `emit` would show up here as a byte
+difference. The last test holds every record to the README's schema table."""
+
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from cloudsched import tracelog
+from cloudsched.cli import main
+from cloudsched.harness import run_simulation
+from cloudsched.scenario import ScenarioConfig
+from cloudsched.tracelog import TraceLog
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def uncertain(scheduler, users=200, seed=3):
+    return ScenarioConfig.from_json(str(ROOT / "configs" / "uncertain.json")) \
+        .replaced(scheduler=scheduler, users=users, seed=seed)
+
+
+def encoded(records):
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def streamed(config):
+    sink = io.StringIO()
+    result = run_simulation(config, trace_sink=sink)
+    assert result.trace.records == []
+    return sink.getvalue()
+
+
+def buffer_peak(monkeypatch):
+    """Records the largest buffer seen after any emit."""
+    peak = [0]
+    emit = TraceLog.emit
+
+    def watched(self, *args, **detail):
+        emit(self, *args, **detail)
+        peak[0] = max(peak[0], len(self.records))
+    monkeypatch.setattr(TraceLog, "emit", watched)
+    return peak
+
+
+@pytest.mark.parametrize("scheduler", ["ara", "mct"])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_stream_matches_in_memory_encoding(scheduler, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(tracelog, "CHUNK_RECORDS", chunk)
+    config = uncertain(scheduler)
+    expected = encoded(run_simulation(config, collect_trace=True).trace.records)
+    peak = buffer_peak(monkeypatch)
+    text = streamed(config)
+    assert text == expected
+    assert 0 < peak[0] < tracelog.CHUNK_RECORDS
+    if scheduler == "ara" and chunk is None:
+        assert text.count("\n") > 4 * tracelog.CHUNK_RECORDS
+
+
+def test_stream_of_exact_chunk_multiple(monkeypatch):
+    config = uncertain("ara", users=100)
+    records = run_simulation(config, collect_trace=True).trace.records
+    factor = next(k for k in range(2, len(records) + 1) if len(records) % k == 0)
+    monkeypatch.setattr(tracelog, "CHUNK_RECORDS", len(records) // factor)
+    assert len(records) % tracelog.CHUNK_RECORDS == 0
+    assert streamed(config) == encoded(records)
+
+
+def test_cli_trace_file_is_complete(tmp_path):
+    config = uncertain("ara", users=120, seed=8)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(config_path), "--trace", str(trace),
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    records = run_simulation(config, collect_trace=True).trace.records
+    assert len(records) > tracelog.CHUNK_RECORDS
+    assert trace.read_text() == encoded(records)
+
+
+def documented_schema() -> set[tuple[str, frozenset]]:
+    """(kind, detail keys) of each row of the README's trace record table."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### Trace records", 1)[1].split("\n#", 1)[0]
+    rows = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            kind, keys = line.split("|")[1:3]
+            rows.add((kind.strip().strip("`"),
+                      frozenset(re.findall(r"`(\w+)`", keys))))
+    return rows
+
+
+@pytest.mark.parametrize("scheduler", ["ara", "min_min"])
+def test_records_follow_documented_schema(scheduler):
+    records = run_simulation(uncertain(scheduler, users=100),
+                             collect_trace=True).trace.records
+    seen = {(r["kind"], frozenset(r["detail"])) for r in records}
+    assert sorted(seen - documented_schema()) == []
