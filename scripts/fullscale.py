@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Full-scale timing matrix: every (scheduler, event probability) cell runs
+`cloudsched run` in its own child process, --reps times, and the JSON result
+holds each run's wall time, peak RSS and a digest of its CSV row, plus the
+median wall time per cell.
+
+The base config is configs/desk.json (unbounded deadlines) with --users and
+--seed applied. Several source trees can be given with --src; each repetition
+then runs every tree once, alternating which goes first, so that drift in the
+host's speed falls on both alike.
+
+  python scripts/fullscale.py --schedulers mct,met,min_min,round_robin \\
+      --users 10000 --p 0,0.5 --reps 3 --out fullscale.json
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_once(src: str, config: dict, workdir: str) -> dict:
+    cfg_path = os.path.join(workdir, "config.json")
+    out_path = os.path.join(workdir, "out.csv")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    env = dict(os.environ, PYTHONPATH=src)
+    started = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "cloudsched.cli", "run",
+                             "--config", cfg_path, "--out", out_path],
+                            env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - started
+    proc.returncode = os.waitstatus_to_exitcode(status)   # reaped by wait4
+    with open(out_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    return {"exit": proc.returncode, "wall_s": round(wall, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "csv_sha256": digest}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--schedulers", default="mct,met,min_min,round_robin")
+    parser.add_argument("--users", type=int, default=10000)
+    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--p", default="0,0.5", help="event probabilities")
+    parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--src", action="append",
+                        help="source tree to import cloudsched from "
+                             "(repeatable; default: this checkout's src)")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+
+    sources = args.src or [str(ROOT / "src")]
+    base = json.loads((ROOT / "configs" / "desk.json").read_text())
+    cells = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for scheduler in args.schedulers.split(","):
+            for p in (float(x) for x in args.p.split(",")):
+                config = dict(base, scheduler=scheduler, users=args.users,
+                              seed=args.seed, event_probability=p)
+                runs = {src: [] for src in sources}
+                for rep in range(args.reps):
+                    order = sources if rep % 2 == 0 else sources[::-1]
+                    for src in order:
+                        runs[src].append(run_once(src, config, workdir))
+                cell = {"scheduler": scheduler, "p": p, "users": args.users,
+                        "seed": args.seed, "by_src": {}}
+                for src, results in runs.items():
+                    cell["by_src"][src] = {
+                        "runs": results,
+                        "median_wall_s": statistics.median(r["wall_s"] for r in results),
+                        "max_peak_rss_mb": max(r["peak_rss_mb"] for r in results)}
+                print(json.dumps(cell), flush=True)
+                cells.append(cell)
+    pathlib.Path(args.out).write_text(json.dumps(cells, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

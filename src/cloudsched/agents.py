@@ -115,7 +115,7 @@ class SuperviseAgent(Agent):
     def _lease_expired(self, conversation: str) -> None:
         self._lease_timers.pop(conversation, None)
         released = self.registry.finalize(conversation, self.now)
-        if released:
+        if released and self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "lease_expired",
                                     conversation=conversation, released=released)
 
@@ -291,9 +291,10 @@ class HostAgent(Agent):
         self.update_belief(f"vm:{vm.vm_id}",
                            (vm.cpu, vm.ram, vm.storage, vm.bandwidth,
                             model.available_time(vm, self.now)))
-        self.runtime.trace.emit(self.now, str(self.id), "event",
-                                event=event.event_id, target=vm.vm_id,
-                                mutation="VmDegrade", affected=len(affected))
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "event",
+                                    event=event.event_id, target=vm.vm_id,
+                                    mutation="VmDegrade", affected=len(affected))
         for batch in affected:
             if batch.completion_entry is not None:
                 self.runtime.kernel.cancel(batch.completion_entry)
@@ -331,8 +332,9 @@ class HostAgent(Agent):
                                        INFORM, RescueFailed(event_id)))
                 continue
             conv = self._next_conv("rescue")
-            self.runtime.trace.emit(self.now, str(self.id), "rescue_offer",
-                                    user=user_id, vm=offer.vm_id, event=event_id)
+            if self.runtime.trace.enabled:
+                self.runtime.trace.emit(self.now, str(self.id), "rescue_offer",
+                                        user=user_id, vm=offer.vm_id, event=event_id)
             self.send(
                 AgentMessage(conv, self.id, user, PROPOSE,
                              ReplacementOffer(offer, event_id)),
@@ -464,9 +466,10 @@ class UserAgent(Agent):
             self.runtime.kernel.cancel(batch.completion_entry)
             batch.completion_entry = None
         batch.request.status = RequestStatus.FAILED
-        self.runtime.trace.emit(self.now, str(self.id), "failed",
-                                user=self.request.user_id,
-                                unfinished=len(batch.incomplete_indices()))
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "failed",
+                                    user=self.request.user_id,
+                                    unfinished=len(batch.incomplete_indices()))
 
     # -- recommendation round --------------------------------------------------
 
@@ -568,11 +571,12 @@ class UserAgent(Agent):
             vm = self.world.vms[batch.reservation.vm_id]
         self._last_event_id = event.event_id
         applied = rescheduling.apply_user_event(batch, vm, event, self.now)
-        self.runtime.trace.emit(self.now, str(self.id), "event",
-                                event=event.event_id,
-                                target=self.request.user_id,
-                                mutation=type(event.mutation).__name__,
-                                vacuous=not applied)
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "event",
+                                    event=event.event_id,
+                                    target=self.request.user_id,
+                                    mutation=type(event.mutation).__name__,
+                                    vacuous=not applied)
         if applied:
             self.update_belief("request_state", self._fingerprint())
 
@@ -593,8 +597,9 @@ class UserAgent(Agent):
             self.request.status = RequestStatus.PENDING
         for intention in self.intentions["reschedule"]:
             intention.exhausted = False
-        self.runtime.trace.emit(self.now, str(self.id), "cycle_start",
-                                event=event_id)
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "cycle_start",
+                                    event=event_id)
         self._cycle_step()
 
     def _cycle_step(self) -> None:
@@ -635,10 +640,11 @@ class UserAgent(Agent):
         self._current_intention = intention
         cycle.current_intention = intention.name
         cycle.attempts += 1
-        self.runtime.trace.emit(self.now, str(self.id), "cycle_attempt",
-                                event=cycle.triggering_event,
-                                pass_index=cycle.passes,
-                                intention=intention.name)
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "cycle_attempt",
+                                    event=cycle.triggering_event,
+                                    pass_index=cycle.passes,
+                                    intention=intention.name)
         intention.plan()
 
     def _intention_done(self, ok: bool) -> None:
@@ -663,10 +669,11 @@ class UserAgent(Agent):
         if self._retry_entry is not None:
             self.runtime.kernel.cancel(self._retry_entry)
             self._retry_entry = None
-        self.runtime.trace.emit(self.now, str(self.id), "cycle_end",
-                                event=cycle.triggering_event,
-                                resolved=resolved, attempts=cycle.attempts,
-                                passes=cycle.passes)
+        if self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "cycle_end",
+                                    event=cycle.triggering_event,
+                                    resolved=resolved, attempts=cycle.attempts,
+                                    passes=cycle.passes)
         self._cycle = None
 
     # intentions ---------------------------------------------------------------

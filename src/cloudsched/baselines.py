@@ -46,46 +46,42 @@ class RingCursor:
         self.position = (index + 1) % self.size
 
 
-def _earliest(vms: list[VmDescriptor], reqs: model.Requirements,
-              avail: dict[str, float]) -> tuple[float, str, int] | None:
-    """(completion, vm_id, index into vms) minimal over `vms`, ties broken by
-    vm id; `avail` maps each VM id to the time it can start new work."""
-    if not vms:
-        return None
-    workload = reqs.total_workload
-    return min((avail[vm.vm_id] + workload / vm.cpu, vm.vm_id, i)
-               for i, vm in enumerate(vms))
+Placement = tuple[str, model.Reservation | None]
 
 
 def _assign_in_order(pending: list[BatchState], vms: list[VmDescriptor],
-                     tau: float, queue_aware: bool) -> list[tuple[str, str | None]]:
+                     tau: float, queue_aware: bool) -> list[Placement]:
     """Each batch, in order, goes to the capacity-feasible VM with the earliest
-    completion, counting the VM's queue or not; ties by vm id."""
-    assignments: list[tuple[str, str | None]] = []
+    completion, counting the VM's queue or not; ties by vm id. Only VMs that
+    fit are quoted."""
+    assignments: list[Placement] = []
     for batch in pending:
         reqs = batch.remaining_requirements()
-        fits = [vm for vm in vms if model.capacity_feasible(vm, reqs)]
-        avail = {vm.vm_id: model.available_time(vm, tau) if queue_aware else 0.0
-                 for vm in fits}
-        best = _earliest(fits, reqs, avail)
-        if best is None:
-            assignments.append((batch.request.user_id, None))
-            continue
-        vm = fits[best[2]]
-        model.reserve(vm, reqs, model.available_time(vm, tau))
-        assignments.append((batch.request.user_id, vm.vm_id))
+        ram, storage, bandwidth = reqs.max_ram, reqs.max_storage, reqs.max_bandwidth
+        workload = reqs.total_workload
+        best = None
+        for vm in vms:
+            if vm.ram >= ram and vm.storage >= storage and vm.bandwidth >= bandwidth:
+                completion = ((model.available_time(vm, tau) if queue_aware else 0.0)
+                              + workload / vm.cpu)
+                if best is None or completion < best_completion or (
+                        completion == best_completion and vm.vm_id < best.vm_id):
+                    best, best_completion = vm, completion
+        reservation = None if best is None else model.reserve(
+            best, reqs, model.available_time(best, tau))
+        assignments.append((batch.request.user_id, reservation))
     return assignments
 
 
 def assign_mct(pending: list[BatchState], vms: list[VmDescriptor],
-               tau: float) -> list[tuple[str, str | None]]:
+               tau: float) -> list[Placement]:
     """Each batch, in order, goes to the capacity-feasible VM with the earliest
     expected completion (queue-aware)."""
     return _assign_in_order(pending, vms, tau, queue_aware=True)
 
 
 def assign_met(pending: list[BatchState], vms: list[VmDescriptor],
-               tau: float) -> list[tuple[str, str | None]]:
+               tau: float) -> list[Placement]:
     """Each batch goes to the capacity-feasible VM with the shortest raw
     execution time, ignoring the queue (ties by vm id) - so powerful VMs
     accumulate everything."""
@@ -93,62 +89,63 @@ def assign_met(pending: list[BatchState], vms: list[VmDescriptor],
 
 
 def assign_min_min(pending: list[BatchState], vms: list[VmDescriptor],
-                   tau: float) -> list[tuple[str, str | None]]:
+                   tau: float) -> list[Placement]:
     """Repeatedly commit the batch whose minimum completion over feasible VMs
     is smallest (shortest batch first), updating availability each round.
 
-    Batches no VM can hold are emitted first, in pending order. Capacities do
-    not change inside a flush, so each batch's feasible VMs are listed once,
-    and a commit to VM v raises only v's availability: only the batches whose
-    best VM was v need re-quoting, every other best (and its vm-id tie-break)
-    stands. The current bests sit in a heap keyed (completion, user, vm).
+    Batches no VM can hold are emitted first, in pending order. The flush heap
+    holds one (completion, user, vm id, vm) entry per unplaced batch. Inside a
+    flush availabilities only rise, so stored completions are lower bounds: a
+    popped entry still equal to avail + W / cpu is the true minimum and is
+    committed; a stale one refreshes its batch's own heap of (completion, vm
+    id, vm) over its feasible VMs (built when the batch first goes stale) until
+    the top is current, and goes back in.
     """
-    assignments: list[tuple[str, str | None]] = []
-    reqs_of: dict[str, model.Requirements] = {}
-    options: dict[str, list[VmDescriptor]] = {}
-    for batch in pending:
-        user_id = batch.request.user_id
-        reqs = reqs_of[user_id] = batch.remaining_requirements()
-        fits = [vm for vm in vms if model.capacity_feasible(vm, reqs)]
-        if fits:
-            options[user_id] = fits
-        else:
-            assignments.append((user_id, None))
+    assignments: list[Placement] = []
     avail = {vm.vm_id: model.available_time(vm, tau) for vm in vms}
-    best: dict[str, tuple[float, str, str, int]] = {}
-    waiting: dict[str, list[str]] = {}   # vm_id -> users whose best it is
-    heap: list[tuple[float, str, str, int]] = []
-
-    def quote(user_id: str) -> None:
-        completion, vm_id, i = _earliest(options[user_id], reqs_of[user_id],
-                                         avail)
-        best[user_id] = entry = (completion, user_id, vm_id, i)
-        waiting.setdefault(vm_id, []).append(user_id)
-        heapq.heappush(heap, entry)
-
-    for user_id in options:
-        quote(user_id)
+    def quotes(reqs: model.Requirements) -> list[tuple[float, str, VmDescriptor]]:
+        ram, storage, bandwidth = reqs.max_ram, reqs.max_storage, reqs.max_bandwidth
+        workload = reqs.total_workload
+        return [(avail[vm.vm_id] + workload / vm.cpu, vm.vm_id, vm) for vm in vms
+                if vm.ram >= ram and vm.storage >= storage and vm.bandwidth >= bandwidth]
+    options: dict[str, list] = {}   # user -> [reqs, its heap once stale]
+    heap: list[tuple[float, str, str, VmDescriptor]] = []
+    for batch in pending:
+        reqs = batch.remaining_requirements()
+        own = quotes(reqs)
+        if own:
+            options[reqs.user_id] = [reqs, None]
+            completion, vm_id, vm = min(own)
+            heap.append((completion, reqs.user_id, vm_id, vm))
+        else:
+            assignments.append((reqs.user_id, None))
+    heapq.heapify(heap)
     while heap:
-        entry = heapq.heappop(heap)
-        _, user_id, vm_id, i = entry
-        if best.get(user_id) is not entry:
-            continue   # placed already, or re-quoted since this was pushed
-        del best[user_id]
-        reservation = model.reserve(options[user_id][i], reqs_of[user_id],
-                                    avail[vm_id])
-        avail[vm_id] = reservation.end
-        assignments.append((user_id, vm_id))
-        for other in waiting.pop(vm_id):
-            if other in best:
-                quote(other)
+        completion, user_id, vm_id, vm = heapq.heappop(heap)
+        reqs, own = state = options[user_id]
+        workload = reqs.total_workload
+        if completion == avail[vm_id] + workload / vm.cpu:
+            del options[user_id]
+            reservation = model.reserve(vm, reqs, avail[vm_id])
+            avail[vm_id] = reservation.end
+            assignments.append((user_id, reservation))
+            continue
+        if own is None:
+            own = state[1] = quotes(reqs)
+            heapq.heapify(own)
+        completion, vm_id, vm = own[0]
+        while completion != (current := avail[vm_id] + workload / vm.cpu):
+            heapq.heapreplace(own, (current, vm_id, vm))
+            completion, vm_id, vm = own[0]
+        heapq.heappush(heap, (completion, user_id, vm_id, vm))
     return assignments
 
 
 def assign_round_robin(pending: list[BatchState], vms: list[VmDescriptor],
-                       tau: float, cursor: RingCursor) -> list[tuple[str, str | None]]:
+                       tau: float, cursor: RingCursor) -> list[Placement]:
     """Batches in arrival order take the next capacity-feasible VM in circular
     order; the cursor persists across calls and infeasible VMs are skipped."""
-    assignments: list[tuple[str, str | None]] = []
+    assignments: list[Placement] = []
     for batch in pending:
         reqs = batch.remaining_requirements()
         chosen = None
@@ -161,8 +158,8 @@ def assign_round_robin(pending: list[BatchState], vms: list[VmDescriptor],
             assignments.append((batch.request.user_id, None))
             continue
         vm = vms[chosen]
-        model.reserve(vm, reqs, model.available_time(vm, tau))
-        assignments.append((batch.request.user_id, vm.vm_id))
+        assignments.append((batch.request.user_id,
+                            model.reserve(vm, reqs, model.available_time(vm, tau))))
         cursor.advance_past(chosen)
     return assignments
 
@@ -232,19 +229,14 @@ class CentralScheduler:
             pairs = assign_round_robin(pending, self.vms, tau, self.cursor)
         self._absorb(pairs)
 
-    def _absorb(self, pairs: list[tuple[str, str | None]]) -> None:
-        """Bind the reservations the assign functions committed to batch state,
-        schedule completion entries, and fail unplaceable batches. Bookings
-        append to the ledger tail, so a batch's reservation is the newest
-        entry for its user on the VM it was placed on."""
-        for user_id, vm_id in pairs:
+    def _absorb(self, pairs: list[Placement]) -> None:
+        """Bind the reservations the assign functions booked to batch state,
+        schedule completion entries, and fail unplaceable batches."""
+        for user_id, reservation in pairs:
             batch = self.world.batches[user_id]
-            if vm_id is None:
+            if reservation is None:
                 self._fail(batch)
                 continue
-            reservation = next(res for res in
-                               reversed(self.world.vms[vm_id].reservations)
-                               if res.user_id == user_id)
             batch.reservation = reservation
             batch.request.status = RequestStatus.SCHEDULED
             if batch.completion_entry is not None:
@@ -252,9 +244,11 @@ class CentralScheduler:
             batch.completion_entry = self.kernel.schedule(
                 reservation.end, lambda b=batch: self._on_slot_end(b),
                 kind="completion")
-            self.trace.emit(self.kernel.now, self.kind, "contract",
-                            user=user_id, vm=vm_id, start=reservation.start,
-                            end=reservation.end, deadline=batch.request.deadline)
+            if self.trace.enabled:
+                self.trace.emit(self.kernel.now, self.kind, "contract",
+                                user=user_id, vm=reservation.vm_id,
+                                start=reservation.start, end=reservation.end,
+                                deadline=batch.request.deadline)
 
     def _fail(self, batch: BatchState) -> None:
         if batch.terminal:
@@ -266,9 +260,10 @@ class CentralScheduler:
             self.kernel.cancel(batch.completion_entry)
             batch.completion_entry = None
         batch.request.status = RequestStatus.FAILED
-        self.trace.emit(self.kernel.now, self.kind, "failed",
-                        user=batch.request.user_id,
-                        unfinished=len(batch.incomplete_indices()))
+        if self.trace.enabled:
+            self.trace.emit(self.kernel.now, self.kind, "failed",
+                            user=batch.request.user_id,
+                            unfinished=len(batch.incomplete_indices()))
 
     def _on_slot_end(self, batch: BatchState) -> None:
         res = batch.reservation
@@ -293,10 +288,11 @@ class CentralScheduler:
             if batch.reservation is not None:
                 vm = self.world.vms[batch.reservation.vm_id]
             applied = rescheduling.apply_user_event(batch, vm, event, now)
-            self.trace.emit(now, self.kind, "event", event=event.event_id,
-                            target=event.target_id,
-                            mutation=type(event.mutation).__name__,
-                            vacuous=not applied)
+            if self.trace.enabled:
+                self.trace.emit(now, self.kind, "event", event=event.event_id,
+                                target=event.target_id,
+                                mutation=type(event.mutation).__name__,
+                                vacuous=not applied)
             if not applied:
                 return
             if batch.reservation is not None and vm is not None \
@@ -306,9 +302,10 @@ class CentralScheduler:
             vm = self.world.vms[event.target_id]
             affected = rescheduling.apply_vm_degrade(vm, event,
                                                      self.world.batches, now)
-            self.trace.emit(now, self.kind, "event", event=event.event_id,
-                            target=event.target_id, mutation="VmDegrade",
-                            affected=len(affected))
+            if self.trace.enabled:
+                self.trace.emit(now, self.kind, "event", event=event.event_id,
+                                target=event.target_id, mutation="VmDegrade",
+                                affected=len(affected))
             for batch in affected:
                 if batch.completion_entry is not None:
                     self.kernel.cancel(batch.completion_entry)
@@ -337,9 +334,10 @@ class CentralScheduler:
         begin = max(tau, self.busy_until)
         commit_at = begin + self.cost.delay(len(batches), len(self.vms))
         self.busy_until = commit_at
-        self.trace.emit(tau, self.kind, "realloc_queued",
-                        users=[b.request.user_id for b in batches],
-                        commit_at=commit_at)
+        if self.trace.enabled:
+            self.trace.emit(tau, self.kind, "realloc_queued",
+                            users=[b.request.user_id for b in batches],
+                            commit_at=commit_at)
         self.kernel.schedule(commit_at,
                              lambda: self._realloc_commit(batches),
                              kind="realloc-commit")

@@ -206,14 +206,16 @@ def reserve(vm: VmDescriptor, reqs: Requirements, start: float,
     """Append a contract for the given workloads starting at `start`.
 
     per_task_finish[p] = start + cumulative workload through p divided by cpu.
-    Rejects any overlap with an existing active interval.
+    Tail append only: `start` before the tail's start or effective end (less
+    EPS) raises, gaps included. The ledger is sorted and disjoint, so this
+    O(1) test rules out every overlap for bookings made at `available_time`.
     """
+    tail = vm.reservations[-1] if vm.reservations else None
+    if tail is not None and (start < tail.start or start < tail.effective_end - EPS):
+        raise OverlapError(f"vm {vm.vm_id}: booking at {start} precedes the tail "
+                           f"[{tail.start}, {tail.effective_end}]")
     duration = sum(reqs.workloads) / vm.cpu
     end = start + duration
-    for res in vm.reservations:
-        if res.start < end - EPS and start < res.effective_end - EPS:
-            raise OverlapError(
-                f"vm {vm.vm_id}: [{start}, {end}] overlaps [{res.start}, {res.effective_end}]")
     finishes = []
     acc = start
     for wl in reqs.workloads:
@@ -230,7 +232,6 @@ def reserve(vm: VmDescriptor, reqs: Requirements, start: float,
                                else deadline_at_formation),
     )
     vm.reservations.append(reservation)
-    vm.reservations.sort(key=lambda r: r.start)
     return reservation
 
 

@@ -157,7 +157,13 @@ class ScenarioConfig:
 
 
 def generate_scenario(config: ScenarioConfig, rng: random.Random) -> SimWorld:
-    """Draw the datacenter and the user stream; deterministic per (seed, config)."""
+    """Draw the datacenter and the user stream; deterministic per (seed, config).
+    A uniform draw is CPython's `Random.uniform` formula, lo + (hi - lo) * r()."""
+    r = rng.random
+
+    def draw(bounds: tuple[float, float]) -> float:
+        return bounds[0] + (bounds[1] - bounds[0]) * r()
+
     hosts = []
     for i in range(config.hosts):
         host_id = f"h{i:03d}"
@@ -167,14 +173,16 @@ def generate_scenario(config: ScenarioConfig, rng: random.Random) -> SimWorld:
             vms.append(VmDescriptor(
                 vm_id=f"{host_id}v{k:02d}",
                 host_id=host_id,
-                cpu=rng.uniform(*config.vm_cpu),
-                ram=rng.uniform(*config.vm_ram),
-                storage=rng.uniform(*config.vm_storage),
-                bandwidth=rng.uniform(*config.vm_bandwidth),
+                cpu=draw(config.vm_cpu),
+                ram=draw(config.vm_ram),
+                storage=draw(config.vm_storage),
+                bandwidth=draw(config.vm_bandwidth),
             ))
         hosts.append(Host(host_id, vms))
     if not any(host.vms for host in hosts):
         raise ConfigError(f"seed {config.seed}: the drawn datacenter holds no VM")
+    (wl_lo, wl_hi), (ram_lo, ram_hi), (st_lo, st_hi), (bw_lo, bw_hi) = (
+        config.task_workload, config.task_ram, config.task_storage, config.task_bandwidth)
     users = []
     for n in range(config.users):
         user_id = f"u{n:05d}"
@@ -183,12 +191,12 @@ def generate_scenario(config: ScenarioConfig, rng: random.Random) -> SimWorld:
         for p in range(task_count):
             tasks.append(TaskSpec(
                 task_id=f"{user_id}t{p}",
-                workload=rng.uniform(*config.task_workload),
-                ram=rng.uniform(*config.task_ram),
-                storage=rng.uniform(*config.task_storage),
-                bandwidth=rng.uniform(*config.task_bandwidth),
+                workload=wl_lo + (wl_hi - wl_lo) * r(),
+                ram=ram_lo + (ram_hi - ram_lo) * r(),
+                storage=st_lo + (st_hi - st_lo) * r(),
+                bandwidth=bw_lo + (bw_hi - bw_lo) * r(),
             ))
-        deadline = math.inf if config.deadline is None else rng.uniform(*config.deadline)
-        arrival = rng.uniform(*config.arrival_window)
+        deadline = math.inf if config.deadline is None else draw(config.deadline)
+        arrival = draw(config.arrival_window)
         users.append(UserRequest(user_id, tasks, deadline, arrival=arrival))
     return SimWorld.build(Datacenter(hosts), users)

@@ -29,3 +29,10 @@ def single_vm_world():
     vm = make_vm()
     req = make_request(workloads=(10000.0, 20000.0, 10000.0))
     return make_world([("h000", [vm])], [req])
+
+
+def placed(pairs):
+    """An assigner's (user_id, Reservation | None) pairs as (user_id, vm_id |
+    None), checking that each reservation was booked for its own user."""
+    assert all(res is None or res.user_id == user_id for user_id, res in pairs)
+    return [(user_id, None if res is None else res.vm_id) for user_id, res in pairs]

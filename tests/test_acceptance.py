@@ -17,7 +17,7 @@ from cloudsched.model import BatchState, LeaseFlag
 from cloudsched.scenario import ScenarioConfig
 
 import oracles
-from conftest import make_request, make_vm
+from conftest import make_request, make_vm, placed
 
 SEEDS = (1, 2, 3, 4, 5)
 THETAS = (1, 3, 5, 10, 15, 20)
@@ -165,17 +165,17 @@ def test_criterion_5_oracle_equivalence():
             vms, batches = _random_small_instance(rng)
             vm_tuples, batch_tuples = _as_tuples(vms, batches)
             if kind == "mct":
-                got = assign_mct(batches, vms, 0.0)
+                got = placed(assign_mct(batches, vms, 0.0))
                 expected = oracles.oracle_mct(batch_tuples, vm_tuples)
             elif kind == "met":
-                got = assign_met(batches, vms, 0.0)
+                got = placed(assign_met(batches, vms, 0.0))
                 expected = oracles.oracle_met(batch_tuples, vm_tuples)
             elif kind == "min_min":
-                got = assign_min_min(batches, vms, 0.0)
+                got = placed(assign_min_min(batches, vms, 0.0))
                 expected = oracles.oracle_min_min(batch_tuples, vm_tuples)
             else:
                 cursor = RingCursor(len(vms))
-                got = assign_round_robin(batches, vms, 0.0, cursor)
+                got = placed(assign_round_robin(batches, vms, 0.0, cursor))
                 expected = oracles.oracle_round_robin(batch_tuples, vm_tuples)
             assert got == expected, f"{kind} diverges from its oracle"
             checked += 1

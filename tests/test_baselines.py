@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudsched import model
-from cloudsched.baselines import (CentralScheduler, ResponseCostModel,
+from cloudsched.baselines import (CENTRAL_KINDS, CentralScheduler, ResponseCostModel,
                                   RingCursor, assign_mct, assign_met,
                                   assign_min_min, assign_round_robin)
 from cloudsched.kernel import Kernel
@@ -14,7 +16,7 @@ from cloudsched.rescheduling import TaskInflate, UncertainEvent
 from cloudsched.tracelog import TraceLog
 
 import oracles
-from conftest import make_request, make_vm, make_world
+from conftest import make_request, make_vm, make_world, placed
 
 
 def fresh_batches(specs):
@@ -32,7 +34,7 @@ class TestAssignExamples:
     def test_mct_prefers_earliest_completion(self):
         vms = [make_vm("a", cpu=1000.0), make_vm("b", cpu=2000.0)]
         batches = fresh_batches([("u00000", 20000.0)])
-        assert assign_mct(batches, vms, 0.0) == [("u00000", "b")]
+        assert placed(assign_mct(batches, vms, 0.0)) == [("u00000", "b")]
 
     def test_mct_queue_aware(self):
         fast = make_vm("a", cpu=2000.0)
@@ -41,12 +43,12 @@ class TestAssignExamples:
             make_request("u99999", workloads=(30000.0,))), 0.0)  # busy to 15
         batches = fresh_batches([("u00000", 20000.0)])
         # completions: fast 15+10=25, slow 0+20=20
-        assert assign_mct(batches, [fast, slow], 0.0) == [("u00000", "b")]
+        assert placed(assign_mct(batches, [fast, slow], 0.0)) == [("u00000", "b")]
 
     def test_mct_capacity_failure(self):
         vms = [make_vm("a", ram=900.0)]
         req = make_request("u00000", workloads=(100.0,), ram=1000.0)
-        assert assign_mct([BatchState(req)], vms, 0.0) == [("u00000", None)]
+        assert placed(assign_mct([BatchState(req)], vms, 0.0)) == [("u00000", None)]
 
     def test_met_ignores_queue(self):
         fast = make_vm("a", cpu=2000.0)
@@ -55,18 +57,18 @@ class TestAssignExamples:
             make_request("u99999", workloads=(200000.0,))), 0.0)  # busy to 100
         batches = fresh_batches([("u00000", 20000.0)])
         # executions: fast 10, slow 20 - fast wins despite its queue
-        assert assign_met(batches, [fast, slow], 0.0) == [("u00000", "a")]
+        assert placed(assign_met(batches, [fast, slow], 0.0)) == [("u00000", "a")]
 
     def test_met_homogeneous_ties_pile_on_lowest_id(self):
         vms = [make_vm("a", cpu=1000.0), make_vm("b", cpu=1000.0)]
         batches = fresh_batches([(f"u{i:05d}", 10000.0) for i in range(4)])
-        pairs = assign_met(batches, vms, 0.0)
+        pairs = placed(assign_met(batches, vms, 0.0))
         assert all(vm == "a" for _, vm in pairs)
 
     def test_met_concentration_raises_variance(self):
         vms = [make_vm("a", cpu=500.0), make_vm("b", cpu=2500.0)]
         specs = [(f"u{i:05d}", 20000.0) for i in range(100)]
-        met_pairs = assign_met(fresh_batches(specs), vms, 0.0)
+        met_pairs = placed(assign_met(fresh_batches(specs), vms, 0.0))
         assert all(vm == "b" for _, vm in met_pairs)
         met_busy = [model.available_time(vm, 0.0) for vm in vms]
         met_var = utilization_variance([b / max(met_busy) for b in met_busy])
@@ -79,7 +81,7 @@ class TestAssignExamples:
     def test_min_min_shortest_first(self):
         vms = [make_vm("a", cpu=1000.0)]
         batches = fresh_batches([("u00000", 40000.0), ("u00001", 10000.0)])
-        pairs = assign_min_min(batches, vms, 0.0)
+        pairs = placed(assign_min_min(batches, vms, 0.0))
         assert pairs == [("u00001", "a"), ("u00000", "a")]
         spans = sorted((r.start, r.end) for r in vms[0].reservations)
         assert spans == [(0.0, 10.0), (10.0, 50.0)]
@@ -89,13 +91,13 @@ class TestAssignExamples:
         one = fresh_batches([("u00000", 25000.0)])
         vms2 = [make_vm("a", cpu=1000.0), make_vm("b", cpu=2500.0)]
         other = fresh_batches([("u00000", 25000.0)])
-        assert assign_min_min(one, vms, 0.0) == assign_mct(other, vms2, 0.0)
+        assert placed(assign_min_min(one, vms, 0.0)) == placed(assign_mct(other, vms2, 0.0))
 
     def test_round_robin_circular(self):
         vms = [make_vm("a"), make_vm("b")]
         cursor = RingCursor(2)
         batches = fresh_batches([(f"u{i:05d}", 10000.0) for i in range(4)])
-        pairs = assign_round_robin(batches, vms, 0.0, cursor)
+        pairs = placed(assign_round_robin(batches, vms, 0.0, cursor))
         assert [vm for _, vm in pairs] == ["a", "b", "a", "b"]
 
     def test_round_robin_skips_infeasible(self):
@@ -104,7 +106,7 @@ class TestAssignExamples:
         first = BatchState(make_request("u00000", workloads=(10000.0,)))
         second = BatchState(make_request("u00001", workloads=(10000.0,),
                                          ram=1000.0))
-        pairs = assign_round_robin([first, second], vms, 0.0, cursor)
+        pairs = placed(assign_round_robin([first, second], vms, 0.0, cursor))
         assert pairs == [("u00000", "a"), ("u00001", "a")]
         # cursor advanced past the skipped VM b
         assert cursor.position == 1
@@ -156,17 +158,17 @@ class TestOracleEquivalence:
             vms, batches = self._random_instance(rng)
             vm_tuples, batch_tuples = self._tuples(vms, batches, 0.0)
             expected = oracles.oracle_mct(batch_tuples, vm_tuples)
-            assert assign_mct(batches, vms, 0.0) == expected, f"mct case {case}"
+            assert placed(assign_mct(batches, vms, 0.0)) == expected, f"mct case {case}"
 
             vms, batches = self._random_instance(rng)
             vm_tuples, batch_tuples = self._tuples(vms, batches, 0.0)
             expected = oracles.oracle_met(batch_tuples, vm_tuples)
-            assert assign_met(batches, vms, 0.0) == expected, f"met case {case}"
+            assert placed(assign_met(batches, vms, 0.0)) == expected, f"met case {case}"
 
             vms, batches = self._random_instance(rng)
             vm_tuples, batch_tuples = self._tuples(vms, batches, 0.0)
             expected = oracles.oracle_min_min(batch_tuples, vm_tuples)
-            assert assign_min_min(batches, vms, 0.0) == expected, \
+            assert placed(assign_min_min(batches, vms, 0.0)) == expected, \
                 f"min_min case {case}"
 
             vms, batches = self._random_instance(rng)
@@ -176,7 +178,7 @@ class TestOracleEquivalence:
             cursor.position = start
             expected = oracles.oracle_round_robin(batch_tuples, vm_tuples,
                                                   start=start)
-            assert assign_round_robin(batches, vms, 0.0, cursor) == expected, \
+            assert placed(assign_round_robin(batches, vms, 0.0, cursor)) == expected, \
                 f"rr case {case}"
 
 
@@ -240,13 +242,13 @@ class TestStressOracle:
                 cursor.position = start
                 expected = oracles.oracle_round_robin(batch_tuples, vm_tuples,
                                                       start=start)
-                actual = assign_round_robin(batches, vms, tau, cursor)
+                actual = placed(assign_round_robin(batches, vms, tau, cursor))
             else:
                 oracle = getattr(oracles, f"oracle_{policy}")
                 assign = {"mct": assign_mct, "met": assign_met,
                           "min_min": assign_min_min}[policy]
                 expected = oracle(batch_tuples, vm_tuples)
-                actual = assign(batches, vms, tau)
+                actual = placed(assign(batches, vms, tau))
             assert actual == expected, f"{policy} case {case}"
             for vm, vm_tuple in zip(vms, vm_tuples):
                 # new bookings chain from the pre-booked availability
@@ -263,11 +265,78 @@ class TestStressOracle:
         batches.reverse()
         vm_tuples, batch_tuples = self._tuples(vms, batches, 0.0)
         expected = oracles.oracle_min_min(batch_tuples, vm_tuples)
-        assert assign_min_min(batches, vms, 0.0) == expected
+        assert placed(assign_min_min(batches, vms, 0.0)) == expected
         assert expected[:7] == [("u00000", "v00"), ("u00001", "v01"),
                                 ("u00002", "v02"), ("u00003", "v03"),
                                 ("u00004", "v04"), ("u00005", "v05"),
                                 ("u00006", "v00")]
+
+
+tie_instances = st.fixed_dictionaries({
+    # equal cpus, with at most one faster VM that many batches share as best
+    "cpus": st.lists(st.sampled_from([1000.0, 1000.0, 2000.0]),
+                     min_size=1, max_size=6),
+    "star": st.sampled_from([None, 4000.0, 8000.0]),
+    "rams": st.lists(st.sampled_from([1000.0, 1740.0]), min_size=7, max_size=7),
+    # equal pre-booked availabilities, often the same on every VM
+    "busy": st.lists(st.sampled_from([0, 0, 10000, 20000]), min_size=7, max_size=7),
+    "tau": st.sampled_from([0.0, 5.0, 10.0]),
+    "batches": st.lists(st.tuples(st.integers(1, 4),
+                                  st.sampled_from([800.0, 800.0, 1200.0, 1800.0])),
+                        min_size=1, max_size=40),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=tie_instances)
+def test_min_min_matches_oracle_on_heavy_ties(instance):
+    cpus = instance["cpus"] + ([instance["star"]] if instance["star"] else [])
+    vms = []
+    for i, cpu in enumerate(cpus):
+        vm = make_vm(f"v{i:02d}", cpu=cpu, ram=instance["rams"][i])
+        if instance["busy"][i]:
+            model.reserve(vm, model.batch_requirements(make_request(
+                f"p{i:02d}", workloads=(float(instance["busy"][i]),))), 0.0)
+        vms.append(vm)
+    tau = instance["tau"]
+    batches = [BatchState(make_request(f"u{n:05d}", workloads=(units * 5000.0,),
+                                       ram=ram))
+               for n, (units, ram) in enumerate(instance["batches"])]
+    vm_tuples = [(vm.vm_id, vm.cpu, vm.ram, vm.storage, vm.bandwidth,
+                  full_scan_available(vm, tau)) for vm in vms]
+    batch_tuples = [(b.request.user_id, reqs.total_workload, reqs.max_ram,
+                     reqs.max_storage, reqs.max_bandwidth)
+                    for b in batches for reqs in [b.remaining_requirements()]]
+    expected = oracles.oracle_min_min(batch_tuples, vm_tuples)
+    assert placed(assign_min_min(batches, vms, tau)) == expected
+    for vm, vm_tuple in zip(vms, vm_tuples):
+        at = vm_tuple[5]
+        for res in vm.reservations:
+            if res.user_id.startswith("u"):
+                assert res.start == at
+                at = res.end
+
+
+@pytest.mark.parametrize("kind", CENTRAL_KINDS)
+def test_absorb_binds_the_booked_ledger_tail(kind):
+    vms = [make_vm("h000v00", "h000", cpu=1000.0),
+           make_vm("h000v01", "h000", cpu=2000.0)]
+    users = [make_request(f"u{n:05d}", workloads=(5000.0 * (n % 3 + 1),))
+             for n in range(6)]
+    world = make_world([("h000", vms)], users)
+    driver = CentralScheduler(kind, world, Kernel())
+    batches = [world.batches[u.user_id] for u in users]
+    for batch in batches[:3]:   # one placement at a time: each is the tail
+        driver._place([batch])
+        res = batch.reservation
+        assert res is world.vms[res.vm_id].reservations[-1]
+        assert res.user_id == batch.request.user_id
+        assert batch.request.status is RequestStatus.SCHEDULED
+    driver._place(batches[3:])   # one flush of three
+    for vm in vms:
+        for res in vm.reservations:
+            assert world.batches[res.user_id].reservation is res
+    assert all(b.reservation is not None for b in batches)
 
 
 class TestReactiveRealloc:

@@ -115,6 +115,42 @@ class TestReserve:
             reserve(vm, reqs, model.available_time(vm, 0.0))
         model.assert_no_overlap(vm)
 
+    def test_booking_before_tail_end_rejected(self):
+        vm = make_vm(cpu=1000.0)
+        reserve(vm, reqs_for(vm, workloads=(10000.0,)), 0.0)    # [0, 10]
+        tail = reserve(vm, reqs_for(vm, workloads=(10000.0,)), 20.0)  # [20, 30]
+        # [12, 15] would fit the gap [10, 20], but bookings append at the tail
+        for start in (12.0, 0.0, 25.0, 30.0 - 1e-6):
+            with pytest.raises(OverlapError):
+                reserve(vm, reqs_for(vm, workloads=(3000.0,)), start)
+        assert vm.reservations[-1] is tail and len(vm.reservations) == 2
+        # within EPS of the tail's end is still a tail append
+        reserve(vm, reqs_for(vm, workloads=(1000.0,)), 30.0 - model.EPS / 2)
+
+    def test_booking_checks_released_tail_end(self):
+        vm = make_vm(cpu=1000.0)
+        res = reserve(vm, reqs_for(vm, workloads=(100000.0,)), 0.0)   # [0, 100]
+        res.released_at = 40.0
+        with pytest.raises(OverlapError):
+            reserve(vm, reqs_for(vm, workloads=(1000.0,)), 39.0)
+        assert reserve(vm, reqs_for(vm, workloads=(1000.0,)), 40.0).start == 40.0
+
+    @given(st.lists(st.tuples(st.floats(min_value=100.0, max_value=50000.0),
+                              st.sampled_from([0.0, 0.0, 5.0, 12.5])),
+                    min_size=1, max_size=12),
+           st.sampled_from([0.0, 30.0]))
+    def test_tail_bookings_keep_starts_sorted(self, bookings, tau):
+        vm = make_vm(cpu=1000.0)
+        for i, (wl, gap) in enumerate(bookings):
+            reqs = batch_requirements(make_request(f"u{i:05d}", workloads=(wl,)))
+            res = reserve(vm, reqs, model.available_time(vm, tau) + gap)
+            assert vm.reservations[-1] is res
+        starts = [r.start for r in vm.reservations]
+        ends = [r.effective_end for r in vm.reservations]
+        assert starts == sorted(starts) and ends == sorted(ends)
+        assert all(a.effective_end <= b.start
+                   for a, b in zip(vm.reservations, vm.reservations[1:]))
+
 
 class TestCheckpoint:
     def test_progress_reproduces_written_timeline(self):
