@@ -8,11 +8,17 @@ Scheduling round (one user batch):
   user --INFORM(outcome)--> supervise (releases the BUSY leases)
 
 Rescheduling after an uncertain event invalidates a contract:
-  i1 re-quote the same VM, i2 another VM in the same host, i3 a full new round
-  through the supervise agent; passes repeat every retry period until the
-  contract is valid again or the deadline passes. A degraded VM is handled
-  host-side first: the host offers replacement slots to affected users in
-  ascending user id, falling back to the user's own cycle when its search fails.
+  an event that changes a user's request (its deadline or task fields) is
+  checked against the contract at once; if the contract no longer holds, the
+  user deliberates over its one intention ladder: i1 re-quote the same VM,
+  i2 another VM in the same host, i3 a full new round through the supervise
+  agent. Passes repeat every retry period until the contract is valid again or
+  the deadline passes. A degraded VM is handled host-side first: the host
+  offers replacement slots to affected users in ascending user id, falling
+  back to the user's own cycle when its search fails.
+
+Hosts bind, re-arm, end and fail batches through the lifecycle functions of
+`model`, the same ones the central scheduler uses.
 """
 
 from dataclasses import dataclass
@@ -23,8 +29,7 @@ from .ara import (HostProposal, Recommendation, VmRegistry, VmSnapshot,
 from .bdi import (ACCEPT, FAILURE, HOST, INFORM, PROPOSE, REJECT, REQUEST,
                   SUPERVISE, USER, Agent, AgentId, AgentMessage, AgentRuntime,
                   Intention, ResultListener, deliberate)
-from .model import (BatchState, Host, Requirements, RequestStatus, SimWorld,
-                    capacity_feasible)
+from .model import BatchState, Host, Requirements, RequestStatus, SimWorld
 from .rescheduling import RescheduleCycle, validate_contract
 
 
@@ -89,8 +94,6 @@ class SuperviseAgent(Agent):
         self.theta = theta
         self.lease_timeout = lease_timeout
         self._lease_timers: dict[str, int] = {}
-        self.add_desire("recommend-vms", priority=1)
-        self.add_desire("balance-utilization", priority=2)
 
     def handle_message(self, msg: AgentMessage) -> None:
         body = msg.body
@@ -136,8 +139,6 @@ class HostAgent(Agent):
         self._seq = 0
         self._rescue_queue: list[tuple[str, int]] = []   # (user_id, event_id)
         self._rescue_busy = False
-        self.add_desire("provide-slots", priority=1)
-        self.add_desire("rescue-allocated", priority=0)
 
     def _next_conv(self, tag: str) -> str:
         self._seq += 1
@@ -154,12 +155,9 @@ class HostAgent(Agent):
         return self.world.vms[vm_id]
 
     def sync_vm(self, vm: model.VmDescriptor) -> None:
-        snap = VmSnapshot.of(vm, self.host.host_id, self.now)
-        self.update_belief(f"vm:{vm.vm_id}",
-                           (vm.cpu, vm.ram, vm.storage, vm.bandwidth,
-                            snap.available_time))
         self.send(AgentMessage(self._next_conv("sync"), self.id, self.supervise,
-                               INFORM, snap))
+                               INFORM, VmSnapshot.of(vm, self.host.host_id,
+                                                     self.now)))
 
     # -- inbound protocol ---------------------------------------------------
 
@@ -232,9 +230,8 @@ class HostAgent(Agent):
             return None
         old = batch.reservation
         exclude = old if (old is not None and old.vm_id == vm.vm_id) else None
-        start = model.available_time(vm, self.now, exclude=exclude)
-        completion = start + reqs.total_workload / vm.cpu
-        if not capacity_feasible(vm, reqs) or completion > reqs.deadline:
+        quote = make_proposal(vm, reqs, self.now, exclude=exclude)
+        if quote is None:
             return None
         if old is not None:
             old_vm = self.world.vms[old.vm_id]
@@ -246,13 +243,8 @@ class HostAgent(Agent):
                 self.send(AgentMessage(self._next_conv("rel"), self.id,
                                        AgentId(HOST, old_vm.host_id), INFORM,
                                        ReleaseNotice(old_vm.vm_id)))
-        reservation = model.reserve(vm, reqs, start)
-        batch.reservation = reservation
-        batch.request.status = RequestStatus.SCHEDULED
-        if batch.completion_entry is not None:
-            self.runtime.kernel.cancel(batch.completion_entry)
-        batch.completion_entry = self.runtime.kernel.schedule(
-            reservation.end, lambda: self._on_slot_end(batch), kind="completion")
+        reservation = model.reserve(vm, reqs, quote.start)
+        model.bind(batch, reservation, self.runtime.kernel, self._on_slot_end)
         self.sync_vm(vm)
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "contract",
@@ -262,12 +254,9 @@ class HostAgent(Agent):
         return reservation
 
     def _on_slot_end(self, batch: BatchState) -> None:
-        res = batch.reservation
-        if res is None or batch.terminal:
+        res = model.end_slot(batch, self.world.vms)
+        if res is None:
             return
-        vm = self.world.vms[res.vm_id]
-        model.checkpoint(batch, vm, res.end)
-        batch.completion_entry = None
         completed = batch.request.status is RequestStatus.COMPLETED
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id),
@@ -288,25 +277,16 @@ class HostAgent(Agent):
             return
         affected = rescheduling.apply_vm_degrade(vm, event, self.world.batches,
                                                  self.now)
-        self.update_belief(f"vm:{vm.vm_id}",
-                           (vm.cpu, vm.ram, vm.storage, vm.bandwidth,
-                            model.available_time(vm, self.now)))
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "event",
                                     event=event.event_id, target=vm.vm_id,
                                     mutation="VmDegrade", affected=len(affected))
         for batch in affected:
-            if batch.completion_entry is not None:
-                self.runtime.kernel.cancel(batch.completion_entry)
-            if batch.reservation is not None:
-                batch.completion_entry = self.runtime.kernel.schedule(
-                    batch.reservation.end, lambda b=batch: self._on_slot_end(b),
-                    kind="completion")
+            model.rearm(batch, self.runtime.kernel, self._on_slot_end)
         self.sync_vm(vm)
         invalid = [b for b in affected
                    if not validate_contract(b, vm, self.now)]
         if invalid:
-            self.desires["rescue-allocated"].active = True
             for batch in sorted(invalid, key=lambda b: b.request.user_id):
                 self._rescue_queue.append((batch.request.user_id, event.event_id))
             if not self._rescue_busy:
@@ -344,7 +324,6 @@ class HostAgent(Agent):
                     on_timeout=lambda u=user_id, e=event_id: self._rescue_reply(u, e, None)))
             return
         self._rescue_busy = False
-        self.desires["rescue-allocated"].active = False
 
     def _rescue_reply(self, user_id: str, event_id: int,
                       msg: AgentMessage | None) -> None:
@@ -399,14 +378,9 @@ class UserAgent(Agent):
         self._current_intention: Intention | None = None
         self._retry_entry: int | None = None
         self._last_event_id = -1
-        self.add_desire("schedule-batch", priority=1, intentions=[
-            Intention("ara-round", self._plan_initial_round, priority=1)])
-        self.add_desire("reschedule", priority=0, intentions=[
-            Intention("i1", self._i1_same_vm, priority=1),
-            Intention("i2", self._i2_same_host, priority=2),
-            Intention("i3", self._i3_global, priority=3),
-        ])
-        self.beliefs.on_change("request_state", self._on_request_change)
+        self._ladder = [Intention("i1", self._i1_same_vm),
+                        Intention("i2", self._i2_same_host),
+                        Intention("i3", self._i3_global)]
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -420,26 +394,17 @@ class UserAgent(Agent):
                       for t in self.request.tasks))
 
     def start(self) -> None:
-        self.beliefs.set("request_state", self._fingerprint())
         if self.batch.terminal or self.batch.reservation is not None:
             return
-        self.desires["schedule-batch"].active = True
-        intent = deliberate(self)
-        if intent is not None:
-            intent.plan()
-
-    def _plan_initial_round(self) -> None:
         self._start_round(self._initial_done)
 
     def _initial_done(self, ok: bool) -> None:
         if ok or self.batch.terminal or self.batch.reservation is not None:
-            self.desires["schedule-batch"].active = False
             return
         reqs = self.world.fresh_requirements(self.batch, self.now)
         if self.now >= self.request.deadline or \
                 not self.world.any_capacity_feasible(reqs):
             self._fail_batch()
-            self.desires["schedule-batch"].active = False
             return
         self._retry_entry = self.runtime.kernel.schedule(
             self.now + self.retry_period, self._initial_retry, kind="round-retry")
@@ -447,7 +412,6 @@ class UserAgent(Agent):
     def _initial_retry(self) -> None:
         self._retry_entry = None
         if self.batch.terminal or self.batch.reservation is not None:
-            self.desires["schedule-batch"].active = False
             return
         self._start_round(self._initial_done)
 
@@ -455,17 +419,11 @@ class UserAgent(Agent):
         batch = self.batch
         if batch.terminal:
             return
-        res = batch.reservation
-        if res is not None:
-            vm = self.world.vms[res.vm_id]
-            model.release_remainder(batch, vm, self.now)
+        vm = model.fail(batch, self.world.vms, self.runtime.kernel, self.now)
+        if vm is not None:
             self.send(AgentMessage(f"{self.id.name}:rel:{self._round}", self.id,
                                    AgentId(HOST, vm.host_id), INFORM,
                                    ReleaseNotice(vm.vm_id)))
-        if batch.completion_entry is not None:
-            self.runtime.kernel.cancel(batch.completion_entry)
-            batch.completion_entry = None
-        batch.request.status = RequestStatus.FAILED
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "failed",
                                     user=self.request.user_id,
@@ -570,6 +528,7 @@ class UserAgent(Agent):
         if batch.reservation is not None:
             vm = self.world.vms[batch.reservation.vm_id]
         self._last_event_id = event.event_id
+        before = self._fingerprint()
         applied = rescheduling.apply_user_event(batch, vm, event, self.now)
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "event",
@@ -577,25 +536,22 @@ class UserAgent(Agent):
                                     target=self.request.user_id,
                                     mutation=type(event.mutation).__name__,
                                     vacuous=not applied)
-        if applied:
-            self.update_belief("request_state", self._fingerprint())
-
-    def _on_request_change(self, key, old, new) -> None:
-        batch = self.batch
-        if batch.terminal or batch.reservation is None:
+        # only a change to the request can break the contract: a deadline
+        # cut on an unbounded deadline (inf - delta = inf) triggers nothing
+        if not applied or self._fingerprint() == before or batch.terminal \
+                or batch.reservation is None:
             return
         vm = self.world.vms[batch.reservation.vm_id]
         if not validate_contract(batch, vm, self.now):
-            self._begin_cycle(self._last_event_id)
+            self._begin_cycle(event.event_id)
 
     def _begin_cycle(self, event_id: int) -> None:
         if self._cycle is not None or self.batch.terminal:
             return
         self._cycle = RescheduleCycle(self.request.user_id, event_id)
-        self.desires["reschedule"].active = True
         if self.request.status in (RequestStatus.SCHEDULED, RequestStatus.EXECUTING):
             self.request.status = RequestStatus.PENDING
-        for intention in self.intentions["reschedule"]:
+        for intention in self._ladder:
             intention.exhausted = False
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_start",
@@ -623,9 +579,9 @@ class UserAgent(Agent):
             if validate_contract(batch, vm, self.now):
                 self._end_cycle(True)
                 return
-        intention = deliberate(self)
+        intention = deliberate(self, "reschedule", self._ladder)
         if intention is None:
-            for item in self.intentions["reschedule"]:
+            for item in self._ladder:
                 item.exhausted = False
             cycle.passes += 1
             reqs = self.world.fresh_requirements(batch, self.now)
@@ -638,7 +594,6 @@ class UserAgent(Agent):
                 self.now + self.retry_period, self._cycle_step, kind="cycle-retry")
             return
         self._current_intention = intention
-        cycle.current_intention = intention.name
         cycle.attempts += 1
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_attempt",
@@ -663,9 +618,6 @@ class UserAgent(Agent):
         cycle = self._cycle
         if cycle is None:
             return
-        self.desires["reschedule"].active = False
-        for intention in self.intentions["reschedule"]:
-            intention.exhausted = False
         if self._retry_entry is not None:
             self.runtime.kernel.cancel(self._retry_entry)
             self._retry_entry = None

@@ -11,7 +11,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .model import (LeaseFlag, LeaseState, Requirements, VmDescriptor,
-                    available_time)
+                    available_time, feasible)
 from .tracelog import NULL_TRACE, TraceLog
 
 
@@ -29,14 +29,6 @@ class VmSnapshot:
     def of(vm: VmDescriptor, host_agent: str, tau: float) -> "VmSnapshot":
         return VmSnapshot(vm.vm_id, host_agent, vm.cpu, vm.ram, vm.storage,
                           vm.bandwidth, available_time(vm, tau))
-
-
-def snapshot_feasible(snap: VmSnapshot, reqs: Requirements, tau: float) -> bool:
-    completion = max(tau, snap.available_time) + reqs.total_workload / snap.cpu
-    return (snap.ram >= reqs.max_ram
-            and snap.storage >= reqs.max_storage
-            and snap.bandwidth >= reqs.max_bandwidth
-            and completion <= reqs.deadline)
 
 
 @dataclass
@@ -110,14 +102,15 @@ class VmRegistry:
             entry = self.entries[vm_id]
             if entry.lease.state is not LeaseFlag.READY:
                 continue
-            if not snapshot_feasible(entry.snapshot, reqs, tau):
+            snap = entry.snapshot
+            if not feasible(snap, reqs, max(tau, snap.available_time)):
                 continue
-            entry.lease.acquire(reqs.user_id)
+            entry.lease.acquire()
             self._leased.setdefault(conversation_id, []).append(vm_id)
             if self.trace.enabled:
                 self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="BUSY",
                                 holder=reqs.user_id, conversation=conversation_id)
-            collected.append(entry.snapshot)
+            collected.append(snap)
         return Recommendation(conversation_id, reqs.user_id, collected, theta)
 
     def finalize(self, conversation_id: str, tau: float) -> int:
@@ -149,8 +142,7 @@ def make_proposal(vm: VmDescriptor | None, reqs: Requirements, tau: float,
     if vm is None:
         return None
     start = available_time(vm, tau, exclude=exclude)
-    completion = start + reqs.total_workload / vm.cpu
-    if not (vm.ram >= reqs.max_ram and vm.storage >= reqs.max_storage
-            and vm.bandwidth >= reqs.max_bandwidth and completion <= reqs.deadline):
+    if not feasible(vm, reqs, start):
         return None
-    return HostProposal(reqs.user_id, vm.vm_id, start, completion)
+    return HostProposal(reqs.user_id, vm.vm_id, start,
+                        start + reqs.total_workload / vm.cpu)

@@ -237,13 +237,7 @@ class CentralScheduler:
             if reservation is None:
                 self._fail(batch)
                 continue
-            batch.reservation = reservation
-            batch.request.status = RequestStatus.SCHEDULED
-            if batch.completion_entry is not None:
-                self.kernel.cancel(batch.completion_entry)
-            batch.completion_entry = self.kernel.schedule(
-                reservation.end, lambda b=batch: self._on_slot_end(b),
-                kind="completion")
+            model.bind(batch, reservation, self.kernel, self._on_slot_end)
             if self.trace.enabled:
                 self.trace.emit(self.kernel.now, self.kind, "contract",
                                 user=user_id, vm=reservation.vm_id,
@@ -253,30 +247,20 @@ class CentralScheduler:
     def _fail(self, batch: BatchState) -> None:
         if batch.terminal:
             return
-        if batch.reservation is not None:
-            vm = self.world.vms[batch.reservation.vm_id]
-            model.release_remainder(batch, vm, self.kernel.now)
-        if batch.completion_entry is not None:
-            self.kernel.cancel(batch.completion_entry)
-            batch.completion_entry = None
-        batch.request.status = RequestStatus.FAILED
+        model.fail(batch, self.world.vms, self.kernel, self.kernel.now)
         if self.trace.enabled:
             self.trace.emit(self.kernel.now, self.kind, "failed",
                             user=batch.request.user_id,
                             unfinished=len(batch.incomplete_indices()))
 
     def _on_slot_end(self, batch: BatchState) -> None:
-        res = batch.reservation
-        if res is None or batch.terminal:
+        if model.end_slot(batch, self.world.vms) is None:
             return
-        vm = self.world.vms[res.vm_id]
-        model.checkpoint(batch, vm, res.end)
-        batch.completion_entry = None
-        if batch.request.status is not RequestStatus.COMPLETED:
+        if batch.request.status is not RequestStatus.COMPLETED and \
+                batch.request.user_id not in self._pending:
             # slot expired with inflated work left and no pending realloc:
             # treat as a fresh reallocation request at zero extra cost
-            if not self._realloc_pending(batch):
-                self.reactive_realloc([batch], self.kernel.now)
+            self.reactive_realloc([batch], self.kernel.now)
 
     # -- uncertain events --------------------------------------------------------
 
@@ -307,19 +291,11 @@ class CentralScheduler:
                                 target=event.target_id, mutation="VmDegrade",
                                 affected=len(affected))
             for batch in affected:
-                if batch.completion_entry is not None:
-                    self.kernel.cancel(batch.completion_entry)
-                if batch.reservation is not None:
-                    batch.completion_entry = self.kernel.schedule(
-                        batch.reservation.end,
-                        lambda b=batch: self._on_slot_end(b), kind="completion")
+                model.rearm(batch, self.kernel, self._on_slot_end)
             invalid = [b for b in affected if not validate_contract(b, vm, now)]
             if invalid:
                 self.reactive_realloc(sorted(invalid,
                                              key=lambda b: b.request.user_id), now)
-
-    def _realloc_pending(self, batch: BatchState) -> bool:
-        return batch.request.user_id in self._pending
 
     def reactive_realloc(self, affected: list[BatchState], tau: float) -> None:
         """Re-run this policy over the affected batches' remaining work. The

@@ -1,4 +1,5 @@
-"""Minimal belief-desire-intention runtime with asynchronous mailbox messaging.
+"""Agent runtime: asynchronous mailbox messaging, result listeners, and the
+ordered intention ladder an agent deliberates over.
 
 Agents never block on a reply: send_async registers a per-conversation result
 listener and returns immediately, so an agent with an outstanding request still
@@ -34,58 +35,9 @@ class AgentId:
 
 
 @dataclass
-class Belief:
-    value: Any
-    version: int = 0
-
-
-class BeliefStore:
-    """Versioned key/value knowledge; hooks fire once per value-changing write."""
-
-    def __init__(self):
-        self._entries: dict[str, Belief] = {}
-        self._hooks: dict[str, list[Callable[[str, Any, Any], None]]] = {}
-
-    def get(self, key: str, default: Any = None) -> Any:
-        belief = self._entries.get(key)
-        return default if belief is None else belief.value
-
-    def version(self, key: str) -> int:
-        belief = self._entries.get(key)
-        return 0 if belief is None else belief.version
-
-    def on_change(self, key: str, hook: Callable[[str, Any, Any], None]) -> None:
-        self._hooks.setdefault(key, []).append(hook)
-
-    def set(self, key: str, value: Any) -> bool:
-        """Every write bumps the version; returns True iff the stored value
-        changed, in which case the key's hooks fire exactly once."""
-        belief = self._entries.get(key)
-        if belief is None:
-            self._entries[key] = Belief(value, 1)
-            changed, old = True, None
-        else:
-            belief.version += 1
-            changed, old = belief.value != value, belief.value
-            belief.value = value
-        if changed:
-            for hook in self._hooks.get(key, []):
-                hook(key, old, value)
-        return changed
-
-
-@dataclass
-class Desire:
-    name: str
-    priority: int           # lower number = more urgent
-    active: bool = False
-
-
-@dataclass
 class Intention:
     name: str
     plan: Callable[[], None]
-    priority: int           # lower rank = tried first
     exhausted: bool = False
 
 
@@ -110,32 +62,15 @@ class ResultListener:
 
 
 class Agent:
-    """Base agent: beliefs with change hooks, prioritized desires/intentions, mailbox."""
+    """Base agent: an id and a mailbox on the shared runtime."""
 
     def __init__(self, agent_id: AgentId, runtime: "AgentRuntime"):
         self.id = agent_id
         self.runtime = runtime
-        self.beliefs = BeliefStore()
-        self.desires: dict[str, Desire] = {}
-        self.intentions: dict[str, list[Intention]] = {}
 
     @property
     def now(self) -> float:
         return self.runtime.kernel.now
-
-    def add_desire(self, name: str, priority: int,
-                   intentions: list[Intention] | None = None) -> Desire:
-        if name in self.desires:
-            raise ValueError(f"{self.id}: desire {name} already defined")
-        desire = Desire(name, priority)
-        self.desires[name] = desire
-        self.intentions[name] = sorted(intentions or [], key=lambda i: i.priority)
-        return desire
-
-    def update_belief(self, key: str, value: Any) -> None:
-        if self.beliefs.set(key, value) and self.runtime.trace.enabled:
-            self.runtime.trace.emit(self.now, str(self.id), "belief",
-                                    key=key, version=self.beliefs.version(key))
 
     def send(self, msg: AgentMessage, listener: ResultListener | None = None) -> None:
         self.runtime.send_async(msg, listener)
@@ -144,20 +79,15 @@ class Agent:
         raise NotImplementedError
 
 
-def deliberate(agent: Agent) -> Optional[Intention]:
-    """Select the lowest-rank not-yet-exhausted intention of the most urgent
-    active desire. Returns None when every plan is exhausted
-    (caller resets the cycle) or no desire is active."""
-    active = [d for d in agent.desires.values() if d.active]
-    if not active:
-        return None
-    desire = min(active, key=lambda d: (d.priority, d.name))
-    for intention in agent.intentions[desire.name]:
+def deliberate(agent: Agent, desire: str,
+               ladder: list[Intention]) -> Optional[Intention]:
+    """Select the first not-yet-exhausted intention of the desire's ladder.
+    Returns None when every plan is exhausted (the caller starts a new pass)."""
+    for intention in ladder:
         if not intention.exhausted:
             if agent.runtime.trace.enabled:
                 agent.runtime.trace.emit(agent.now, str(agent.id), "intention",
-                                         desire=desire.name,
-                                         intention=intention.name)
+                                         desire=desire, intention=intention.name)
             return intention
     return None
 

@@ -95,14 +95,12 @@ class RngStream(random.Random):
 
 @dataclass
 class RngStreams:
-    """The three standard streams: scenario generation, event injection, tie-breaks."""
+    """The two standard streams: scenario generation and event injection."""
 
     seed: int
     scenario: RngStream = field(init=False)
     events: RngStream = field(init=False)
-    tie_break: RngStream = field(init=False)
 
     def __post_init__(self):
         self.scenario = RngStream(self.seed, "scenario")
         self.events = RngStream(self.seed, "events")
-        self.tie_break = RngStream(self.seed, "tie-break")

@@ -1,5 +1,7 @@
 """Domain model of the IaaS environment: datacenter, hosts, VMs, user batches,
-reservations, and the completion-time arithmetic used by every scheduler.
+reservations, the feasibility and timeline arithmetic used by every
+scheduler, and the batch lifecycle (bind, re-arm, slot end, fail) shared by the
+host agents and the central scheduler.
 
 Placement is whole-batch: a user's task set goes to exactly one VM and runs
 sequentially in submission order. Capacity fields (ram/storage/bandwidth) are
@@ -8,6 +10,10 @@ rating constraints compared against per-task maxima; only CPU time-shares.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import Callable
+
+from .kernel import Kernel
 
 EPS = 1e-9
 MI_EPS = 1e-6    # workload slack (MI) treated as zero; ~1e3 x float error at run scale
@@ -31,16 +37,13 @@ class LeaseState:
     """READY/BUSY label guarding a VM against concurrent recommendation."""
 
     state: LeaseFlag = LeaseFlag.READY
-    holder: str | None = None
 
-    def acquire(self, holder: str) -> None:
+    def acquire(self) -> None:
         assert self.state is LeaseFlag.READY, "lease already held"
         self.state = LeaseFlag.BUSY
-        self.holder = holder
 
     def release(self) -> None:
         self.state = LeaseFlag.READY
-        self.holder = None
 
 
 @dataclass
@@ -78,8 +81,10 @@ class Reservation:
     """Contract binding one user's batch (or its remainder) to one VM over an interval.
 
     per_task_finish holds cumulative finish times for the covered tasks, computed
-    with the VM's cpu at contract time; the last element equals `end`. A released
-    reservation keeps its executed prefix in the ledger for utilization accounting.
+    with the VM's cpu at contract time; the last element equals `end` up to float
+    rounding (`reserve` sums the workloads before dividing, a degrade repair takes
+    the last finish). A released reservation keeps its executed prefix in the
+    ledger for utilization accounting.
     """
 
     user_id: str
@@ -180,21 +185,29 @@ def available_time(vm: VmDescriptor, tau: float,
     return end if end > tau else tau
 
 
-def expected_completion(vm: VmDescriptor, total_workload: float, tau: float) -> float:
-    """available_time plus the batch's summed workload at this VM's cpu."""
-    return available_time(vm, tau) + total_workload / vm.cpu
+def capacity_feasible(cap, reqs: Requirements) -> bool:
+    """The capacities of `cap` (a VM or a registry snapshot of one) cover the
+    batch's per-task maxima."""
+    return (cap.ram >= reqs.max_ram
+            and cap.storage >= reqs.max_storage
+            and cap.bandwidth >= reqs.max_bandwidth)
 
 
-def capacity_feasible(vm: VmDescriptor, reqs: Requirements) -> bool:
-    return (vm.ram >= reqs.max_ram
-            and vm.storage >= reqs.max_storage
-            and vm.bandwidth >= reqs.max_bandwidth)
+def feasible(cap, reqs: Requirements, start: float) -> bool:
+    """Capacity maxima fit, and the batch started at `start` on `cap` (a VM or
+    a registry snapshot of one) completes by the deadline."""
+    return (capacity_feasible(cap, reqs)
+            and start + reqs.total_workload / cap.cpu <= reqs.deadline)
 
 
-def feasible(vm: VmDescriptor, reqs: Requirements, tau: float) -> bool:
-    """Capacity maxima fit and the expected completion meets the deadline."""
-    return (capacity_feasible(vm, reqs)
-            and expected_completion(vm, reqs.total_workload, tau) <= reqs.deadline)
+def timeline(start: float, workloads, cpu: float) -> list[float]:
+    """Cumulative finish time of each workload, run back to back from `start`."""
+    finishes = []
+    acc = start
+    for wl in workloads:
+        acc += wl / cpu
+        finishes.append(acc)
+    return finishes
 
 
 class OverlapError(Exception):
@@ -214,20 +227,13 @@ def reserve(vm: VmDescriptor, reqs: Requirements, start: float,
     if tail is not None and (start < tail.start or start < tail.effective_end - EPS):
         raise OverlapError(f"vm {vm.vm_id}: booking at {start} precedes the tail "
                            f"[{tail.start}, {tail.effective_end}]")
-    duration = sum(reqs.workloads) / vm.cpu
-    end = start + duration
-    finishes = []
-    acc = start
-    for wl in reqs.workloads:
-        acc += wl / vm.cpu
-        finishes.append(acc)
     reservation = Reservation(
         user_id=reqs.user_id,
         vm_id=vm.vm_id,
         start=start,
-        end=end,
+        end=start + sum(reqs.workloads) / vm.cpu,
         task_indices=list(reqs.task_indices),
-        per_task_finish=finishes,
+        per_task_finish=timeline(start, reqs.workloads, vm.cpu),
         deadline_at_formation=(reqs.deadline if deadline_at_formation is None
                                else deadline_at_formation),
     )
@@ -352,6 +358,53 @@ def release_remainder(batch: BatchState, vm: VmDescriptor, tau: float) -> None:
     if res.released_at <= res.start + EPS:
         vm.reservations.remove(res)
     batch.reservation = None
+
+
+def bind(batch: BatchState, reservation: Reservation, kernel: Kernel,
+         on_end: Callable[[BatchState], None]) -> None:
+    """Make `reservation` the batch's contract, mark it SCHEDULED, and re-arm
+    its completion entry."""
+    batch.reservation = reservation
+    batch.request.status = RequestStatus.SCHEDULED
+    rearm(batch, kernel, on_end)
+
+
+def rearm(batch: BatchState, kernel: Kernel,
+          on_end: Callable[[BatchState], None]) -> None:
+    """Cancel the batch's completion entry and schedule `on_end(batch)` at
+    its reservation's end."""
+    if batch.completion_entry is not None:
+        kernel.cancel(batch.completion_entry)
+    batch.completion_entry = kernel.schedule(
+        batch.reservation.end, partial(on_end, batch), kind="completion")
+
+
+def end_slot(batch: BatchState,
+             vms: dict[str, VmDescriptor]) -> Reservation | None:
+    """Completion entry fired: checkpoint the batch at its reservation's end
+    and clear the entry. Returns the reservation, or None (doing nothing)
+    when the batch is terminal or unbound and the entry is moot."""
+    res = batch.reservation
+    if res is None or batch.terminal:
+        return None
+    checkpoint(batch, vms[res.vm_id], res.end)
+    batch.completion_entry = None
+    return res
+
+
+def fail(batch: BatchState, vms: dict[str, VmDescriptor], kernel: Kernel,
+         tau: float) -> VmDescriptor | None:
+    """Release the batch's remainder at tau, cancel its completion entry and
+    mark it FAILED. Returns the VM it held, or None when it was unbound."""
+    vm = None
+    if batch.reservation is not None:
+        vm = vms[batch.reservation.vm_id]
+        release_remainder(batch, vm, tau)
+    if batch.completion_entry is not None:
+        kernel.cancel(batch.completion_entry)
+        batch.completion_entry = None
+    batch.request.status = RequestStatus.FAILED
+    return vm
 
 
 def assert_no_overlap(vm: VmDescriptor) -> None:

@@ -197,11 +197,7 @@ def apply_vm_degrade(vm: VmDescriptor, event: UncertainEvent,
         else:
             start = max(res.start, cursor)
             resume = start
-        finishes = []
-        acc = resume
-        for wl in reqs.workloads:
-            acc += wl / vm.cpu
-            finishes.append(acc)
+        finishes = model.timeline(resume, reqs.workloads, vm.cpu)
         res.start = start
         res.end = finishes[-1] if finishes else resume
         res.task_indices = list(reqs.task_indices)
@@ -219,6 +215,5 @@ class RescheduleCycle:
 
     user_id: str
     triggering_event: int
-    current_intention: str = "i1"
     attempts: int = 0
     passes: int = 0

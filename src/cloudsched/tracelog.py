@@ -1,8 +1,9 @@
 """Structured JSON-lines trace of protocol activity.
 
-One record per send/deliver/belief-change/intention-switch/lease-transition/
-contract event; the safety test suite replays runs from these records. The
-record kinds and their `detail` keys are listed in the README.
+One record per send/deliver/lease-transition/contract/event/reschedule-step
+(including each intention the reschedule ladder selects); the safety test
+suite replays runs from these records. The record kinds and their `detail`
+keys are listed in the README.
 
 With a sink (an open text file) attached, the log streams: every
 CHUNK_RECORDS records are encoded into the sink and dropped from memory, and

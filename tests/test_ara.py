@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cloudsched import model
 from cloudsched.agents import HostAgent, SuperviseAgent, UserAgent
 from cloudsched.ara import (HostProposal, VmRegistry, VmSnapshot,
-                            make_proposal, select_best, snapshot_feasible)
+                            make_proposal, select_best)
 from cloudsched.bdi import ACCEPT, INFORM, AgentRuntime
 from cloudsched.kernel import Kernel
 from cloudsched.model import LeaseFlag, RequestStatus, batch_requirements
@@ -132,7 +132,8 @@ def test_registry_matches_full_sort_reference(ops):
             want = reqs(total=10000.0, deadline=deadline)
             order = sorted(snaps, key=lambda v: (snaps[v].available_time, v))
             expected = [v for v in order if v not in busy and
-                        snapshot_feasible(snaps[v], want, tau)][:theta]
+                        model.feasible(snaps[v], want,
+                                       max(tau, snaps[v].available_time))][:theta]
             rec = registry.recommend(want, theta, tau, conv)
             assert [s.vm_id for s in rec.vm_refs] == expected
             busy.update((v, conv) for v in expected)

@@ -1,6 +1,6 @@
 from cloudsched.bdi import (FAILURE, HOST, INFORM, PROPOSE, REQUEST, USER,
                             Agent, AgentId, AgentMessage, AgentRuntime,
-                            BeliefStore, Intention, ResultListener, deliberate)
+                            Intention, ResultListener, deliberate)
 from cloudsched.kernel import Kernel
 from cloudsched.tracelog import TraceLog
 
@@ -36,83 +36,39 @@ def setup_runtime(latency=0.01):
     return kernel, AgentRuntime(kernel, latency=latency, trace=TraceLog())
 
 
-class TestBeliefStore:
-    def test_identical_write_fires_no_hook(self):
-        store = BeliefStore()
-        fired = []
-        store.on_change("k", lambda k, old, new: fired.append((old, new)))
-        store.set("k", 1)
-        store.set("k", 1)
-        assert fired == [(None, 1)]
-        assert store.version("k") == 2   # every write counts, hooks on change
-
-    def test_changed_write_fires_hook_once(self):
-        store = BeliefStore()
-        fired = []
-        store.on_change("k", lambda k, old, new: fired.append(new))
-        store.set("k", 1)
-        store.set("k", 2)
-        assert fired == [1, 2]
-        assert store.version("k") == 2
-
-    def test_hooks_fire_in_write_order(self):
-        store = BeliefStore()
-        fired = []
-        store.on_change("a", lambda k, o, n: fired.append("a"))
-        store.on_change("b", lambda k, o, n: fired.append("b"))
-        store.set("b", 1)
-        store.set("a", 1)
-        assert fired == ["b", "a"]
-
-    def test_hooks_only_for_their_key(self):
-        store = BeliefStore()
-        fired = []
-        store.on_change("a", lambda k, o, n: fired.append(k))
-        store.set("b", 1)
-        assert fired == []
-
-
 class TestDeliberate:
     def _agent(self):
         kernel, runtime = setup_runtime()
         agent = Recorder(runtime, USER, "u")
-        agent.add_desire("reschedule", priority=0, intentions=[
-            Intention("i1", lambda: None, priority=1),
-            Intention("i2", lambda: None, priority=2),
-            Intention("i3", lambda: None, priority=3),
-        ])
-        return agent
+        ladder = [Intention(name, lambda: None) for name in ("i1", "i2", "i3")]
+        return agent, ladder
 
     def test_lowest_rank_first(self):
-        agent = self._agent()
-        agent.desires["reschedule"].active = True
-        assert deliberate(agent).name == "i1"
+        agent, ladder = self._agent()
+        assert deliberate(agent, "reschedule", ladder).name == "i1"
 
     def test_exhausted_skipped(self):
-        agent = self._agent()
-        agent.desires["reschedule"].active = True
-        agent.intentions["reschedule"][0].exhausted = True
-        assert deliberate(agent).name == "i2"
+        agent, ladder = self._agent()
+        ladder[0].exhausted = True
+        assert deliberate(agent, "reschedule", ladder).name == "i2"
 
     def test_all_exhausted_returns_none(self):
-        agent = self._agent()
-        agent.desires["reschedule"].active = True
-        for intention in agent.intentions["reschedule"]:
+        agent, ladder = self._agent()
+        for intention in ladder:
             intention.exhausted = True
-        assert deliberate(agent) is None
+        assert deliberate(agent, "reschedule", ladder) is None
 
-    def test_most_urgent_desire_wins(self):
-        agent = self._agent()
-        agent.add_desire("schedule", priority=1, intentions=[
-            Intention("round", lambda: None, priority=1)])
-        agent.desires["schedule"].active = True
-        assert deliberate(agent).name == "round"
-        agent.desires["reschedule"].active = True
-        assert deliberate(agent).name == "i1"
-
-    def test_no_active_desire(self):
-        agent = self._agent()
-        assert deliberate(agent) is None
+    def test_selection_traced_with_desire(self):
+        agent, ladder = self._agent()
+        ladder[0].exhausted = True
+        deliberate(agent, "reschedule", ladder)
+        for intention in ladder:
+            intention.exhausted = True
+        deliberate(agent, "reschedule", ladder)   # nothing selected, no record
+        records = [r for r in agent.runtime.trace.records
+                   if r["kind"] == "intention"]
+        assert [r["detail"] for r in records] == [
+            {"desire": "reschedule", "intention": "i2"}]
 
 
 class TestSendAsync:
@@ -192,14 +148,3 @@ class TestSendAsync:
         assert runtime.listeners_registered == 3
         assert runtime.listeners_resolved + runtime.listeners_timed_out == 3
         assert runtime.listeners_timed_out == 1   # the slow echo
-
-
-def test_update_belief_traces_version(single_vm_world=None):
-    kernel, runtime = setup_runtime()
-    agent = Recorder(runtime, USER, "u")
-    runtime.register(agent)
-    agent.update_belief("k", 1)
-    agent.update_belief("k", 1)   # same value: version bumps, no trace record
-    agent.update_belief("k", 2)
-    beliefs = [r for r in runtime.trace.records if r["kind"] == "belief"]
-    assert [b["detail"]["version"] for b in beliefs] == [1, 3]

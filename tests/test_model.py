@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import model
+from cloudsched.ara import make_proposal
+from cloudsched.kernel import Kernel
 from cloudsched.model import (BatchState, OverlapError, RequestStatus,
                               batch_requirements, checkpoint, reserve)
 
@@ -33,20 +35,35 @@ class TestAvailableTime:
 
 
 class TestExpectedCompletion:
+    """A quote's completion is its start (the VM's available time) plus the
+    summed workload at the VM's cpu; `feasible` meets the deadline exactly
+    at that completion."""
+
+    def quote(self, vm, workload, tau=0.0):
+        return make_proposal(vm, reqs_for(vm, workloads=(workload,)), tau)
+
     def test_direct_formula(self):
         vm = make_vm(cpu=1000.0)
-        assert model.expected_completion(vm, 20000.0, 0.0) == pytest.approx(20.0)
+        assert self.quote(vm, 20000.0).completion == pytest.approx(20.0)
+        assert model.feasible(vm, reqs_for(vm, (20000.0,), deadline=20.0), 0.0)
+        assert not model.feasible(vm, reqs_for(vm, (20000.0,), deadline=19.9), 0.0)
 
     def test_queued_vm(self):
         vm = make_vm(cpu=2500.0)
         reserve(vm, batch_requirements(
             make_request(workloads=(125000.0,))), 0.0)   # busy until 50
-        assert model.expected_completion(vm, 10000.0, 0.0) == pytest.approx(54.0)
+        quote = self.quote(vm, 10000.0)
+        assert quote.start == pytest.approx(50.0)
+        assert quote.completion == pytest.approx(54.0)
+        assert model.feasible(vm, reqs_for(vm, (10000.0,), deadline=54.0),
+                              quote.start)
+        assert not model.feasible(vm, reqs_for(vm, (10000.0,), deadline=53.9),
+                                  quote.start)
 
     def test_extreme_task_on_weakest_vm(self):
         # largest workload at the slowest cpu of the configured ranges
         vm = make_vm(cpu=500.0)
-        assert model.expected_completion(vm, 40000.0, 0.0) == pytest.approx(80.0)
+        assert self.quote(vm, 40000.0).completion == pytest.approx(80.0)
 
     @given(st.floats(min_value=500.0, max_value=2500.0),
            st.floats(min_value=500.0, max_value=2500.0),
@@ -55,15 +72,15 @@ class TestExpectedCompletion:
         lo, hi = sorted((cpu_a, cpu_b))
         fast = make_vm(cpu=hi)
         slow = make_vm(cpu=lo)
-        assert model.expected_completion(fast, workload, 0.0) <= \
-            model.expected_completion(slow, workload, 0.0)
+        assert self.quote(fast, workload).completion <= \
+            self.quote(slow, workload).completion
 
     @given(st.floats(min_value=1.0, max_value=4e5),
            st.floats(min_value=0.0, max_value=4e5))
     def test_monotone_in_workload(self, base, extra):
         vm = make_vm()
-        assert model.expected_completion(vm, base, 0.0) <= \
-            model.expected_completion(vm, base + extra, 0.0)
+        assert self.quote(vm, base).completion <= \
+            self.quote(vm, base + extra).completion
 
 
 class TestFeasible:
@@ -214,6 +231,79 @@ class TestReleaseRemainder:
         batch.reservation = reserve(vm, batch_requirements(req), 50.0)
         model.release_remainder(batch, vm, 10.0)
         assert vm.reservations == []
+
+
+
+class TestBatchLifecycle:
+    """bind / rearm / end_slot / fail: the completion-entry bookkeeping the
+    host agents and the central scheduler share."""
+
+    def bound(self):
+        kernel = Kernel()
+        vm = make_vm(cpu=1000.0)
+        batch = BatchState(make_request(workloads=(10000.0, 20000.0)))
+        ended = []
+        model.bind(batch, reserve(vm, batch.remaining_requirements(), 0.0),
+                   kernel, ended.append)
+        return kernel, vm, batch, ended
+
+    def test_bind_cancels_the_old_entry(self):
+        kernel, vm, batch, ended = self.bound()
+        first = batch.completion_entry
+        faster = make_vm("h000v01", cpu=2000.0)
+        res = reserve(faster, batch.remaining_requirements(), 0.0)
+        model.bind(batch, res, kernel, ended.append)
+        assert batch.reservation is res
+        assert batch.request.status is RequestStatus.SCHEDULED
+        assert not kernel.cancel(first)   # no longer pending
+        assert len(kernel) == 1
+        kernel.run_until_quiescent()
+        assert ended == [batch]
+        assert kernel.now == res.end == pytest.approx(15.0)
+
+    def test_end_slot_checkpoints_at_the_reservation_end(self):
+        kernel, vm, batch, ended = self.bound()
+        res = batch.reservation
+        assert model.end_slot(batch, {vm.vm_id: vm}) is res
+        assert batch.completion_entry is None
+        assert batch.request.status is RequestStatus.COMPLETED
+        assert batch.finishes == pytest.approx([10.0, 30.0])
+
+    def test_end_slot_moot_for_terminal_or_unbound_batch(self):
+        kernel, vm, batch, ended = self.bound()
+        entry = batch.completion_entry
+        batch.request.status = RequestStatus.FAILED
+        assert model.end_slot(batch, {vm.vm_id: vm}) is None
+        assert batch.completion_entry == entry
+        assert batch.fractions == [0.0, 0.0]
+        unbound = BatchState(make_request("u00001"))
+        assert model.end_slot(unbound, {}) is None
+        assert unbound.fractions == [0.0]
+
+    def test_fail_truncates_cancels_and_returns_the_vm(self):
+        kernel, vm, batch, ended = self.bound()
+        entry = batch.completion_entry
+        assert model.fail(batch, {vm.vm_id: vm}, kernel, 12.0) is vm
+        assert vm.reservations[0].effective_end == pytest.approx(12.0)
+        assert model.available_time(vm, 0.0) == pytest.approx(12.0)
+        assert batch.reservation is None
+        assert batch.completion_entry is None
+        assert not kernel.cancel(entry)
+        assert batch.request.status is RequestStatus.FAILED
+        assert batch.finishes[0] == pytest.approx(10.0)
+        kernel.run_until_quiescent()
+        assert ended == []
+
+    def test_fail_unbound_batch(self):
+        batch = BatchState(make_request())
+        assert model.fail(batch, {}, Kernel(), 0.0) is None
+        assert batch.request.status is RequestStatus.FAILED
+
+
+class TestTimeline:
+    def test_cumulative_finishes(self):
+        assert model.timeline(5.0, (1000.0, 3000.0), 1000.0) == [6.0, 9.0]
+        assert model.timeline(5.0, (), 1000.0) == []
 
 
 def test_status_forward_transitions(single_vm_world):

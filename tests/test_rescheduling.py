@@ -357,6 +357,34 @@ class TestIntentions:
                     batches["u00001"].reservation.vm_id}
         assert vms_used == {"h000v01", "h000v02"}
 
+    @pytest.mark.parametrize("event, starts_cycle", [
+        (cut_event("u00001", 500.0, event_id=1), False),
+        (inflate_event("u00001", event_id=1), True)])
+    def test_contract_checked_only_when_request_changes(self, event,
+                                                        starts_cycle):
+        """u00001's deadline is unbounded, and a degrade took its VM's ram
+        below its tasks', so its contract is already invalid while the host's
+        rescue of it waits behind u00000's. A deadline cut leaves the request
+        unchanged (inf - delta = inf) and must start no cycle of its own; an
+        inflation changes it, and the check finds the contract broken."""
+        world = make_world(
+            [("h000", [make_vm("h000v00", "h000"), make_vm("h000v01", "h000")])],
+            [make_request("u00000", ram=1000.0),
+             make_request("u00001", ram=1000.0)])
+        kernel, runtime, sa, hosts, users = build_sim(world, theta=1)
+        host = hosts["h000"]
+        assert host.commit_contract("u00000", "h000v00") is not None
+        assert host.commit_contract("u00001", "h000v00") is not None
+        host.on_vm_event(degrade_event("h000v00", 0.5))
+        batch = world.batches["u00001"]
+        assert host._rescue_queue == [("u00001", 0)]
+        assert not validate_contract(batch, world.vms["h000v00"], kernel.now)
+        users["u00001"].on_user_event(event)
+        starts = [r for r in runtime.trace.records
+                  if r["kind"] == "cycle_start" and r["agent"] == "user:u00001"]
+        assert bool(starts) is starts_cycle
+        assert (users["u00001"]._cycle is not None) is starts_cycle
+
     def test_vacuous_events_leave_metrics_unchanged(self):
         from cloudsched.metrics import compute_metrics
         layout = [("h000", [make_vm("h000v00", "h000", cpu=2000.0)])]

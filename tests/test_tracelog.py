@@ -2,8 +2,10 @@
 the in-memory records of the same run gives, and holds at most one chunk of
 records at a time. Because the stream encodes a record long before the run
 ends, a `detail` object mutated after `emit` would show up here as a byte
-difference. The last test holds every record to the README's schema table."""
+difference. The last tests hold every record to the README's schema table,
+and every row of that table to a kind the source still emits."""
 
+import ast
 import io
 import json
 import re
@@ -103,3 +105,24 @@ def test_records_follow_documented_schema(scheduler):
                              collect_trace=True).trace.records
     seen = {(r["kind"], frozenset(r["detail"])) for r in records}
     assert sorted(seen - documented_schema()) == []
+
+
+def emitted_kinds() -> set[str]:
+    """Every string literal passed as the `kind` argument (the third) of an
+    `emit(...)` call in the package source, both branches of a conditional
+    kind included."""
+    kinds = set()
+    for path in (ROOT / "src" / "cloudsched").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and len(node.args) >= 3 and \
+                    getattr(node.func, "attr", None) == "emit":
+                kinds.update(c.value for c in ast.walk(node.args[2])
+                             if isinstance(c, ast.Constant)
+                             and isinstance(c.value, str))
+    return kinds
+
+
+def test_documented_kinds_are_still_emitted():
+    documented = {kind for kind, _ in documented_schema()}
+    assert {"send", "contract", "intention"} <= documented
+    assert sorted(documented - emitted_kinds()) == []
