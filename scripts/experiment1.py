@@ -5,14 +5,11 @@ the host count, recording makespan and utilization variance per run.
 Desk scale by default (about half a minute); pass --full for the
 10000-user setting, which takes considerably longer.
 
-  python scripts/experiment1.py --out results/experiment1.csv
+  PYTHONPATH=src python scripts/experiment1.py --out results/experiment1.csv
 """
 
 import argparse
-import pathlib
 import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from cloudsched.harness import sweep, write_csv
 from cloudsched.scenario import ScenarioConfig

@@ -6,14 +6,11 @@ from 0.1 to 1.0.
 Deadlines are scaled off a no-event probe run so the zero-event success rate
 starts near 1.0, mirroring the deadline-bound setting this sweep studies.
 
-  python scripts/experiment2.py --out results/experiment2.csv
+  PYTHONPATH=src python scripts/experiment2.py --out results/experiment2.csv
 """
 
 import argparse
-import pathlib
 import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from cloudsched.harness import compare, run_simulation, write_csv
 from cloudsched.scenario import SCHEDULERS, ScenarioConfig

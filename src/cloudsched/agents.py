@@ -28,9 +28,11 @@ from .ara import (HostProposal, Recommendation, VmRegistry, VmSnapshot,
                   make_proposal, select_best)
 from .bdi import (ACCEPT, FAILURE, HOST, INFORM, PROPOSE, REJECT, REQUEST,
                   SUPERVISE, USER, Agent, AgentId, AgentMessage, AgentRuntime,
-                  Intention, ResultListener, deliberate)
+                  ResultListener, deliberate)
 from .model import BatchState, Host, Requirements, RequestStatus, SimWorld
 from .rescheduling import RescheduleCycle, validate_contract
+
+LADDER = ("i1", "i2", "i3")   # same VM, same host, global round
 
 
 @dataclass
@@ -150,9 +152,8 @@ class HostAgent(Agent):
 
     def _vm(self, vm_id: str) -> model.VmDescriptor | None:
         """The VM if this host owns it, else None."""
-        if self.world.host_of_vm.get(vm_id) != self.host.host_id:
-            return None
-        return self.world.vms[vm_id]
+        vm = self.world.vms.get(vm_id)
+        return vm if vm is not None and vm.host_id == self.host.host_id else None
 
     def sync_vm(self, vm: model.VmDescriptor) -> None:
         self.send(AgentMessage(self._next_conv("sync"), self.id, self.supervise,
@@ -164,7 +165,12 @@ class HostAgent(Agent):
     def handle_message(self, msg: AgentMessage) -> None:
         body = msg.body
         if msg.performative == REQUEST and isinstance(body, ScheduleRequest):
-            proposal = self._quote(body)
+            if body.purpose == "samehost":
+                reqs = self._remaining(body.user_id)
+                proposal = None if reqs is None else \
+                    self._best_sibling(reqs, exclude_vm=body.vm_id)
+            else:
+                proposal = self._quote(body.user_id, body.vm_id)
             if proposal is None:
                 self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
                                        REJECT, None, reply=True))
@@ -188,21 +194,26 @@ class HostAgent(Agent):
 
     # -- quoting and committing ----------------------------------------------
 
-    def _quote(self, req: ScheduleRequest) -> HostProposal | None:
-        batch = self.world.batches.get(req.user_id)
+    def _remaining(self, user_id: str) -> Requirements | None:
+        """The batch's remaining work, checkpointed to now; None when the
+        batch is unknown, terminal or has nothing left."""
+        batch = self.world.batches.get(user_id)
         if batch is None or batch.terminal:
             return None
         reqs = self.world.fresh_requirements(batch, self.now)
         if batch.terminal or not reqs.task_indices:
             return None
-        if req.purpose == "samehost":
-            return self._best_sibling(reqs, exclude_vm=req.vm_id)
-        vm = self._vm(req.vm_id)
-        exclude = None
-        if (batch.reservation is not None and vm is not None
-                and batch.reservation.vm_id == vm.vm_id):
-            exclude = batch.reservation
-        return make_proposal(vm, reqs, self.now, exclude=exclude)
+        return reqs
+
+    def _quote(self, user_id: str, vm_id: str) -> HostProposal | None:
+        """Quote the batch's remaining work on this host's VM `vm_id`, as if
+        the batch's own reservation there were already released."""
+        reqs = self._remaining(user_id)
+        if reqs is None:
+            return None
+        res = self.world.batches[user_id].reservation
+        exclude = res if res is not None and res.vm_id == vm_id else None
+        return make_proposal(self._vm(vm_id), reqs, self.now, exclude=exclude)
 
     def _best_sibling(self, reqs: Requirements,
                       exclude_vm: str) -> HostProposal | None:
@@ -219,20 +230,15 @@ class HostAgent(Agent):
         return best
 
     def commit_contract(self, user_id: str, vm_id: str) -> model.Reservation | None:
-        """Re-check ground truth and commit; replacement releases the old
-        interval atomically with the new reservation."""
-        vm = self._vm(vm_id)
-        batch = self.world.batches.get(user_id)
-        if vm is None or batch is None or batch.terminal:
-            return None
-        reqs = self.world.fresh_requirements(batch, self.now)
-        if batch.terminal or not reqs.task_indices:
-            return None
-        old = batch.reservation
-        exclude = old if (old is not None and old.vm_id == vm.vm_id) else None
-        quote = make_proposal(vm, reqs, self.now, exclude=exclude)
+        """Re-quote against ground truth and commit; replacement releases the
+        old interval atomically with the new reservation."""
+        quote = self._quote(user_id, vm_id)
         if quote is None:
             return None
+        batch = self.world.batches[user_id]
+        vm = self.world.vms[vm_id]
+        reqs = batch.remaining_requirements()
+        old = batch.reservation
         if old is not None:
             old_vm = self.world.vms[old.vm_id]
             model.release_remainder(batch, old_vm, self.now)
@@ -375,12 +381,10 @@ class UserAgent(Agent):
         self.collect_timeout = collect_timeout
         self._round = 0
         self._cycle: RescheduleCycle | None = None
-        self._current_intention: Intention | None = None
+        self._rung = 0             # LADDER index: every rung below it failed
+        self._in_flight = False    # an intention's negotiation awaits its outcome
         self._retry_entry: int | None = None
         self._last_event_id = -1
-        self._ladder = [Intention("i1", self._i1_same_vm),
-                        Intention("i2", self._i2_same_host),
-                        Intention("i3", self._i3_global)]
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -551,8 +555,7 @@ class UserAgent(Agent):
         self._cycle = RescheduleCycle(self.request.user_id, event_id)
         if self.request.status in (RequestStatus.SCHEDULED, RequestStatus.EXECUTING):
             self.request.status = RequestStatus.PENDING
-        for intention in self._ladder:
-            intention.exhausted = False
+        self._rung = 0
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_start",
                                     event=event_id)
@@ -579,10 +582,9 @@ class UserAgent(Agent):
             if validate_contract(batch, vm, self.now):
                 self._end_cycle(True)
                 return
-        intention = deliberate(self, "reschedule", self._ladder)
+        intention = deliberate(self, "reschedule", LADDER, self._rung)
         if intention is None:
-            for item in self._ladder:
-                item.exhausted = False
+            self._rung = 0
             cycle.passes += 1
             reqs = self.world.fresh_requirements(batch, self.now)
             if not self.world.any_capacity_feasible(reqs) and \
@@ -593,22 +595,27 @@ class UserAgent(Agent):
             self._retry_entry = self.runtime.kernel.schedule(
                 self.now + self.retry_period, self._cycle_step, kind="cycle-retry")
             return
-        self._current_intention = intention
+        self._in_flight = True
         cycle.attempts += 1
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_attempt",
                                     event=cycle.triggering_event,
                                     pass_index=cycle.passes,
-                                    intention=intention.name)
-        intention.plan()
+                                    intention=intention)
+        if intention == "i3":
+            self._start_round(self._intention_done)
+        elif batch.reservation is None:
+            self._intention_done(False)
+        else:
+            self._direct_negotiation(batch.reservation.vm_id,
+                                     "requote" if intention == "i1" else "samehost")
 
     def _intention_done(self, ok: bool) -> None:
         if self._cycle is None:
             return
-        intention = self._current_intention
-        if intention is not None and not ok:
-            intention.exhausted = True
-        self._current_intention = None
+        if self._in_flight and not ok:
+            self._rung += 1
+        self._in_flight = False
         if ok:
             self._end_cycle(True)
         else:
@@ -628,27 +635,9 @@ class UserAgent(Agent):
                                     passes=cycle.passes)
         self._cycle = None
 
-    # intentions ---------------------------------------------------------------
-
-    def _i1_same_vm(self) -> None:
-        res = self.batch.reservation
-        if res is None:
-            self._intention_done(False)
-            return
-        self._direct_negotiation(res.vm_id, "requote")
-
-    def _i2_same_host(self) -> None:
-        res = self.batch.reservation
-        if res is None:
-            self._intention_done(False)
-            return
-        self._direct_negotiation(res.vm_id, "samehost")
-
-    def _i3_global(self) -> None:
-        self._start_round(self._intention_done)
-
     def _direct_negotiation(self, vm_id: str, purpose: str) -> None:
-        host = AgentId(HOST, self.world.host_of_vm[vm_id])
+        """i1 ("requote") or i2 ("samehost"): ask the VM's own host directly."""
+        host = AgentId(HOST, self.world.vms[vm_id].host_id)
         self._round += 1
         conv = f"{self.id.name}#{purpose}{self._round}"
         self.send(

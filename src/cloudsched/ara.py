@@ -8,10 +8,9 @@ committing, so a stale snapshot costs at worst one declined round.
 """
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import (LeaseFlag, LeaseState, Requirements, VmDescriptor,
-                    available_time, feasible)
+from .model import Requirements, VmDescriptor, available_time, feasible
 from .tracelog import NULL_TRACE, TraceLog
 
 
@@ -32,13 +31,6 @@ class VmSnapshot:
 
 
 @dataclass
-class RegistryEntry:
-    snapshot: VmSnapshot
-    lease: LeaseState = field(default_factory=LeaseState)
-    rank: int = 0           # position in first-sync (insertion) order
-
-
-@dataclass
 class Recommendation:
     conversation_id: str
     user_id: str
@@ -55,37 +47,38 @@ class HostProposal:
 
 
 class VmRegistry:
-    """Belief store of the supervise agent: per-VM snapshot plus lease label,
-    priority-indexed by available time ascending (earlier = higher priority).
+    """Belief store of the supervise agent: the latest snapshot of each VM and
+    the set of VMs leased BUSY (every other VM is READY), priority-indexed by
+    available time ascending (earlier = higher priority).
 
     The index is a list of (available_time, vm_id) kept sorted by bisection on
-    every sync; `_leased` maps each conversation to the VMs it holds BUSY."""
+    every sync; `_leased` maps each conversation to the VMs it holds BUSY, and
+    `_rank` gives each VM's position in first-sync order."""
 
     def __init__(self, trace: TraceLog | None = None):
-        self.entries: dict[str, RegistryEntry] = {}
+        self.snapshots: dict[str, VmSnapshot] = {}
+        self.busy: set[str] = set()
         self.trace = trace if trace is not None else NULL_TRACE
+        self._rank: dict[str, int] = {}
         self._order: list[tuple[float, str]] = []
         self._leased: dict[str, list[str]] = {}
 
     def sync(self, snapshot: VmSnapshot) -> None:
-        """Replace (or create, on first sync) a VM's snapshot; the lease label is
+        """Replace (or create, on first sync) a VM's snapshot; a lease is
         orthogonal to snapshot data and is preserved."""
         vm_id = snapshot.vm_id
-        entry = self.entries.get(vm_id)
-        if entry is None:
-            self.entries[vm_id] = RegistryEntry(snapshot, rank=len(self.entries))
+        old = self.snapshots.get(vm_id)
+        self.snapshots[vm_id] = snapshot
+        if old is None:
+            self._rank[vm_id] = len(self._rank)
         else:
-            old, entry.snapshot = entry.snapshot.available_time, snapshot
-            if old == snapshot.available_time:
+            if old.available_time == snapshot.available_time:
                 return
-            del self._order[bisect_left(self._order, (old, vm_id))]
+            del self._order[bisect_left(self._order, (old.available_time, vm_id))]
         insort(self._order, (snapshot.available_time, vm_id))
 
     def ordered_ids(self) -> list[str]:
         return [vm_id for _, vm_id in self._order]
-
-    def ready_count(self) -> int:
-        return sum(1 for e in self.entries.values() if e.lease.state is LeaseFlag.READY)
 
     def recommend(self, reqs: Requirements, theta: int, tau: float,
                   conversation_id: str) -> Recommendation:
@@ -99,13 +92,12 @@ class VmRegistry:
         for _, vm_id in self._order:
             if len(collected) >= theta:
                 break
-            entry = self.entries[vm_id]
-            if entry.lease.state is not LeaseFlag.READY:
+            if vm_id in self.busy:
                 continue
-            snap = entry.snapshot
+            snap = self.snapshots[vm_id]
             if not feasible(snap, reqs, max(tau, snap.available_time)):
                 continue
-            entry.lease.acquire()
+            self.busy.add(vm_id)
             self._leased.setdefault(conversation_id, []).append(vm_id)
             if self.trace.enabled:
                 self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="BUSY",
@@ -118,8 +110,8 @@ class VmRegistry:
         first-sync order. Idempotent: a second finalize for the same
         conversation is a no-op. Returns the number of leases released."""
         leased = self._leased.pop(conversation_id, [])
-        for vm_id in sorted(leased, key=lambda v: self.entries[v].rank):
-            self.entries[vm_id].lease.release()
+        for vm_id in sorted(leased, key=self._rank.__getitem__):
+            self.busy.discard(vm_id)
             if self.trace.enabled:
                 self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="READY",
                                 conversation=conversation_id)

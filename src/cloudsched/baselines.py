@@ -326,14 +326,10 @@ class CentralScheduler:
             if batch.terminal:
                 continue
             if batch.reservation is not None:
-                vm = self.world.vms[batch.reservation.vm_id]
-                model.checkpoint(batch, vm, now)
+                model.checkpoint(batch, self.world.vms[batch.reservation.vm_id], now)
                 if batch.terminal:
                     continue
-                model.release_remainder(batch, vm, now)
-            if batch.completion_entry is not None:
-                self.kernel.cancel(batch.completion_entry)
-                batch.completion_entry = None
+            model.unbind(batch, self.world.vms, self.kernel, now)
             if now >= batch.request.deadline:
                 self._fail(batch)
                 continue

@@ -35,13 +35,6 @@ class AgentId:
 
 
 @dataclass
-class Intention:
-    name: str
-    plan: Callable[[], None]
-    exhausted: bool = False
-
-
-@dataclass
 class AgentMessage:
     conversation_id: str
     sender: "AgentId"
@@ -79,17 +72,17 @@ class Agent:
         raise NotImplementedError
 
 
-def deliberate(agent: Agent, desire: str,
-               ladder: list[Intention]) -> Optional[Intention]:
-    """Select the first not-yet-exhausted intention of the desire's ladder.
-    Returns None when every plan is exhausted (the caller starts a new pass)."""
-    for intention in ladder:
-        if not intention.exhausted:
-            if agent.runtime.trace.enabled:
-                agent.runtime.trace.emit(agent.now, str(agent.id), "intention",
-                                         desire=desire, intention=intention.name)
-            return intention
-    return None
+def deliberate(agent: Agent, desire: str, ladder: tuple[str, ...],
+               rung: int) -> Optional[str]:
+    """Select the intention at `rung` of the desire's ordered ladder (every
+    rung below it is exhausted). Returns None past the last rung: every plan
+    is exhausted and the caller starts a new pass."""
+    if rung >= len(ladder):
+        return None
+    if agent.runtime.trace.enabled:
+        agent.runtime.trace.emit(agent.now, str(agent.id), "intention",
+                                 desire=desire, intention=ladder[rung])
+    return ladder[rung]
 
 
 class AgentRuntime:

@@ -78,7 +78,7 @@ def _execute(config: ScenarioConfig, world: SimWorld,
                                 lambda e=event, t=target: t.on_user_event(e),
                                 kind="uncertain-event")
             else:
-                host = host_agents[world.host_of_vm[event.target_id]]
+                host = host_agents[world.vms[event.target_id].host_id]
                 kernel.schedule(event.fire_at,
                                 lambda e=event, t=host: t.on_vm_event(e),
                                 kind="uncertain-event")
@@ -170,8 +170,8 @@ def result_row(result: RunResult, axis: str = "", axis_value="") -> dict:
 AXES = ("theta", "hosts", "probability")
 
 
-def sweep(config: ScenarioConfig, axis: str, values: list, reps: int = 1,
-          collect_trace: bool = False) -> list[dict]:
+def sweep(config: ScenarioConfig, axis: str, values: list,
+          reps: int = 1) -> list[dict]:
     """One run per (axis value, repetition seed); rows in (value, seed) order."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}")
@@ -188,8 +188,7 @@ def sweep(config: ScenarioConfig, axis: str, values: list, reps: int = 1,
                 cfg = config.replaced(hosts=int(value), seed=seed)
             else:
                 cfg = config.replaced(event_probability=float(value), seed=seed)
-            result = run_simulation(cfg, collect_trace=collect_trace,
-                                    horizon=_shared_horizon(cfg, probed))
+            result = run_simulation(cfg, horizon=_shared_horizon(cfg, probed))
             rows.append(result_row(result, axis=axis, axis_value=value))
     rows.sort(key=lambda r: (float(r["axis_value"]), r["seed"]))
     return rows

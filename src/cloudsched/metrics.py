@@ -17,7 +17,6 @@ class RunMetrics:
     utilization_variance: float
     success_rate: float
     per_vm_utilization: list[float] = field(repr=False, default_factory=list)
-    mean_utilization: float = 0.0
     total_tasks: int = 0
     successful_tasks: int = 0
     vm_count: int = 0
@@ -44,7 +43,7 @@ def compute_metrics(world: SimWorld) -> RunMetrics:
     vms = list(world.vms.values())
     if makespan <= 0.0:
         # nothing ever finished: makespan undefined, reported as zero
-        return RunMetrics(0.0, 0.0, 0.0, [0.0] * len(vms), 0.0,
+        return RunMetrics(0.0, 0.0, 0.0, [0.0] * len(vms),
                           total_tasks, successful, len(vms))
     utilizations = []
     for vm in vms:
@@ -52,13 +51,11 @@ def compute_metrics(world: SimWorld) -> RunMetrics:
         for res in vm.reservations:
             busy += max(0.0, min(res.effective_end, makespan) - min(res.start, makespan))
         utilizations.append(min(1.0, busy / makespan))
-    mean = sum(utilizations) / len(utilizations) if utilizations else 0.0
     return RunMetrics(
         makespan=makespan,
         utilization_variance=utilization_variance(utilizations),
         success_rate=successful / total_tasks if total_tasks else 0.0,
         per_vm_utilization=utilizations,
-        mean_utilization=mean,
         total_tasks=total_tasks,
         successful_tasks=successful,
         vm_count=len(vms),

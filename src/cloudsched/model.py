@@ -1,7 +1,7 @@
 """Domain model of the IaaS environment: datacenter, hosts, VMs, user batches,
 reservations, the feasibility and timeline arithmetic used by every
-scheduler, and the batch lifecycle (bind, re-arm, slot end, fail) shared by the
-host agents and the central scheduler.
+scheduler, and the batch lifecycle (bind, re-arm, slot end, unbind, fail)
+shared by the host agents and the central scheduler.
 
 Placement is whole-batch: a user's task set goes to exactly one VM and runs
 sequentially in submission order. Capacity fields (ram/storage/bandwidth) are
@@ -25,25 +25,6 @@ class RequestStatus(str, Enum):
     EXECUTING = "EXECUTING"
     COMPLETED = "COMPLETED"
     FAILED = "FAILED"
-
-
-class LeaseFlag(str, Enum):
-    READY = "READY"
-    BUSY = "BUSY"
-
-
-@dataclass
-class LeaseState:
-    """READY/BUSY label guarding a VM against concurrent recommendation."""
-
-    state: LeaseFlag = LeaseFlag.READY
-
-    def acquire(self) -> None:
-        assert self.state is LeaseFlag.READY, "lease already held"
-        self.state = LeaseFlag.BUSY
-
-    def release(self) -> None:
-        self.state = LeaseFlag.READY
 
 
 @dataclass
@@ -214,8 +195,7 @@ class OverlapError(Exception):
     """A reservation would double-book a VM (invariant defense, not a recoverable state)."""
 
 
-def reserve(vm: VmDescriptor, reqs: Requirements, start: float,
-            deadline_at_formation: float | None = None) -> Reservation:
+def reserve(vm: VmDescriptor, reqs: Requirements, start: float) -> Reservation:
     """Append a contract for the given workloads starting at `start`.
 
     per_task_finish[p] = start + cumulative workload through p divided by cpu.
@@ -234,8 +214,7 @@ def reserve(vm: VmDescriptor, reqs: Requirements, start: float,
         end=start + sum(reqs.workloads) / vm.cpu,
         task_indices=list(reqs.task_indices),
         per_task_finish=timeline(start, reqs.workloads, vm.cpu),
-        deadline_at_formation=(reqs.deadline if deadline_at_formation is None
-                               else deadline_at_formation),
+        deadline_at_formation=reqs.deadline,
     )
     vm.reservations.append(reservation)
     return reservation
@@ -392,10 +371,10 @@ def end_slot(batch: BatchState,
     return res
 
 
-def fail(batch: BatchState, vms: dict[str, VmDescriptor], kernel: Kernel,
-         tau: float) -> VmDescriptor | None:
-    """Release the batch's remainder at tau, cancel its completion entry and
-    mark it FAILED. Returns the VM it held, or None when it was unbound."""
+def unbind(batch: BatchState, vms: dict[str, VmDescriptor], kernel: Kernel,
+           tau: float) -> VmDescriptor | None:
+    """Release the batch's remainder at tau and cancel its completion entry.
+    Returns the VM it held, or None when it was unbound."""
     vm = None
     if batch.reservation is not None:
         vm = vms[batch.reservation.vm_id]
@@ -403,6 +382,14 @@ def fail(batch: BatchState, vms: dict[str, VmDescriptor], kernel: Kernel,
     if batch.completion_entry is not None:
         kernel.cancel(batch.completion_entry)
         batch.completion_entry = None
+    return vm
+
+
+def fail(batch: BatchState, vms: dict[str, VmDescriptor], kernel: Kernel,
+         tau: float) -> VmDescriptor | None:
+    """`unbind` the batch and mark it FAILED. Returns the VM it held, or None
+    when it was unbound."""
+    vm = unbind(batch, vms, kernel, tau)
     batch.request.status = RequestStatus.FAILED
     return vm
 
@@ -429,7 +416,6 @@ class SimWorld:
     users: list[UserRequest]
     batches: dict[str, BatchState]
     vms: dict[str, VmDescriptor]
-    host_of_vm: dict[str, str]
 
     @staticmethod
     def build(datacenter: Datacenter, users: list[UserRequest]) -> "SimWorld":
@@ -441,8 +427,6 @@ class SimWorld:
             users=users,
             batches={u.user_id: BatchState(u) for u in users},
             vms=vms,
-            host_of_vm={vm.vm_id: host.host_id
-                        for host in datacenter.hosts for vm in host.vms},
         )
 
     def fresh_requirements(self, batch: BatchState, now: float) -> Requirements:

@@ -168,12 +168,13 @@ def apply_vm_degrade(vm: VmDescriptor, event: UncertainEvent,
                      now: float) -> list[BatchState]:
     """Scale the VM's capacities down and rebuild every touched reservation
     timeline at the new cpu. Returns the affected batches (reservation active at
-    or after the event), in ascending user id, for the owner to re-validate."""
+    or after the event) in ledger order, which is start order; the owner re-arms
+    them in that order and re-validates them sorted by user id."""
     mutation = event.mutation
     assert isinstance(mutation, VmDegrade)
     affected: list[BatchState] = []
     live: list[tuple[Reservation, BatchState]] = []
-    for res in sorted(vm.reservations, key=lambda r: (r.start, r.user_id)):
+    for res in vm.reservations:
         if res.released_at is not None or res.effective_end <= now:
             continue
         batch = batches_by_user.get(res.user_id)

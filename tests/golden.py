@@ -3,12 +3,18 @@ probability {0, 0.5} at desk scale (500 users). Runs with p = 0 use
 configs/desk.json; runs with p > 0 use configs/uncertain.json, whose
 deadlines give the reschedulers something to miss.
 
-The rows in tests/data/golden_rows.csv are the csv_bytes of this matrix. A
-change that moves a row must say so and regenerate the file:
+The rows in tests/data/golden_rows.csv are the csv_bytes of this matrix.
+tests/data/golden_trace_sha256.txt pins the streamed trace of a smaller
+matrix: five schedulers x p {0, 0.5}, seed 2, 200 users on 5 hosts with the
+deadlines of configs/uncertain.json; each line is the cell's name and the
+sha256 of its trace file. A change that moves a row or a trace must say so
+and regenerate both files:
 
   PYTHONPATH=src python tests/golden.py --write
 """
 
+import hashlib
+import io
 import pathlib
 import sys
 
@@ -17,8 +23,10 @@ from cloudsched.scenario import SCHEDULERS, ScenarioConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_rows.csv"
+TRACE_DIGESTS = ROOT / "tests" / "data" / "golden_trace_sha256.txt"
 SEEDS = (1, 2, 3)
 PROBABILITIES = (0.0, 0.5)
+TRACE_SEED = 2
 
 
 def cells() -> list[ScenarioConfig]:
@@ -41,8 +49,28 @@ def golden_bytes() -> bytes:
     return csv_bytes(rows)
 
 
+def trace_cells() -> list[ScenarioConfig]:
+    uncertain = ScenarioConfig.from_json(str(ROOT / "configs" / "uncertain.json"))
+    return [uncertain.replaced(scheduler=scheduler, seed=TRACE_SEED, users=200,
+                               hosts=5, event_probability=p)
+            for scheduler in SCHEDULERS for p in PROBABILITIES]
+
+
+def trace_digest_lines() -> list[str]:
+    """Run every trace cell with a streamed trace; one `<scheduler> p=<p>
+    <sha256>` line per cell."""
+    lines = []
+    for cfg in trace_cells():
+        sink = io.StringIO()
+        run_simulation(cfg, trace_sink=sink)
+        digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+        lines.append(f"{cfg.scheduler} p={cfg.event_probability} {digest}")
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/golden.py --write")
     GOLDEN.write_bytes(golden_bytes())
-    print(f"wrote {GOLDEN}")
+    TRACE_DIGESTS.write_text("\n".join(trace_digest_lines()) + "\n")
+    print(f"wrote {GOLDEN} and {TRACE_DIGESTS}")

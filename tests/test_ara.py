@@ -10,7 +10,7 @@ from cloudsched.ara import (HostProposal, VmRegistry, VmSnapshot,
                             make_proposal, select_best)
 from cloudsched.bdi import ACCEPT, INFORM, AgentRuntime
 from cloudsched.kernel import Kernel
-from cloudsched.model import LeaseFlag, RequestStatus, batch_requirements
+from cloudsched.model import RequestStatus, batch_requirements
 from cloudsched.tracelog import TraceLog
 
 from conftest import make_request, make_vm, make_world
@@ -30,7 +30,8 @@ class TestRegistry:
     def test_first_sync_creates_ready_entry(self):
         registry = VmRegistry()
         registry.sync(snap("h000v00"))
-        assert registry.entries["h000v00"].lease.state is LeaseFlag.READY
+        assert registry.snapshots["h000v00"] == snap("h000v00")
+        assert "h000v00" not in registry.busy
 
     def test_sync_replaces_snapshot_and_reorders(self):
         registry = VmRegistry()
@@ -45,7 +46,7 @@ class TestRegistry:
         registry.sync(snap("a"))
         registry.recommend(reqs(), theta=1, tau=0.0, conversation_id="c")
         registry.sync(snap("a", at=99.0))
-        assert registry.entries["a"].lease.state is LeaseFlag.BUSY
+        assert "a" in registry.busy
 
     def test_recommend_priority_and_cap(self):
         registry = VmRegistry()
@@ -53,9 +54,9 @@ class TestRegistry:
             registry.sync(snap(vm_id, at=at))
         rec = registry.recommend(reqs(), theta=2, tau=0.0, conversation_id="c")
         assert [s.vm_id for s in rec.vm_refs] == ["a", "b"]
-        assert registry.entries["a"].lease.state is LeaseFlag.BUSY
-        assert registry.entries["b"].lease.state is LeaseFlag.BUSY
-        assert registry.entries["c"].lease.state is LeaseFlag.READY
+        assert "a" in registry.busy
+        assert "b" in registry.busy
+        assert "c" not in registry.busy
 
     def test_recommend_stops_when_no_more_vms(self):
         registry = VmRegistry()
@@ -79,7 +80,7 @@ class TestRegistry:
         registry.recommend(reqs(), theta=2, tau=0.0, conversation_id="c")
         assert registry.finalize("c", 1.0) == 2
         assert registry.finalize("c", 1.0) == 0
-        assert registry.ready_count() == 2
+        assert len(registry.snapshots) == 2 and not registry.busy
 
     def test_never_skips_earlier_feasible_ready_vm(self):
         registry = VmRegistry()
@@ -149,8 +150,7 @@ def test_registry_matches_full_sort_reference(ops):
                 del busy[v]
         assert registry.ordered_ids() == sorted(
             snaps, key=lambda v: (snaps[v].available_time, v))
-        assert {v for v, e in registry.entries.items()
-                if e.lease.state is LeaseFlag.BUSY} == set(busy)
+        assert registry.busy == set(busy)
 
 
 class TestSelectBest:
@@ -244,7 +244,7 @@ class TestProtocol:
         # minimum-completion choice: the fast VM
         assert world.vms["h001v00"].reservations
         assert not world.vms["h000v00"].reservations
-        assert sa.registry.ready_count() == 2
+        assert len(sa.registry.snapshots) == 2 and not sa.registry.busy
 
     def test_contention_retry_then_success(self):
         # one VM, two users arriving together: the loser's recommendation is
@@ -277,7 +277,7 @@ class TestProtocol:
         kernel.run_until_quiescent()
         batch = world.batches["u00000"]
         assert batch.request.status is RequestStatus.FAILED
-        assert sa.registry.ready_count() == 2
+        assert len(sa.registry.snapshots) == 2 and not sa.registry.busy
         # every BUSY interval closed within the lease timeout
         opened = {}
         for record in runtime.trace.records:
@@ -300,10 +300,10 @@ class TestProtocol:
             [make_request(workloads=(10000.0,))])
         kernel, runtime, sa, hosts, users = build_sim(world, theta=1)
         kernel.run_until_quiescent()
-        entry = sa.registry.entries["h000v00"]
+        snapshot = sa.registry.snapshots["h000v00"]
         reservation = world.vms["h000v00"].reservations[0]
         # the contract starts after the negotiation hops and the accepting
         # host's sync brings the registry snapshot up to the new tail
         assert reservation.start == pytest.approx(0.05)
-        assert entry.snapshot.available_time == pytest.approx(reservation.end)
-        assert entry.lease.state is LeaseFlag.READY
+        assert snapshot.available_time == pytest.approx(reservation.end)
+        assert "h000v00" not in sa.registry.busy

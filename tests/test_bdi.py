@@ -1,6 +1,6 @@
 from cloudsched.bdi import (FAILURE, HOST, INFORM, PROPOSE, REQUEST, USER,
                             Agent, AgentId, AgentMessage, AgentRuntime,
-                            Intention, ResultListener, deliberate)
+                            ResultListener, deliberate)
 from cloudsched.kernel import Kernel
 from cloudsched.tracelog import TraceLog
 
@@ -36,35 +36,28 @@ def setup_runtime(latency=0.01):
     return kernel, AgentRuntime(kernel, latency=latency, trace=TraceLog())
 
 
+LADDER = ("i1", "i2", "i3")
+
+
 class TestDeliberate:
     def _agent(self):
         kernel, runtime = setup_runtime()
-        agent = Recorder(runtime, USER, "u")
-        ladder = [Intention(name, lambda: None) for name in ("i1", "i2", "i3")]
-        return agent, ladder
+        return Recorder(runtime, USER, "u")
 
     def test_lowest_rank_first(self):
-        agent, ladder = self._agent()
-        assert deliberate(agent, "reschedule", ladder).name == "i1"
+        assert deliberate(self._agent(), "reschedule", LADDER, 0) == "i1"
 
     def test_exhausted_skipped(self):
-        agent, ladder = self._agent()
-        ladder[0].exhausted = True
-        assert deliberate(agent, "reschedule", ladder).name == "i2"
+        # rung 1: i1 is exhausted
+        assert deliberate(self._agent(), "reschedule", LADDER, 1) == "i2"
 
     def test_all_exhausted_returns_none(self):
-        agent, ladder = self._agent()
-        for intention in ladder:
-            intention.exhausted = True
-        assert deliberate(agent, "reschedule", ladder) is None
+        assert deliberate(self._agent(), "reschedule", LADDER, len(LADDER)) is None
 
     def test_selection_traced_with_desire(self):
-        agent, ladder = self._agent()
-        ladder[0].exhausted = True
-        deliberate(agent, "reschedule", ladder)
-        for intention in ladder:
-            intention.exhausted = True
-        deliberate(agent, "reschedule", ladder)   # nothing selected, no record
+        agent = self._agent()
+        deliberate(agent, "reschedule", LADDER, 1)
+        deliberate(agent, "reschedule", LADDER, 3)   # nothing selected, no record
         records = [r for r in agent.runtime.trace.records
                    if r["kind"] == "intention"]
         assert [r["detail"] for r in records] == [

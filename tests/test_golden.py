@@ -1,5 +1,7 @@
 """Equivalence gate: the pinned matrix must reproduce tests/data/golden_rows.csv
-byte for byte (see tests/golden.py for the matrix and how to regenerate)."""
+byte for byte, and the pinned trace matrix the sha256 digests in
+tests/data/golden_trace_sha256.txt (see tests/golden.py for both matrices and
+how to regenerate)."""
 
 import golden
 
@@ -10,3 +12,8 @@ def test_golden_rows_byte_identical():
     assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
         assert got == want
+
+
+def test_trace_digests_match():
+    expected = golden.TRACE_DIGESTS.read_text().splitlines()
+    assert golden.trace_digest_lines() == expected

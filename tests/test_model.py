@@ -294,6 +294,19 @@ class TestBatchLifecycle:
         kernel.run_until_quiescent()
         assert ended == []
 
+    def test_unbind_truncates_and_cancels_without_failing(self):
+        kernel, vm, batch, ended = self.bound()
+        entry = batch.completion_entry
+        assert model.unbind(batch, {vm.vm_id: vm}, kernel, 12.0) is vm
+        assert vm.reservations[0].effective_end == pytest.approx(12.0)
+        assert batch.reservation is None
+        assert batch.completion_entry is None
+        assert not kernel.cancel(entry)
+        assert batch.request.status is RequestStatus.EXECUTING
+        unbound = BatchState(make_request("u00001"))
+        assert model.unbind(unbound, {}, kernel, 0.0) is None
+        assert unbound.request.status is RequestStatus.PENDING
+
     def test_fail_unbound_batch(self):
         batch = BatchState(make_request())
         assert model.fail(batch, {}, Kernel(), 0.0) is None

@@ -235,6 +235,72 @@ class TestRequirementsView:
         assert {TaskInflate, DeadlineCut, VmDegrade} <= mutations
 
 
+class TestLadder:
+    """The user agent's reschedule ladder as plain state: a rung index over
+    i1/i2/i3 and an in-flight flag. Plans are started but never answered (the
+    kernel does not run); each test reports outcomes by hand."""
+
+    def _agent(self):
+        world = make_world(
+            [("h000", [make_vm("h000v00", "h000", cpu=1000.0)])],
+            [make_request(workloads=(10000.0,), deadline=100.0)])
+        kernel, runtime, sa, hosts, users = build_sim(world, theta=1)
+        assert hosts["h000"].commit_contract("u00000", "h000v00") is not None
+        batch = world.batches["u00000"]
+        batch.request.deadline = 5.0    # the contract ends at 10: invalid
+        batch.view = None
+        return users["u00000"], runtime
+
+    def _attempts(self, runtime):
+        return [(r["detail"]["pass_index"], r["detail"]["intention"])
+                for r in runtime.trace.records if r["kind"] == "cycle_attempt"]
+
+    def test_failed_rung_advances_to_the_next(self):
+        agent, runtime = self._agent()
+        agent._begin_cycle(0)
+        assert self._attempts(runtime) == [(0, "i1")]
+        agent._intention_done(False)
+        agent._intention_done(False)
+        assert self._attempts(runtime) == [(0, "i1"), (0, "i2"), (0, "i3")]
+        assert agent._rung == 2
+        assert agent._cycle.attempts == 3
+
+    def test_exhausted_pass_wraps_to_i1_and_counts_passes(self):
+        agent, runtime = self._agent()
+        agent._begin_cycle(0)
+        for _ in range(3):
+            agent._intention_done(False)
+        assert agent._cycle.passes == 1
+        assert agent._rung == 0
+        assert not agent._in_flight
+        assert agent._retry_entry is not None
+        agent._cycle_step()              # the retry fires
+        assert self._attempts(runtime)[-1] == (1, "i1")
+
+    def test_begin_cycle_restarts_at_i1(self):
+        agent, runtime = self._agent()
+        agent._begin_cycle(0)
+        agent._intention_done(False)
+        agent._intention_done(False)
+        agent._end_cycle(False)
+        agent._begin_cycle(1)
+        assert self._attempts(runtime)[-1] == (0, "i1")
+        assert agent._rung == 0
+        assert agent._cycle.triggering_event == 1
+
+    def test_done_with_nothing_in_flight_advances_no_rung(self):
+        agent, runtime = self._agent()
+        agent._begin_cycle(0)
+        for _ in range(3):
+            agent._intention_done(False)
+        # waiting out the retry period: a late outcome steps the cycle again
+        # but no rung failed
+        agent._intention_done(False)
+        assert agent._rung == 0
+        assert self._attempts(runtime)[-1] == (1, "i1")
+        assert agent._cycle.passes == 1
+
+
 class TestIntentions:
     """Scripted single-event scenarios driving the user agent's cycle."""
 
@@ -250,7 +316,7 @@ class TestIntentions:
                 kernel.schedule(event.fire_at,
                                 lambda e=event, a=agent: a.on_user_event(e))
             else:
-                agent = hosts[world.host_of_vm[event.target_id]]
+                agent = hosts[world.vms[event.target_id].host_id]
                 kernel.schedule(event.fire_at,
                                 lambda e=event, a=agent: a.on_vm_event(e))
         kernel.run_until_quiescent()
