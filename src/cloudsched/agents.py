@@ -17,8 +17,9 @@ Rescheduling after an uncertain event invalidates a contract:
   offers replacement slots to affected users in ascending user id, falling
   back to the user's own cycle when its search fails.
 
-Hosts bind, re-arm, end and fail batches through the lifecycle functions of
-`model`, the same ones the central scheduler uses.
+Hosts bind, end and fail batches through the lifecycle functions of `model`,
+and every agent applies its uncertain events through
+`rescheduling.apply_event`: the same functions the central scheduler uses.
 """
 
 from dataclasses import dataclass
@@ -281,22 +282,14 @@ class HostAgent(Agent):
         vm = self._vm(event.target_id)
         if vm is None:
             return
-        affected = rescheduling.apply_vm_degrade(vm, event, self.world.batches,
-                                                 self.now)
-        if self.runtime.trace.enabled:
-            self.runtime.trace.emit(self.now, str(self.id), "event",
-                                    event=event.event_id, target=vm.vm_id,
-                                    mutation="VmDegrade", affected=len(affected))
-        for batch in affected:
-            model.rearm(batch, self.runtime.kernel, self._on_slot_end)
+        broken = rescheduling.apply_event(event, self.world, self.runtime.kernel,
+                                          self._on_slot_end, self.runtime.trace,
+                                          self.id)
         self.sync_vm(vm)
-        invalid = [b for b in affected
-                   if not validate_contract(b, vm, self.now)]
-        if invalid:
-            for batch in sorted(invalid, key=lambda b: b.request.user_id):
-                self._rescue_queue.append((batch.request.user_id, event.event_id))
-            if not self._rescue_busy:
-                self._rescue_next()
+        self._rescue_queue.extend((b.request.user_id, event.event_id)
+                                  for b in broken)
+        if broken and not self._rescue_busy:
+            self._rescue_next()
 
     def _rescue_next(self) -> None:
         self._rescue_busy = True
@@ -527,26 +520,13 @@ class UserAgent(Agent):
     # -- uncertain events and the rescheduling cycle ---------------------------
 
     def on_user_event(self, event: rescheduling.UncertainEvent) -> None:
-        batch = self.batch
-        vm = None
-        if batch.reservation is not None:
-            vm = self.world.vms[batch.reservation.vm_id]
         self._last_event_id = event.event_id
         before = self._fingerprint()
-        applied = rescheduling.apply_user_event(batch, vm, event, self.now)
-        if self.runtime.trace.enabled:
-            self.runtime.trace.emit(self.now, str(self.id), "event",
-                                    event=event.event_id,
-                                    target=self.request.user_id,
-                                    mutation=type(event.mutation).__name__,
-                                    vacuous=not applied)
+        broken = rescheduling.apply_event(event, self.world, self.runtime.kernel,
+                                          None, self.runtime.trace, self.id)
         # only a change to the request can break the contract: a deadline
         # cut on an unbounded deadline (inf - delta = inf) triggers nothing
-        if not applied or self._fingerprint() == before or batch.terminal \
-                or batch.reservation is None:
-            return
-        vm = self.world.vms[batch.reservation.vm_id]
-        if not validate_contract(batch, vm, self.now):
+        if broken and self._fingerprint() != before:
             self._begin_cycle(event.event_id)
 
     def _begin_cycle(self, event_id: int) -> None:

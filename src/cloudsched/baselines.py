@@ -5,17 +5,16 @@ round-robin, plus a reactive reallocation shim for runs with uncertain events.
 The central scheduler is deliberately favored against the agent pipeline: it
 sees each batch at its arrival instant with zero messaging latency. Its one
 weakness is modeled explicitly: reallocation decisions cost wall time
-(per_pair_cost seconds per affected-batch x candidate-VM evaluation) and run
+(realloc_cost seconds per affected-batch x candidate-VM evaluation) and run
 serially, so a stream of events backs the scheduler up and commits land late.
 """
 
 import heapq
-from dataclasses import dataclass
 
 from . import model, rescheduling
 from .kernel import Kernel
 from .model import BatchState, RequestStatus, SimWorld, VmDescriptor
-from .rescheduling import UncertainEvent, validate_contract
+from .rescheduling import UncertainEvent
 from .tracelog import NULL_TRACE, TraceLog
 
 MCT = "mct"
@@ -23,18 +22,6 @@ MET = "met"
 MIN_MIN = "min_min"
 ROUND_ROBIN = "round_robin"
 CENTRAL_KINDS = (MCT, MET, MIN_MIN, ROUND_ROBIN)
-
-
-@dataclass
-class ResponseCostModel:
-    """Seconds of scheduler compute per (affected batch x candidate VM) pair."""
-    per_pair_cost: float = 0.0005
-    enabled: bool = True
-
-    def delay(self, affected: int, vms: int) -> float:
-        if not self.enabled:
-            return 0.0
-        return self.per_pair_cost * affected * vms
 
 
 class RingCursor:
@@ -171,7 +158,7 @@ class CentralScheduler:
     serialized reactive reallocator."""
 
     def __init__(self, kind: str, world: SimWorld, kernel: Kernel,
-                 cost: ResponseCostModel | None = None,
+                 realloc_cost: float = 0.0,
                  minmin_interval: float = 10.0,
                  trace: TraceLog | None = None):
         if kind not in CENTRAL_KINDS:
@@ -179,7 +166,7 @@ class CentralScheduler:
         self.kind = kind
         self.world = world
         self.kernel = kernel
-        self.cost = cost if cost is not None else ResponseCostModel(enabled=False)
+        self.realloc_cost = realloc_cost
         self.minmin_interval = minmin_interval
         self.trace = trace if trace is not None else NULL_TRACE
         self.vms = list(world.vms.values())
@@ -259,47 +246,20 @@ class CentralScheduler:
         if batch.request.status is not RequestStatus.COMPLETED and \
                 batch.request.user_id not in self._pending:
             # slot expired with inflated work left and no pending realloc:
-            # treat as a fresh reallocation request at zero extra cost
+            # treat as a fresh reallocation request
             self.reactive_realloc([batch], self.kernel.now)
 
     # -- uncertain events --------------------------------------------------------
 
     def on_event(self, event: UncertainEvent) -> None:
-        now = self.kernel.now
-        if event.target_kind == "user":
-            batch = self.world.batches[event.target_id]
-            vm = None
-            if batch.reservation is not None:
-                vm = self.world.vms[batch.reservation.vm_id]
-            applied = rescheduling.apply_user_event(batch, vm, event, now)
-            if self.trace.enabled:
-                self.trace.emit(now, self.kind, "event", event=event.event_id,
-                                target=event.target_id,
-                                mutation=type(event.mutation).__name__,
-                                vacuous=not applied)
-            if not applied:
-                return
-            if batch.reservation is not None and vm is not None \
-                    and not validate_contract(batch, vm, now):
-                self.reactive_realloc([batch], now)
-        else:
-            vm = self.world.vms[event.target_id]
-            affected = rescheduling.apply_vm_degrade(vm, event,
-                                                     self.world.batches, now)
-            if self.trace.enabled:
-                self.trace.emit(now, self.kind, "event", event=event.event_id,
-                                target=event.target_id, mutation="VmDegrade",
-                                affected=len(affected))
-            for batch in affected:
-                model.rearm(batch, self.kernel, self._on_slot_end)
-            invalid = [b for b in affected if not validate_contract(b, vm, now)]
-            if invalid:
-                self.reactive_realloc(sorted(invalid,
-                                             key=lambda b: b.request.user_id), now)
+        broken = rescheduling.apply_event(event, self.world, self.kernel,
+                                          self._on_slot_end, self.trace, self.kind)
+        if broken:
+            self.reactive_realloc(broken, self.kernel.now)
 
     def reactive_realloc(self, affected: list[BatchState], tau: float) -> None:
         """Re-run this policy over the affected batches' remaining work. The
-        decision costs per_pair_cost x affected x VMs seconds of scheduler time
+        decision costs realloc_cost x affected x VMs seconds of scheduler time
         and decisions are serialized, so commits land at the end of the queue."""
         batches = [b for b in affected if not b.terminal
                    and b.request.user_id not in self._pending]
@@ -308,7 +268,7 @@ class CentralScheduler:
         for b in batches:
             self._pending.add(b.request.user_id)
         begin = max(tau, self.busy_until)
-        commit_at = begin + self.cost.delay(len(batches), len(self.vms))
+        commit_at = begin + self.realloc_cost * len(batches) * len(self.vms)
         self.busy_until = commit_at
         if self.trace.enabled:
             self.trace.emit(tau, self.kind, "realloc_queued",

@@ -50,7 +50,6 @@ class ResultListener:
     expires_at: float
     on_result: Callable[[AgentMessage], None]
     on_timeout: Callable[[], None]
-    done: bool = False
     timer_id: int | None = None
 
 
@@ -106,17 +105,19 @@ class AgentRuntime:
         self.agents[agent.id] = agent
 
     def add_listener(self, owner: AgentId, listener: ResultListener) -> None:
+        """Register a listener under (owner, conversation). A second one under
+        a live key raises: the first one's timer would expire it."""
         key = (owner, listener.conversation_id)
+        if key in self._listeners:
+            raise ValueError(f"{owner} already awaits conversation "
+                             f"{listener.conversation_id!r}")
         self._listeners[key] = listener
         self.listeners_registered += 1
         listener.timer_id = self.kernel.schedule(
             listener.expires_at, lambda: self._expire(key), kind="listener-timeout")
 
     def _expire(self, key: tuple[AgentId, str]) -> None:
-        listener = self._listeners.pop(key, None)
-        if listener is None or listener.done:
-            return
-        listener.done = True
+        listener = self._listeners.pop(key)
         self.listeners_timed_out += 1
         self.trace.emit(self.kernel.now, str(key[0]), "listener_timeout",
                         conversation=key[1])
@@ -152,15 +153,10 @@ class AgentRuntime:
                             sender=str(msg.sender), performative=msg.performative,
                             conversation=msg.conversation_id)
         key = (msg.to, msg.conversation_id)
-        listener = self._listeners.get(key)
+        listener = self._listeners.pop(key, None)
         if listener is not None:
-            del self._listeners[key]
-            if listener.done:
-                return
-            listener.done = True
             self.listeners_resolved += 1
-            if listener.timer_id is not None:
-                self.kernel.cancel(listener.timer_id)
+            self.kernel.cancel(listener.timer_id)
             listener.on_result(msg)
             return
         if msg.reply:

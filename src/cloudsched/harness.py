@@ -11,11 +11,12 @@ probabilities.
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
 from typing import TextIO
 
 from . import rescheduling
 from .agents import HostAgent, SuperviseAgent, UserAgent
-from .baselines import CentralScheduler, ResponseCostModel
+from .baselines import CentralScheduler
 from .bdi import AgentRuntime
 from .kernel import Kernel, RngStreams
 from .metrics import RunMetrics, compute_metrics
@@ -71,28 +72,24 @@ def _execute(config: ScenarioConfig, world: SimWorld,
         for req in world.users:
             agent = user_agents[req.user_id]
             kernel.schedule(req.arrival, agent.start, kind="arrival")
-        for event in events:
+
+        def on_event(event: UncertainEvent) -> None:
             if event.target_kind == "user":
-                target = user_agents[event.target_id]
-                kernel.schedule(event.fire_at,
-                                lambda e=event, t=target: t.on_user_event(e),
-                                kind="uncertain-event")
+                user_agents[event.target_id].on_user_event(event)
             else:
-                host = host_agents[world.vms[event.target_id].host_id]
-                kernel.schedule(event.fire_at,
-                                lambda e=event, t=host: t.on_vm_event(e),
-                                kind="uncertain-event")
+                host_agents[world.vms[event.target_id].host_id].on_vm_event(event)
     else:
-        cost = ResponseCostModel(per_pair_cost=config.realloc_cost_per_pair,
-                                 enabled=config.realloc_cost_enabled)
-        driver = CentralScheduler(config.scheduler, world, kernel, cost=cost,
+        realloc_cost = (config.realloc_cost_per_pair
+                        if config.realloc_cost_enabled else 0.0)
+        driver = CentralScheduler(config.scheduler, world, kernel,
+                                  realloc_cost=realloc_cost,
                                   minmin_interval=config.minmin_interval,
                                   trace=trace)
         driver.start()
-        for event in events:
-            kernel.schedule(event.fire_at,
-                            lambda e=event: driver.on_event(e),
-                            kind="uncertain-event")
+        on_event = driver.on_event
+    for event in events:
+        kernel.schedule(event.fire_at, partial(on_event, event),
+                        kind="uncertain-event")
     final_time = kernel.run_until_quiescent(config.time_limit)
     metrics = compute_metrics(world)
     return RunResult(config, metrics, world, trace, events, final_time,
@@ -119,28 +116,27 @@ def _shared_horizon(config: ScenarioConfig,
 
 
 def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
-                   events: list[UncertainEvent] | None = None,
                    horizon: float | None = None,
                    trace_sink: TextIO | None = None) -> RunResult:
-    """One full run. With event_probability > 0 (and no explicit event list),
-    a no-event twin of the same seed supplies the horizon for event times;
-    callers sweeping several probabilities can pass that horizon in once.
+    """One full run. The config's `events` list, when set, is replayed as is.
+    Otherwise, with event_probability > 0, a no-event twin of the same seed
+    supplies the horizon for event times; callers sweeping several
+    probabilities can pass that horizon in once.
 
     With `trace_sink` (an open text file) the trace streams into it, and every
     record is in the file when the run returns or raises."""
     world = _world(config)
-    if events is None and config.events is not None:
+    events = []
+    if config.events is not None:
         events = [UncertainEvent.from_json(e) for e in config.events]
-    if events is None:
-        events = []
-        if config.event_probability > 0.0:
-            if horizon is None:
-                horizon = _probe_horizon(config)
-            if horizon <= 0.0:
-                horizon = max(1.0, config.arrival_window[1])
-            events = rescheduling.generate_events(
-                world.users, list(world.vms.values()), config.event_probability,
-                RngStreams(config.seed).events, horizon)
+    elif config.event_probability > 0.0:
+        if horizon is None:
+            horizon = _probe_horizon(config)
+        if horizon <= 0.0:
+            horizon = max(1.0, config.arrival_window[1])
+        events = rescheduling.generate_events(
+            world.users, list(world.vms.values()), config.event_probability,
+            RngStreams(config.seed).events, horizon)
     trace = TraceLog(enabled=collect_trace or trace_sink is not None,
                      sink=trace_sink)
     try:

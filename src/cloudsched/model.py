@@ -1,7 +1,8 @@
 """Domain model of the IaaS environment: datacenter, hosts, VMs, user batches,
 reservations, the feasibility and timeline arithmetic used by every
 scheduler, and the batch lifecycle (bind, re-arm, slot end, unbind, fail)
-shared by the host agents and the central scheduler.
+shared by the host agents and the central scheduler. No other module writes a
+reservation or a VM's ledger.
 
 Placement is whole-batch: a user's task set goes to exactly one VM and runs
 sequentially in submission order. Capacity fields (ram/storage/bandwidth) are
@@ -114,9 +115,6 @@ class Datacenter:
                 raise ValueError(f"duplicate host id {host.host_id}")
             seen.add(host.host_id)
 
-    def all_vms(self) -> list[VmDescriptor]:
-        return [vm for host in self.hosts for vm in host.vms]
-
 
 @dataclass(frozen=True)
 class Requirements:
@@ -130,19 +128,6 @@ class Requirements:
     deadline: float
     workloads: tuple[float, ...]
     task_indices: tuple[int, ...]
-
-
-def batch_requirements(req: UserRequest) -> Requirements:
-    return Requirements(
-        user_id=req.user_id,
-        total_workload=sum(t.workload for t in req.tasks),
-        max_ram=max(t.ram for t in req.tasks),
-        max_storage=max(t.storage for t in req.tasks),
-        max_bandwidth=max(t.bandwidth for t in req.tasks),
-        deadline=req.deadline,
-        workloads=tuple(t.workload for t in req.tasks),
-        task_indices=tuple(range(len(req.tasks))),
-    )
 
 
 def available_time(vm: VmDescriptor, tau: float,
@@ -218,6 +203,22 @@ def reserve(vm: VmDescriptor, reqs: Requirements, start: float) -> Reservation:
     )
     vm.reservations.append(reservation)
     return reservation
+
+
+def retime(res: Reservation, reqs: Requirements, cpu: float, now: float,
+           cursor: float) -> float:
+    """Rebuild a live reservation's timeline for the remaining work `reqs` at
+    `cpu`. An in-progress one keeps its executed prefix [start, now] and runs
+    the remainder from now; a queued one starts at max(start, cursor), the end
+    of the reservation re-timed before it. Returns the new end."""
+    if res.start < now:
+        resume = now
+    else:
+        res.start = resume = max(res.start, cursor)
+    res.per_task_finish = timeline(resume, reqs.workloads, cpu)
+    res.end = res.per_task_finish[-1] if res.per_task_finish else resume
+    res.task_indices = list(reqs.task_indices)
+    return res.end
 
 
 @dataclass

@@ -18,10 +18,13 @@ contract stays valid and triggers nothing.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from . import model
-from .model import BatchState, Reservation, UserRequest, VmDescriptor
+from .kernel import Kernel
+from .model import BatchState, Reservation, SimWorld, UserRequest, VmDescriptor
+from .tracelog import TraceLog
 
 TASK_INFLATE_RANGE = (1.10, 1.50)
 VM_DEGRADE_RANGE = (0.50, 0.90)
@@ -152,10 +155,8 @@ def apply_user_event(batch: BatchState, vm: VmDescriptor | None,
     if isinstance(mutation, TaskInflate):
         for i in batch.incomplete_indices():
             task = batch.request.tasks[i]
-            task.workload *= mutation.factors["workload"]
-            task.ram *= mutation.factors["ram"]
-            task.storage *= mutation.factors["storage"]
-            task.bandwidth *= mutation.factors["bandwidth"]
+            for f in TASK_FIELDS:
+                setattr(task, f, getattr(task, f) * mutation.factors[f])
     elif isinstance(mutation, DeadlineCut):
         batch.request.deadline = max(now, batch.request.deadline - mutation.delta)
     else:
@@ -168,11 +169,10 @@ def apply_vm_degrade(vm: VmDescriptor, event: UncertainEvent,
                      now: float) -> list[BatchState]:
     """Scale the VM's capacities down and rebuild every touched reservation
     timeline at the new cpu. Returns the affected batches (reservation active at
-    or after the event) in ledger order, which is start order; the owner re-arms
-    them in that order and re-validates them sorted by user id."""
+    or after the event) in ledger order, which is start order; `apply_event`
+    re-arms them in that order and re-validates them sorted by user id."""
     mutation = event.mutation
     assert isinstance(mutation, VmDegrade)
-    affected: list[BatchState] = []
     live: list[tuple[Reservation, BatchState]] = []
     for res in vm.reservations:
         if res.released_at is not None or res.effective_end <= now:
@@ -184,28 +184,48 @@ def apply_vm_degrade(vm: VmDescriptor, event: UncertainEvent,
         if not batch.terminal:
             live.append((res, batch))
 
-    vm.cpu *= mutation.factors["cpu"]
-    vm.ram *= mutation.factors["ram"]
-    vm.storage *= mutation.factors["storage"]
-    vm.bandwidth *= mutation.factors["bandwidth"]
+    for f in VM_FIELDS:
+        setattr(vm, f, getattr(vm, f) * mutation.factors[f])
 
     cursor = now
     for res, batch in live:
-        reqs = batch.remaining_requirements()
-        if res.start < now:
-            # in progress: executed prefix [start, now] is kept, remainder re-timed
-            start, resume = res.start, now
-        else:
-            start = max(res.start, cursor)
-            resume = start
-        finishes = model.timeline(resume, reqs.workloads, vm.cpu)
-        res.start = start
-        res.end = finishes[-1] if finishes else resume
-        res.task_indices = list(reqs.task_indices)
-        res.per_task_finish = finishes
-        cursor = res.end
-        affected.append(batch)
-    return affected
+        cursor = model.retime(res, batch.remaining_requirements(), vm.cpu, now,
+                              cursor)
+    return [batch for _, batch in live]
+
+
+def apply_event(event: UncertainEvent, world: SimWorld, kernel: Kernel,
+                on_end: Callable[[BatchState], None] | None, trace: TraceLog,
+                who: object) -> list[BatchState]:
+    """Apply one uncertain event to the world at the kernel's clock, write its
+    `event` record as agent `str(who)`, and return the batches whose contracts
+    it broke, sorted by user id.
+
+    A user event can break only its own batch, and only when it applied and
+    the batch is bound. A VM degrade re-arms the completion entry of every
+    affected batch, in ledger order, with `on_end` (unused for user events)."""
+    now = kernel.now
+    if event.target_kind == "user":
+        batch = world.batches[event.target_id]
+        res = batch.reservation
+        vm = None if res is None else world.vms[res.vm_id]
+        applied = apply_user_event(batch, vm, event, now)
+        broken = [batch] if applied and vm is not None \
+            and not validate_contract(batch, vm, now) else []
+        detail = {"vacuous": not applied}
+    else:
+        vm = world.vms[event.target_id]
+        affected = apply_vm_degrade(vm, event, world.batches, now)
+        for batch in affected:
+            model.rearm(batch, kernel, on_end)
+        broken = sorted((b for b in affected if not validate_contract(b, vm, now)),
+                        key=lambda b: b.request.user_id)
+        detail = {"affected": len(affected)}
+    if trace.enabled:
+        trace.emit(now, str(who), "event", event=event.event_id,
+                   target=event.target_id,
+                   mutation=type(event.mutation).__name__, **detail)
+    return broken
 
 
 @dataclass

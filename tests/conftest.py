@@ -1,7 +1,7 @@
 import pytest
 
-from cloudsched.model import (Datacenter, Host, SimWorld, TaskSpec,
-                              UserRequest, VmDescriptor)
+from cloudsched.model import (BatchState, Datacenter, Host, SimWorld,
+                              TaskSpec, UserRequest, VmDescriptor)
 
 
 def make_vm(vm_id="h000v00", host_id="h000", cpu=1000.0, ram=1740.0,
@@ -14,6 +14,11 @@ def make_request(user_id="u00000", workloads=(10000.0,), deadline=float("inf"),
     tasks = [TaskSpec(f"{user_id}t{i}", wl, ram, storage, bandwidth)
              for i, wl in enumerate(workloads)]
     return UserRequest(user_id, tasks, deadline, arrival=arrival)
+
+
+def requirements(req):
+    """The whole batch's requirements view: an unstarted batch's remainder."""
+    return BatchState(req).remaining_requirements()
 
 
 def make_world(vm_specs, requests):

@@ -10,10 +10,10 @@ from cloudsched.ara import (HostProposal, VmRegistry, VmSnapshot,
                             make_proposal, select_best)
 from cloudsched.bdi import ACCEPT, INFORM, AgentRuntime
 from cloudsched.kernel import Kernel
-from cloudsched.model import RequestStatus, batch_requirements
+from cloudsched.model import RequestStatus
 from cloudsched.tracelog import TraceLog
 
-from conftest import make_request, make_vm, make_world
+from conftest import make_request, make_vm, make_world, requirements
 
 
 def snap(vm_id, at=0.0, cpu=1000.0, ram=1740.0, storage=10.0, bw=2000.0,
@@ -22,8 +22,8 @@ def snap(vm_id, at=0.0, cpu=1000.0, ram=1740.0, storage=10.0, bw=2000.0,
 
 
 def reqs(user="u00000", total=10000.0, deadline=math.inf):
-    return batch_requirements(make_request(user, workloads=(total,),
-                                           deadline=deadline))
+    return requirements(make_request(user, workloads=(total,),
+                                     deadline=deadline))
 
 
 class TestRegistry:
@@ -200,7 +200,7 @@ class TestMakeProposal:
 
     def test_capacity_decline_and_unknown_vm(self):
         vm = make_vm(ram=900.0)
-        bad = batch_requirements(make_request(workloads=(100.0,), ram=1000.0))
+        bad = requirements(make_request(workloads=(100.0,), ram=1000.0))
         assert make_proposal(vm, bad, 0.0) is None
         assert make_proposal(None, reqs(), 0.0) is None
 

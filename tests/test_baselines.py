@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudsched import model
-from cloudsched.baselines import (CENTRAL_KINDS, CentralScheduler, ResponseCostModel,
+from cloudsched.baselines import (CENTRAL_KINDS, CentralScheduler,
                                   RingCursor, assign_mct, assign_met,
                                   assign_min_min, assign_round_robin)
 from cloudsched.kernel import Kernel
 from cloudsched.metrics import utilization_variance
 from cloudsched.model import BatchState, RequestStatus
-from cloudsched.rescheduling import TaskInflate, UncertainEvent
+from cloudsched.rescheduling import TaskInflate, UncertainEvent, VmDegrade
 from cloudsched.tracelog import TraceLog
 
 import oracles
-from conftest import make_request, make_vm, make_world, placed
+from conftest import make_request, make_vm, make_world, placed, requirements
 
 
 def fresh_batches(specs):
@@ -39,7 +39,7 @@ class TestAssignExamples:
     def test_mct_queue_aware(self):
         fast = make_vm("a", cpu=2000.0)
         slow = make_vm("b", cpu=1000.0)
-        model.reserve(fast, model.batch_requirements(
+        model.reserve(fast, requirements(
             make_request("u99999", workloads=(30000.0,))), 0.0)  # busy to 15
         batches = fresh_batches([("u00000", 20000.0)])
         # completions: fast 15+10=25, slow 0+20=20
@@ -53,7 +53,7 @@ class TestAssignExamples:
     def test_met_ignores_queue(self):
         fast = make_vm("a", cpu=2000.0)
         slow = make_vm("b", cpu=1000.0)
-        model.reserve(fast, model.batch_requirements(
+        model.reserve(fast, requirements(
             make_request("u99999", workloads=(200000.0,))), 0.0)  # busy to 100
         batches = fresh_batches([("u00000", 20000.0)])
         # executions: fast 10, slow 20 - fast wins despite its queue
@@ -205,7 +205,7 @@ class TestStressOracle:
             for k in range(rng.randint(0, 3)):
                 pre = make_request(f"p{i:02d}{k}",
                                    workloads=(float(rng.randint(1, 6) * 5000),))
-                res = model.reserve(vm, model.batch_requirements(pre), start)
+                res = model.reserve(vm, requirements(pre), start)
                 if rng.random() < 0.3:
                     res.released_at = res.start + (res.end - res.start) / 2
                 start = res.effective_end + rng.choice([0, 0, 3])
@@ -295,7 +295,7 @@ def test_min_min_matches_oracle_on_heavy_ties(instance):
     for i, cpu in enumerate(cpus):
         vm = make_vm(f"v{i:02d}", cpu=cpu, ram=instance["rams"][i])
         if instance["busy"][i]:
-            model.reserve(vm, model.batch_requirements(make_request(
+            model.reserve(vm, requirements(make_request(
                 f"p{i:02d}", workloads=(float(instance["busy"][i]),))), 0.0)
         vms.append(vm)
     tau = instance["tau"]
@@ -340,9 +340,9 @@ def test_absorb_binds_the_booked_ledger_tail(kind):
 
 
 class TestReactiveRealloc:
-    def _driver(self, world, kind="mct", cost=None):
+    def _driver(self, world, kind="mct", realloc_cost=0.0):
         kernel = Kernel()
-        driver = CentralScheduler(kind, world, kernel, cost=cost,
+        driver = CentralScheduler(kind, world, kernel, realloc_cost=realloc_cost,
                                   trace=TraceLog())
         driver.start()
         return kernel, driver
@@ -354,8 +354,7 @@ class TestReactiveRealloc:
     def test_cost_disabled_realloc_is_immediate(self):
         world = make_world([("h000", [make_vm("h000v00", "h000", cpu=1000.0)])],
                            [make_request(workloads=(20000.0,), deadline=100.0)])
-        kernel, driver = self._driver(world,
-                                      cost=ResponseCostModel(enabled=False))
+        kernel, driver = self._driver(world, realloc_cost=0.0)
         event = self._inflate("u00000")
         kernel.schedule(5.0, lambda: driver.on_event(event))
         kernel.run_until_quiescent()
@@ -366,9 +365,24 @@ class TestReactiveRealloc:
         assert queued[0]["detail"]["commit_at"] == pytest.approx(5.0)
 
     def test_delay_formula(self):
-        # 10 affected batches x 100 VMs at 0.001 s/pair commits 1 s later
-        cost = ResponseCostModel(per_pair_cost=0.001, enabled=True)
-        assert cost.delay(10, 100) == pytest.approx(1.0)
+        # mct books both batches on the fast VM, u00000 [0,10] then u00001
+        # [10,20]; halving it at t=5 stretches them to [0,15] (deadline 12)
+        # and [15,35] (deadline 25), so one event breaks two contracts and
+        # the commit waits cost x 2 affected x 2 VMs
+        world = make_world(
+            [("h000", [make_vm("h000v00", "h000", cpu=1000.0),
+                       make_vm("h000v01", "h000", cpu=100.0)])],
+            [make_request("u00000", workloads=(10000.0,), deadline=12.0),
+             make_request("u00001", workloads=(10000.0,), deadline=25.0)])
+        kernel, driver = self._driver(world, realloc_cost=0.25)
+        event = UncertainEvent(0, 5.0, "vm", "h000v00", VmDegrade(
+            {f: 0.5 for f in ("cpu", "ram", "storage", "bandwidth")}))
+        kernel.schedule(5.0, lambda: driver.on_event(event))
+        kernel.run_until_quiescent()
+        queued = [r["detail"] for r in driver.trace.records
+                  if r["kind"] == "realloc_queued"]
+        assert queued[0]["users"] == ["u00000", "u00001"]
+        assert queued[0]["commit_at"] == pytest.approx(5.0 + 0.25 * 2 * 2)
 
     def test_delay_alone_flips_success_to_failure(self):
         def build():
@@ -378,11 +392,9 @@ class TestReactiveRealloc:
                 [make_request(workloads=(20000.0,), deadline=60.0)])
 
         outcomes = {}
-        for label, cost in (("free", ResponseCostModel(enabled=False)),
-                            ("slow", ResponseCostModel(per_pair_cost=50.0,
-                                                       enabled=True))):
+        for label, cost in (("free", 0.0), ("slow", 50.0)):
             world = build()
-            kernel, driver = self._driver(world, cost=cost)
+            kernel, driver = self._driver(world, realloc_cost=cost)
             event = self._inflate("u00000", factor=1.5, fire_at=5.0)
             kernel.schedule(5.0, lambda: driver.on_event(event))
             kernel.run_until_quiescent()
@@ -396,8 +408,7 @@ class TestReactiveRealloc:
                        make_vm("h000v01", "h000", cpu=1000.0)])],
             [make_request("u00000", workloads=(20000.0,), deadline=1000.0),
              make_request("u00001", workloads=(20000.0,), deadline=1000.0)])
-        cost = ResponseCostModel(per_pair_cost=1.0, enabled=True)  # 2 s per event
-        kernel, driver = self._driver(world, cost=cost)
+        kernel, driver = self._driver(world, realloc_cost=1.0)  # 2 s per event
         for i, user in enumerate(("u00000", "u00001")):
             event = UncertainEvent(i, 5.0, "user", user, TaskInflate(
                 {f: 1.3 for f in ("workload", "ram", "storage", "bandwidth")}))

@@ -1,3 +1,5 @@
+import pytest
+
 from cloudsched.bdi import (FAILURE, HOST, INFORM, PROPOSE, REQUEST, USER,
                             Agent, AgentId, AgentMessage, AgentRuntime,
                             ResultListener, deliberate)
@@ -141,3 +143,27 @@ class TestSendAsync:
         assert runtime.listeners_registered == 3
         assert runtime.listeners_resolved + runtime.listeners_timed_out == 3
         assert runtime.listeners_timed_out == 1   # the slow echo
+
+    def test_second_listener_on_a_live_conversation_raises(self):
+        # the first listener's timer would expire a second one under its key
+        kernel, runtime = setup_runtime()
+        user = Recorder(runtime, USER, "u")
+        echo = Echo(runtime, "h")
+        runtime.register(user)
+        runtime.register(echo)
+        got = []
+
+        def listener(tag):
+            return ResultListener("conv", 1.0, lambda m: got.append(tag),
+                                  lambda: got.append(f"{tag}:timeout"))
+        request = AgentMessage("conv", user.id, echo.id, REQUEST, None)
+        user.send(request, listener("first"))
+        with pytest.raises(ValueError):
+            runtime.add_listener(user.id, listener("second"))
+        kernel.run_until_quiescent()
+        # once resolved the key is free again, and the first timer is gone
+        user.send(request, listener("third"))
+        kernel.run_until_quiescent()
+        assert got == ["first", "third"]
+        assert runtime.listeners_registered == 2
+        assert runtime.listeners_timed_out == 0

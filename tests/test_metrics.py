@@ -8,10 +8,9 @@ from cloudsched import model
 from cloudsched.kernel import RngStream
 from cloudsched.metrics import (compute_metrics, ledger_makespan,
                                 utilization_variance)
-from cloudsched.model import batch_requirements
 from cloudsched.scenario import ConfigError, ScenarioConfig, generate_scenario
 
-from conftest import make_request, make_vm, make_world
+from conftest import make_request, make_vm, make_world, requirements
 
 
 class TestVariance:
@@ -38,7 +37,7 @@ class TestComputeMetrics:
         req = make_request(workloads=(10000.0,) * 4, deadline=35.0)
         world = make_world([("h000", [vm])], [req])
         batch = world.batches["u00000"]
-        batch.reservation = model.reserve(vm, batch_requirements(req), 0.0)
+        batch.reservation = model.reserve(vm, requirements(req), 0.0)
         model.checkpoint(batch, vm, 40.0)
         m = compute_metrics(world)
         assert m.success_rate == pytest.approx(0.75)   # 3 of 4 in time
@@ -50,7 +49,7 @@ class TestComputeMetrics:
         stranded = make_request("u00001", workloads=(10000.0, 10000.0))
         world = make_world([("h000", [vm])], [scheduled, stranded])
         batch = world.batches["u00000"]
-        batch.reservation = model.reserve(vm, batch_requirements(scheduled), 0.0)
+        batch.reservation = model.reserve(vm, requirements(scheduled), 0.0)
         model.checkpoint(batch, vm, 10.0)
         m = compute_metrics(world)
         assert m.total_tasks == 3
@@ -69,7 +68,7 @@ class TestComputeMetrics:
         req = make_request(workloads=(10000.0,))
         world = make_world([("h000", [busy, idle])], [req])
         batch = world.batches["u00000"]
-        batch.reservation = model.reserve(busy, batch_requirements(req), 0.0)
+        batch.reservation = model.reserve(busy, requirements(req), 0.0)
         model.checkpoint(batch, busy, 10.0)
         m = compute_metrics(world)
         assert m.per_vm_utilization == pytest.approx([1.0, 0.0])
@@ -80,7 +79,7 @@ class TestComputeMetrics:
         req = make_request(workloads=(10000.0, 20000.0))
         world = make_world([("h000", [vm])], [req])
         batch = world.batches["u00000"]
-        batch.reservation = model.reserve(vm, batch_requirements(req), 0.0)
+        batch.reservation = model.reserve(vm, requirements(req), 0.0)
         model.checkpoint(batch, vm, 30.0)
         assert ledger_makespan(world) == pytest.approx(compute_metrics(world).makespan)
 

@@ -8,14 +8,14 @@ from cloudsched import model
 from cloudsched.ara import make_proposal
 from cloudsched.kernel import Kernel
 from cloudsched.model import (BatchState, OverlapError, RequestStatus,
-                              batch_requirements, checkpoint, reserve)
+                              checkpoint, reserve)
 
-from conftest import make_request, make_vm
+from conftest import make_request, make_vm, requirements
 
 
 def reqs_for(vm_or_req, workloads=(10000.0,), deadline=math.inf, **kw):
-    return batch_requirements(make_request(workloads=workloads,
-                                           deadline=deadline, **kw))
+    return requirements(make_request(workloads=workloads,
+                                     deadline=deadline, **kw))
 
 
 class TestAvailableTime:
@@ -50,7 +50,7 @@ class TestExpectedCompletion:
 
     def test_queued_vm(self):
         vm = make_vm(cpu=2500.0)
-        reserve(vm, batch_requirements(
+        reserve(vm, requirements(
             make_request(workloads=(125000.0,))), 0.0)   # busy until 50
         quote = self.quote(vm, 10000.0)
         assert quote.start == pytest.approx(50.0)
@@ -86,19 +86,19 @@ class TestExpectedCompletion:
 class TestFeasible:
     def test_boundary_values_pass(self):
         vm = make_vm(cpu=2500.0, ram=1740.0, storage=10.0, bandwidth=2000.0)
-        reqs = batch_requirements(make_request(
+        reqs = requirements(make_request(
             workloads=(25000.0, 25000.0), ram=1200.0, storage=8.0,
             bandwidth=500.0, deadline=5000.0))
         assert model.feasible(vm, reqs, 0.0) is True
 
     def test_deadline_violation(self):
         vm = make_vm(cpu=2500.0)
-        reqs = batch_requirements(make_request(workloads=(50000.0,), deadline=10.0))
+        reqs = requirements(make_request(workloads=(50000.0,), deadline=10.0))
         assert model.feasible(vm, reqs, 0.0) is False
 
     def test_capacity_violation(self):
         vm = make_vm(ram=1250.0)
-        reqs = batch_requirements(make_request(workloads=(1000.0,), ram=1251.0))
+        reqs = requirements(make_request(workloads=(1000.0,), ram=1251.0))
         assert model.feasible(vm, reqs, 0.0) is False
 
 
@@ -128,7 +128,7 @@ class TestReserve:
     def test_tail_booking_never_overlaps(self, workloads):
         vm = make_vm(cpu=1000.0)
         for i, wl in enumerate(workloads):
-            reqs = batch_requirements(make_request(f"u{i:05d}", workloads=(wl,)))
+            reqs = requirements(make_request(f"u{i:05d}", workloads=(wl,)))
             reserve(vm, reqs, model.available_time(vm, 0.0))
         model.assert_no_overlap(vm)
 
@@ -159,7 +159,7 @@ class TestReserve:
     def test_tail_bookings_keep_starts_sorted(self, bookings, tau):
         vm = make_vm(cpu=1000.0)
         for i, (wl, gap) in enumerate(bookings):
-            reqs = batch_requirements(make_request(f"u{i:05d}", workloads=(wl,)))
+            reqs = requirements(make_request(f"u{i:05d}", workloads=(wl,)))
             res = reserve(vm, reqs, model.available_time(vm, tau) + gap)
             assert vm.reservations[-1] is res
         starts = [r.start for r in vm.reservations]
@@ -174,7 +174,7 @@ class TestCheckpoint:
         vm = make_vm(cpu=1000.0)
         req = make_request(workloads=(10000.0, 20000.0, 10000.0))
         batch = BatchState(req)
-        batch.reservation = reserve(vm, batch_requirements(req), 0.0)
+        batch.reservation = reserve(vm, requirements(req), 0.0)
         done = checkpoint(batch, vm, 15.0)
         assert done == [0]
         assert batch.finishes[0] == pytest.approx(10.0)
@@ -188,7 +188,7 @@ class TestCheckpoint:
         vm = make_vm(cpu=1000.0)
         req = make_request(workloads=(10000.0, 10000.0), deadline=15.0)
         batch = BatchState(req)
-        batch.reservation = reserve(vm, batch_requirements(req), 0.0)
+        batch.reservation = reserve(vm, requirements(req), 0.0)
         checkpoint(batch, vm, 20.0)
         assert batch.successes == [True, False]
 
@@ -196,7 +196,7 @@ class TestCheckpoint:
         vm = make_vm(cpu=1000.0)
         req = make_request(workloads=(10000.0,))
         batch = BatchState(req)
-        batch.reservation = reserve(vm, batch_requirements(req), 50.0)
+        batch.reservation = reserve(vm, requirements(req), 50.0)
         checkpoint(batch, vm, 30.0)
         assert batch.fractions == [0.0]
 
@@ -205,7 +205,7 @@ class TestCheckpoint:
         vm = make_vm(cpu=1000.0)
         req = make_request(workloads=(10000.0,))
         batch = BatchState(req)
-        batch.reservation = reserve(vm, batch_requirements(req), 0.0)
+        batch.reservation = reserve(vm, requirements(req), 0.0)
         checkpoint(batch, vm, 5.0)
         assert batch.fractions[0] == pytest.approx(0.5)
         req.tasks[0].workload *= 1.5
@@ -217,7 +217,7 @@ class TestReleaseRemainder:
         vm = make_vm(cpu=1000.0)
         req = make_request(workloads=(10000.0, 10000.0))
         batch = BatchState(req)
-        batch.reservation = reserve(vm, batch_requirements(req), 0.0)
+        batch.reservation = reserve(vm, requirements(req), 0.0)
         model.release_remainder(batch, vm, 12.0)
         assert batch.reservation is None
         assert vm.reservations[0].effective_end == pytest.approx(12.0)
@@ -228,7 +228,7 @@ class TestReleaseRemainder:
         vm = make_vm(cpu=1000.0)
         req = make_request(workloads=(10000.0,))
         batch = BatchState(req)
-        batch.reservation = reserve(vm, batch_requirements(req), 50.0)
+        batch.reservation = reserve(vm, requirements(req), 50.0)
         model.release_remainder(batch, vm, 10.0)
         assert vm.reservations == []
 
@@ -324,7 +324,7 @@ def test_status_forward_transitions(single_vm_world):
     batch = next(iter(world.batches.values()))
     vm = next(iter(world.vms.values()))
     assert batch.request.status is RequestStatus.PENDING
-    batch.reservation = reserve(vm, batch_requirements(batch.request), 0.0)
+    batch.reservation = reserve(vm, requirements(batch.request), 0.0)
     batch.request.status = RequestStatus.SCHEDULED
     checkpoint(batch, vm, 1.0)
     assert batch.request.status is RequestStatus.EXECUTING

@@ -4,15 +4,16 @@ import pytest
 
 from cloudsched import model
 from cloudsched.harness import run_simulation
-from cloudsched.kernel import RngStream
-from cloudsched.model import BatchState, RequestStatus, batch_requirements
+from cloudsched.kernel import Kernel, RngStream
+from cloudsched.model import BatchState, RequestStatus
 from cloudsched.rescheduling import (DeadlineCut, TaskInflate, UncertainEvent,
-                                     VmDegrade, apply_user_event,
+                                     VmDegrade, apply_event, apply_user_event,
                                      apply_vm_degrade, generate_events,
                                      validate_contract)
+from cloudsched.tracelog import TraceLog
 from cloudsched.scenario import ScenarioConfig
 
-from conftest import make_request, make_vm, make_world
+from conftest import make_request, make_vm, make_world, requirements
 from test_ara import build_sim
 
 
@@ -34,7 +35,7 @@ def contracted_batch(vm, workloads=(10000.0,), deadline=math.inf, start=0.0,
                      user="u00000"):
     req = make_request(user, workloads=workloads, deadline=deadline)
     batch = BatchState(req)
-    batch.reservation = model.reserve(vm, batch_requirements(req), start)
+    batch.reservation = model.reserve(vm, requirements(req), start)
     req.status = RequestStatus.SCHEDULED
     return batch
 
@@ -165,6 +166,63 @@ class TestValidateContract:
         batch = contracted_batch(vm, workloads=(10000.0,), deadline=1000.0)
         apply_vm_degrade(vm, degrade_event(vm.vm_id, 0.5), {"u00000": batch}, 0.0)
         assert validate_contract(batch, vm, 0.0) is True
+
+
+
+class TestApplyEventStep:
+    """`apply_event`, the one event step both drivers call: apply, record, re-arm, and
+    return the broken contracts."""
+
+    def _bound(self, world, kernel, on_end, user, start):
+        batch = world.batches[user]
+        vm = world.vms["h000v00"]
+        model.bind(batch, model.reserve(vm, batch.remaining_requirements(),
+                                        start), kernel, on_end)
+        return batch
+
+    def _run(self, event, world, kernel, on_end, trace):
+        out = []
+        kernel.schedule(event.fire_at, lambda: out.extend(apply_event(
+            event, world, kernel, on_end, trace, "who")))
+        kernel.run_until_quiescent()
+        return out
+
+    def test_user_event_returns_its_broken_batch(self):
+        world = make_world([("h000", [make_vm(cpu=1000.0)])],
+                           [make_request(workloads=(10000.0,), deadline=100.0)])
+        kernel, trace, ends = Kernel(), TraceLog(), []
+        on_end = lambda b: ends.append((kernel.now, b.request.user_id))
+        batch = self._bound(world, kernel, on_end, "u00000", 0.0)
+        broken = self._run(inflate_event("u00000", 1.2, fire_at=5.0), world,
+                           kernel, on_end, trace)
+        assert broken == [batch]
+        assert ends == [(10.0, "u00000")]    # a user event re-arms nothing
+        assert [(r["t"], r["agent"], r["kind"], r["detail"])
+                for r in trace.records] == [
+            (5.0, "who", "event", {"event": 0, "target": "u00000",
+                                   "mutation": "TaskInflate",
+                                   "vacuous": False})]
+
+    def test_vm_event_rearms_in_ledger_order_returns_by_user_id(self):
+        # u00001 runs [0,10], then u00000 [10,20]; halving the cpu at t=5
+        # stretches them to [0,15] (deadline 12) and [15,35] (deadline 30)
+        world = make_world(
+            [("h000", [make_vm(cpu=2000.0)])],
+            [make_request("u00000", workloads=(20000.0,), deadline=30.0),
+             make_request("u00001", workloads=(20000.0,), deadline=12.0)])
+        kernel, trace, ends = Kernel(), TraceLog(), []
+        on_end = lambda b: ends.append((kernel.now, b.request.user_id))
+        second = self._bound(world, kernel, on_end, "u00001", 0.0)
+        first = self._bound(world, kernel, on_end, "u00000", 10.0)
+        broken = self._run(degrade_event("h000v00", 0.5, fire_at=5.0), world,
+                           kernel, on_end, trace)
+        assert broken == [first, second]
+        assert ends == [(pytest.approx(15.0), "u00001"),
+                        (pytest.approx(35.0), "u00000")]
+        assert [(r["t"], r["agent"], r["kind"], r["detail"])
+                for r in trace.records] == [
+            (5.0, "who", "event", {"event": 0, "target": "h000v00",
+                                   "mutation": "VmDegrade", "affected": 2})]
 
 
 def scratch_requirements(batch):

@@ -56,7 +56,7 @@ def test_world_matches_uniform_reference(name, seed):
     want = reference_scenario(config, RngStreams(seed).scenario)
     assert [h.host_id for h in got.datacenter.hosts] == \
         [h.host_id for h in want.datacenter.hosts]
-    got_vms, want_vms = got.datacenter.all_vms(), want.datacenter.all_vms()
+    got_vms, want_vms = list(got.vms.values()), list(want.vms.values())
     assert len(got_vms) == len(want_vms) > 0
     for a, b in zip(got_vms, want_vms):
         assert (a.vm_id, a.host_id, a.cpu, a.ram, a.storage, a.bandwidth) == \
