@@ -8,6 +8,7 @@ on_result/on_timeout fires per listener.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from .kernel import Kernel
@@ -25,13 +26,27 @@ INFORM = "INFORM"
 FAILURE = "FAILURE"
 
 
-@dataclass(frozen=True)
-class AgentId:
-    kind: str
-    name: str
+class AgentId(tuple):
+    """An agent's (kind, name), compared and hashed by value. Its trace label
+    `kind:name` is built once, here, instead of on every record it appears in."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, name: str):
+        return tuple.__new__(cls, (kind, name, f"{kind.lower()}:{name}"))
+
+    kind = property(itemgetter(0))
+    name = property(itemgetter(1))
+    label = property(itemgetter(2))
 
     def __str__(self):
-        return f"{self.kind.lower()}:{self.name}"
+        return self[2]
+
+    def __repr__(self):
+        return f"AgentId(kind={self[0]!r}, name={self[1]!r})"
+
+    def __getnewargs__(self):   # copy and pickle rebuild from (kind, name)
+        return self[:2]
 
 
 @dataclass
@@ -119,8 +134,9 @@ class AgentRuntime:
     def _expire(self, key: tuple[AgentId, str]) -> None:
         listener = self._listeners.pop(key)
         self.listeners_timed_out += 1
-        self.trace.emit(self.kernel.now, str(key[0]), "listener_timeout",
-                        conversation=key[1])
+        if self.trace.enabled:
+            self.trace.emit(self.kernel.now, key[0].label, "listener_timeout",
+                            conversation=key[1])
         listener.on_timeout()
 
     def send_async(self, msg: AgentMessage, listener: ResultListener | None = None) -> None:
@@ -129,9 +145,9 @@ class AgentRuntime:
             self.add_listener(msg.sender, listener)
         dropped = self.drop_filter is not None and self.drop_filter(msg)
         if self.trace.enabled:
-            self.trace.emit(self.kernel.now, str(msg.sender),
+            self.trace.emit(self.kernel.now, msg.sender.label,
                             "drop" if dropped else "send",
-                            to=str(msg.to), performative=msg.performative,
+                            to=msg.to.label, performative=msg.performative,
                             conversation=msg.conversation_id)
         if not dropped:
             self.kernel.schedule(self.kernel.now + self.latency,
@@ -143,14 +159,15 @@ class AgentRuntime:
             bounce = AgentMessage(msg.conversation_id, msg.to, msg.sender,
                                   FAILURE, body={"reason": "unknown-recipient"},
                                   reply=True)
-            self.trace.emit(self.kernel.now, str(msg.to), "bounce",
-                            conversation=msg.conversation_id)
+            if self.trace.enabled:
+                self.trace.emit(self.kernel.now, msg.to.label, "bounce",
+                                conversation=msg.conversation_id)
             self.kernel.schedule(self.kernel.now + self.latency,
                                  lambda: self._deliver(bounce), kind="deliver")
             return
         if self.trace.enabled:
-            self.trace.emit(self.kernel.now, str(msg.to), "deliver",
-                            sender=str(msg.sender), performative=msg.performative,
+            self.trace.emit(self.kernel.now, msg.to.label, "deliver",
+                            sender=msg.sender.label, performative=msg.performative,
                             conversation=msg.conversation_id)
         key = (msg.to, msg.conversation_id)
         listener = self._listeners.pop(key, None)
@@ -161,7 +178,8 @@ class AgentRuntime:
             return
         if msg.reply:
             # reply arriving after its listener expired: discard
-            self.trace.emit(self.kernel.now, str(msg.to), "late_reply",
-                            conversation=msg.conversation_id)
+            if self.trace.enabled:
+                self.trace.emit(self.kernel.now, msg.to.label, "late_reply",
+                                conversation=msg.conversation_id)
             return
         recipient.handle_message(msg)

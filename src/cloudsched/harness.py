@@ -39,6 +39,7 @@ class RunResult:
     events: list[UncertainEvent]
     final_time: float
     runtime: AgentRuntime | None = None
+    truncated: bool = False     # cut at config.time_limit with entries pending
 
 
 def _world(config: ScenarioConfig) -> SimWorld:
@@ -93,7 +94,7 @@ def _execute(config: ScenarioConfig, world: SimWorld,
     final_time = kernel.run_until_quiescent(config.time_limit)
     metrics = compute_metrics(world)
     return RunResult(config, metrics, world, trace, events, final_time,
-                     runtime=runtime)
+                     runtime=runtime, truncated=len(kernel) > 0)
 
 
 def _probe_horizon(config: ScenarioConfig) -> float:

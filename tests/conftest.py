@@ -2,6 +2,7 @@ import pytest
 
 from cloudsched.model import (BatchState, Datacenter, Host, SimWorld,
                               TaskSpec, UserRequest, VmDescriptor)
+from cloudsched.tracelog import TraceLog
 
 
 def make_vm(vm_id="h000v00", host_id="h000", cpu=1000.0, ram=1740.0,
@@ -41,3 +42,16 @@ def placed(pairs):
     None), checking that each reservation was booked for its own user."""
     assert all(res is None or res.user_id == user_id for user_id, res in pairs)
     return [(user_id, None if res is None else res.vm_id) for user_id, res in pairs]
+
+
+@pytest.fixture
+def emit_only_when_enabled(monkeypatch):
+    """Makes `TraceLog.emit` fail on a disabled log: with tracing off, every
+    emit site must skip the call, and building its arguments with it."""
+    emit = TraceLog.emit
+
+    def strict(self, *args, **detail):
+        if not self.enabled:
+            raise AssertionError(f"emit{args} with tracing off")
+        emit(self, *args, **detail)
+    monkeypatch.setattr(TraceLog, "emit", strict)

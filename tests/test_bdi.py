@@ -144,6 +144,25 @@ class TestSendAsync:
         assert runtime.listeners_resolved + runtime.listeners_timed_out == 3
         assert runtime.listeners_timed_out == 1   # the slow echo
 
+    def test_untraced_timeout_bounce_and_late_reply_never_emit(
+            self, emit_only_when_enabled):
+        kernel = Kernel()
+        runtime = AgentRuntime(kernel, trace=TraceLog(enabled=False))
+        user = Recorder(runtime, USER, "u")
+        slow = Echo(runtime, "slow", delay=9.0)   # replies after expiry
+        runtime.register(user)
+        runtime.register(slow)
+        got = []
+        for conv, target in [("c0", slow.id), ("c1", AgentId(HOST, "ghost"))]:
+            user.send(AgentMessage(conv, user.id, target, REQUEST, None),
+                      ResultListener(conv, 1.0,
+                                     lambda m: got.append(m.performative),
+                                     lambda: got.append("timeout")))
+        kernel.run_until_quiescent()
+        assert got == [FAILURE, "timeout"]
+        assert user.log == []   # the late PROPOSE was discarded
+        assert runtime.listeners_timed_out == 1
+
     def test_second_listener_on_a_live_conversation_raises(self):
         # the first listener's timer would expire a second one under its key
         kernel, runtime = setup_runtime()

@@ -59,6 +59,24 @@ class TestRunCommand:
         assert {"t", "agent", "kind", "detail"} <= set(record)
         assert read_rows(out)[0]["seed"] == "9"
 
+    def test_run_cut_at_time_limit_warns(self, tmp_path, capsys):
+        # 200 users on 3 hosts need far longer than 50 s: the cut row reads
+        # makespan 0.0, so only the warning tells it from a finished run
+        out = tmp_path / "results.csv"
+        path = write_config(tmp_path, seed=1, users=200, hosts=3, theta=5,
+                            arrival_window=[0, 100], scheduler="mct",
+                            time_limit=50)
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == [
+            "warning: run cut at time_limit 50 before quiescence; the row "
+            "counts only work finished by then"]
+        (row,) = read_rows(out)
+        assert (row["makespan"], row["successful_tasks"]) == ("0.0", "0")
+        assert main(["run", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        assert "warning:" not in capsys.readouterr().err
+
     def test_unknown_config_field_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"users": 5, "nope": 1}))

@@ -86,6 +86,41 @@ def test_cli_trace_file_is_complete(tmp_path):
     assert trace.read_text() == encoded(records)
 
 
+def test_line_template_matches_json_dumps_on_any_record(monkeypatch):
+    # the golden digests cover only the values the simulator emits today;
+    # equal timestamps of different types (1, 1.0, True) encode differently
+    monkeypatch.setattr(tracelog, "CHUNK_RECORDS", 3)
+    sink = io.StringIO()
+    log = TraceLog(sink=sink)
+    t = 2.5
+    cases = [
+        (t, "user:ü☃\U0001f600", "send", {"to": 'q"uo\\te\n\t\x00\x1f\x7f'}),
+        (t, "host:h0", "kénd", {"n": 3, "yes": True, "no": False,
+                                    "none": None, "big": 10 ** 30}),
+        (7, "sa", "deliver", {"inf": float("inf"), "ninf": float("-inf"),
+                             "nan": float("nan"), "neg": -0.0, "tiny": 5e-324}),
+        (1, "", "", {}), (1.0, "", "", {}), (True, "", "", {}),
+        (float("nan"), "a", "b", {"z": {"b": [1, {"y": 2, "x": [None, 1.5]}],
+                                        "a": ()}, "a": [], "m": {"k": "v"}}),
+        (float("inf"), "a", "b", {"ids": ["u1", "u2"], "empty": {}}),
+        (t, "a", "b", {"s": "ÿ\ud800"}),
+    ]
+    for t_, agent, kind, detail in cases:
+        log.emit(t_, agent, kind, **detail)
+    log.write()
+    assert sink.getvalue() == encoded(
+        {"t": t_, "agent": agent, "kind": kind, "detail": detail}
+        for t_, agent, kind, detail in cases)
+
+
+@pytest.mark.parametrize("scheduler", ["ara", "mct"])
+def test_untraced_run_never_emits(scheduler, emit_only_when_enabled):
+    # uncertain.json draws events at p=0.5: reschedule cycles, rescues,
+    # reallocations and failures all run, and so does the untraced probe twin
+    result = run_simulation(uncertain(scheduler, users=100))
+    assert result.events and not result.trace.enabled
+
+
 def documented_schema() -> set[tuple[str, frozenset]]:
     """(kind, detail keys) of each row of the README's trace record table."""
     text = (ROOT / "README.md").read_text()
