@@ -3,19 +3,22 @@ the three-intention rescheduling cycle.
 
 Scheduling round (one user batch):
   user --REQUEST(requirements)--> supervise --INFORM(recommendation)--> user
-  user --REQUEST(propose vm)--> each recommended host --PROPOSE/REJECT--> user
-  user --ACCEPT(best)--> winning host --INFORM(contract)/FAILURE--> user
+  user --REQUEST(quote vm)--> each recommended host --PROPOSE/REJECT--> user
+  user --ACCEPT(best proposal)--> its host --INFORM/FAILURE--> user
   user --INFORM(outcome)--> supervise (releases the BUSY leases)
 
 Rescheduling after an uncertain event invalidates a contract:
   an event that changes a user's request (its deadline or task fields) is
   checked against the contract at once; if the contract no longer holds, the
   user deliberates over its one intention ladder: i1 re-quote the same VM,
-  i2 another VM in the same host, i3 a full new round through the supervise
-  agent. Passes repeat every retry period until the contract is valid again or
-  the deadline passes. A degraded VM is handled host-side first: the host
-  offers replacement slots to affected users in ascending user id, falling
-  back to the user's own cycle when its search fails.
+  i2 another VM in the same host (both negotiated with that host alone, with
+  no supervise agent and no outcome), i3 a full new round. Passes repeat every
+  retry period until the contract is valid again or the deadline passes.
+
+A degraded VM is handled host-side first, affected users in ascending id:
+  host --PROPOSE(offer)--> user --ACCEPT(offer's proposal)/REJECT--> host
+  host --INFORM/FAILURE--> user, as for any ACCEPT
+The user falls back to its own cycle when the rescue fails.
 
 Hosts bind, end and fail batches through the lifecycle functions of `model`,
 and every agent applies its uncertain events through
@@ -46,23 +49,8 @@ class ScheduleRequest:
 
 
 @dataclass
-class AcceptBody:
-    user_id: str
-    vm_id: str
-
-
-@dataclass
 class RoundOutcome:
     conversation: str
-    accepted_vm: str | None
-
-
-@dataclass
-class ContractInfo:
-    user_id: str
-    vm_id: str
-    start: float
-    end: float
 
 
 @dataclass
@@ -78,7 +66,7 @@ class RescueFailed:
 
 @dataclass
 class SlotExpired:
-    vm_id: str
+    """Host-to-user: the batch's slot ended with work left."""
 
 
 @dataclass
@@ -133,7 +121,7 @@ class HostAgent(Agent):
     capacity degradation of one of its VMs."""
 
     def __init__(self, runtime: AgentRuntime, host: Host, world: SimWorld,
-                 supervise: AgentId, collect_timeout: float = 1.0):
+                 supervise: AgentId, collect_timeout: float):
         super().__init__(AgentId(HOST, host.host_id), runtime)
         self.host = host
         self.world = world
@@ -178,16 +166,8 @@ class HostAgent(Agent):
             else:
                 self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
                                        PROPOSE, proposal, reply=True))
-        elif msg.performative == ACCEPT and isinstance(body, AcceptBody):
-            reservation = self.commit_contract(body.user_id, body.vm_id)
-            if reservation is None:
-                self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                       FAILURE, None, reply=True))
-            else:
-                info = ContractInfo(body.user_id, reservation.vm_id,
-                                    reservation.start, reservation.end)
-                self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                       INFORM, info, reply=True))
+        elif msg.performative == ACCEPT and isinstance(body, HostProposal):
+            self._accept(msg)
         elif msg.performative == INFORM and isinstance(body, ReleaseNotice):
             vm = self._vm(body.vm_id)
             if vm is not None:
@@ -229,6 +209,14 @@ class HostAgent(Agent):
                     (best.completion, best.vm_id):
                 best = proposal
         return best
+
+    def _accept(self, msg: AgentMessage) -> None:
+        """Answer an ACCEPT of a proposal, the user's own or a rescue offer's:
+        commit it and reply INFORM, or FAILURE when the re-quote declines."""
+        reservation = self.commit_contract(msg.body.user_id, msg.body.vm_id)
+        self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
+                               FAILURE if reservation is None else INFORM,
+                               reply=True))
 
     def commit_contract(self, user_id: str, vm_id: str) -> model.Reservation | None:
         """Re-quote against ground truth and commit; replacement releases the
@@ -274,7 +262,7 @@ class HostAgent(Agent):
             # nudge the owner in case its cycle is not already hunting
             self.send(AgentMessage(self._next_conv("exp"), self.id,
                                    AgentId(USER, batch.request.user_id),
-                                   INFORM, SlotExpired(res.vm_id)))
+                                   INFORM, SlotExpired()))
 
     # -- degraded-VM rescue ---------------------------------------------------
 
@@ -326,36 +314,30 @@ class HostAgent(Agent):
 
     def _rescue_reply(self, user_id: str, event_id: int,
                       msg: AgentMessage | None) -> None:
-        batch = self.world.batches.get(user_id)
-        user = AgentId(USER, user_id)
-        if msg is not None and msg.performative == ACCEPT and batch is not None \
-                and not batch.terminal:
-            reservation = self.commit_contract(user_id, msg.body.vm_id)
-            if reservation is not None:
-                self.send(AgentMessage(self._next_conv("ok"), self.id, user,
-                                       INFORM,
-                                       ContractInfo(user_id, reservation.vm_id,
-                                                    reservation.start,
-                                                    reservation.end)))
-            else:
-                self.send(AgentMessage(self._next_conv("nok"), self.id, user,
-                                       INFORM, RescueFailed(event_id)))
-        elif msg is None:
-            self.send(AgentMessage(self._next_conv("nok"), self.id, user,
-                                   INFORM, RescueFailed(event_id)))
+        if msg is None:
+            self.send(AgentMessage(self._next_conv("nok"), self.id,
+                                   AgentId(USER, user_id), INFORM,
+                                   RescueFailed(event_id)))
+        elif msg.performative == ACCEPT:
+            self._accept(msg)
         # an explicit REJECT means the user already chose to run its own cycle
         self._rescue_next()
 
 
 class _RoundState:
-    """Bookkeeping for one in-flight recommendation round."""
+    """One negotiation, from its first message to its outcome: the quotes
+    still awaited, the proposals in, and `done`, called with the outcome.
+    `cycle` is the reschedule cycle it serves (None in the initial phase);
+    `rec` is the recommendation a round answers (None for i1 and i2)."""
 
-    def __init__(self, conversation: str, rec: Recommendation, done):
+    def __init__(self, conversation: str, done,
+                 cycle: RescheduleCycle | None):
         self.conversation = conversation
-        self.rec = rec
-        self.pending = len(rec.vm_refs)
-        self.proposals: list[tuple[HostProposal, AgentId]] = []
         self.done = done
+        self.cycle = cycle
+        self.rec: Recommendation | None = None
+        self.pending = 0
+        self.proposals: list[tuple[HostProposal, AgentId]] = []
 
 
 class UserAgent(Agent):
@@ -364,8 +346,7 @@ class UserAgent(Agent):
     event invalidates it."""
 
     def __init__(self, runtime: AgentRuntime, batch: BatchState, world: SimWorld,
-                 supervise: AgentId, retry_period: float = 5.0,
-                 collect_timeout: float = 1.0):
+                 supervise: AgentId, retry_period: float, collect_timeout: float):
         super().__init__(AgentId(USER, batch.request.user_id), runtime)
         self.batch = batch
         self.world = world
@@ -403,14 +384,8 @@ class UserAgent(Agent):
                 not self.world.any_capacity_feasible(reqs):
             self._fail_batch()
             return
-        self._retry_entry = self.runtime.kernel.schedule(
-            self.now + self.retry_period, self._initial_retry, kind="round-retry")
-
-    def _initial_retry(self) -> None:
-        self._retry_entry = None
-        if self.batch.terminal or self.batch.reservation is not None:
-            return
-        self._start_round(self._initial_done)
+        self.runtime.kernel.schedule(self.now + self.retry_period, self.start,
+                                     kind="round-retry")
 
     def _fail_batch(self) -> None:
         batch = self.batch
@@ -426,9 +401,15 @@ class UserAgent(Agent):
                                     user=self.request.user_id,
                                     unfinished=len(batch.incomplete_indices()))
 
-    # -- recommendation round --------------------------------------------------
+    # -- negotiation: request quotes, accept the best, conclude ----------------
+
+    def _negotiation(self, tag: str, done) -> _RoundState:
+        self._round += 1
+        return _RoundState(f"{self.id.name}#{tag}{self._round}", done,
+                           self._cycle)
 
     def _start_round(self, done) -> None:
+        """A recommendation round: the supervise agent names the VMs to ask."""
         if self.batch.terminal:
             done(False)
             return
@@ -436,35 +417,37 @@ class UserAgent(Agent):
         if not reqs.task_indices:
             done(True)
             return
-        self._round += 1
-        conv = f"{self.id.name}#r{self._round}"
+        state = self._negotiation("r", done)
+        conv = state.conversation
         self.send(
             AgentMessage(conv, self.id, self.supervise, REQUEST, reqs),
             ResultListener(conv, self.now + self.collect_timeout,
-                           on_result=lambda m: self._on_recommendation(conv, m, done),
-                           on_timeout=lambda: done(False)))
+                           on_result=lambda m: self._on_recommendation(state, m),
+                           on_timeout=lambda: self._conclude(state, False)))
 
-    def _on_recommendation(self, conv: str, msg: AgentMessage, done) -> None:
-        if msg.performative != INFORM or not isinstance(msg.body, Recommendation):
-            done(False)
-            return
+    def _on_recommendation(self, state: _RoundState, msg: AgentMessage) -> None:
         rec = msg.body
-        if self.batch.terminal:
-            if rec.vm_refs:
-                self._send_outcome(conv, None)
-            done(False)
+        if msg.performative != INFORM or not isinstance(rec, Recommendation) \
+                or not rec.vm_refs:
+            self._conclude(state, False)
             return
-        if not rec.vm_refs:
-            done(False)
-            return
-        state = _RoundState(conv, rec, done)
-        for idx, snap in enumerate(rec.vm_refs):
-            sub = f"{conv}:{idx}"
-            host = AgentId(HOST, snap.host_agent)
+        state.rec = rec
+        self._negotiate(state, [] if self.batch.terminal else
+                        [(AgentId(HOST, s.host_agent), s.vm_id, "propose")
+                         for s in rec.vm_refs])
+
+    def _negotiate(self, state: _RoundState, asks) -> None:
+        """Ask each (host, vm_id, purpose) in `asks` for a quote; the
+        decision comes once every quote is in or timed out."""
+        state.pending = len(asks)
+        if not asks:
+            self._decide(state)
+        for idx, (host, vm_id, purpose) in enumerate(asks):
+            sub = f"{state.conversation}:{idx}"
             self.send(
                 AgentMessage(sub, self.id, host, REQUEST,
-                             ScheduleRequest(self.request.user_id, snap.vm_id,
-                                             "propose")),
+                             ScheduleRequest(self.request.user_id, vm_id,
+                                             purpose)),
                 ResultListener(sub, self.now + self.collect_timeout,
                                on_result=lambda m: self._collect(state, m),
                                on_timeout=lambda: self._collect(state, None)))
@@ -478,44 +461,41 @@ class UserAgent(Agent):
             self._decide(state)
 
     def _decide(self, state: _RoundState) -> None:
-        if self.batch.terminal:
-            self._send_outcome(state.conversation, None)
-            state.done(False)
-            return
-        best = select_best([p for p, _ in state.proposals]) \
-            if state.proposals else None
-        if self.runtime.trace.enabled:
-            self.runtime.trace.emit(
-                self.now, str(self.id), "round",
-                conversation=state.conversation, theta=state.rec.theta,
-                recommended=[s.vm_id for s in state.rec.vm_refs],
-                proposals=[[p.vm_id, p.completion] for p, _ in state.proposals],
-                chosen=None if best is None else best.vm_id)
+        """Accept the earliest completion, unless the batch ended or the cycle
+        the negotiation serves ended out of band meanwhile."""
+        best = None
+        if state.cycle is self._cycle and not self.batch.terminal:
+            if state.proposals:
+                best = select_best([p for p, _ in state.proposals])
+            if state.rec is not None and self.runtime.trace.enabled:
+                self.runtime.trace.emit(
+                    self.now, str(self.id), "round",
+                    conversation=state.conversation, theta=state.rec.theta,
+                    recommended=[s.vm_id for s in state.rec.vm_refs],
+                    proposals=[[p.vm_id, p.completion]
+                               for p, _ in state.proposals],
+                    chosen=None if best is None else best.vm_id)
         if best is None:
-            self._send_outcome(state.conversation, None)
-            state.done(False)
+            self._conclude(state, False)
             return
-        best_host = next(h for p, h in state.proposals if p is best)
+        host = next(h for p, h in state.proposals if p is best)
         conv = f"{state.conversation}:acc"
         self.send(
-            AgentMessage(conv, self.id, best_host, ACCEPT,
-                         AcceptBody(self.request.user_id, best.vm_id)),
+            AgentMessage(conv, self.id, host, ACCEPT, best),
             ResultListener(conv, self.now + self.collect_timeout,
-                           on_result=lambda m: self._accept_reply(state, m),
-                           on_timeout=lambda: self._accept_reply(state, None)))
+                           on_result=lambda m: self._conclude(
+                               state, m.performative == INFORM),
+                           on_timeout=lambda: self._conclude(state, False)))
 
-    def _accept_reply(self, state: _RoundState, msg: AgentMessage | None) -> None:
-        if msg is not None and msg.performative == INFORM and \
-                isinstance(msg.body, ContractInfo):
-            self._send_outcome(state.conversation, msg.body.vm_id)
-            state.done(True)
-        else:
-            self._send_outcome(state.conversation, None)
-            state.done(False)
-
-    def _send_outcome(self, conversation: str, accepted_vm: str | None) -> None:
-        self.send(AgentMessage(f"{conversation}:out", self.id, self.supervise,
-                               INFORM, RoundOutcome(conversation, accepted_vm)))
+    def _conclude(self, state: _RoundState, ok: bool) -> None:
+        """A round reports its outcome, which frees its leases; `done` runs
+        only while the negotiation's cycle is still the current one."""
+        if state.rec is not None:
+            self.send(AgentMessage(f"{state.conversation}:out", self.id,
+                                   self.supervise, INFORM,
+                                   RoundOutcome(state.conversation)))
+        if state.cycle is self._cycle:
+            state.done(ok)
 
     # -- uncertain events and the rescheduling cycle ---------------------------
 
@@ -587,8 +567,11 @@ class UserAgent(Agent):
         elif batch.reservation is None:
             self._intention_done(False)
         else:
-            self._direct_negotiation(batch.reservation.vm_id,
-                                     "requote" if intention == "i1" else "samehost")
+            # i1 ("requote") and i2 ("samehost") ask the VM's own host
+            purpose = "requote" if intention == "i1" else "samehost"
+            vm = self.world.vms[batch.reservation.vm_id]
+            self._negotiate(self._negotiation(purpose, self._intention_done),
+                            [(AgentId(HOST, vm.host_id), vm.vm_id, purpose)])
 
     def _intention_done(self, ok: bool) -> None:
         if self._cycle is None:
@@ -615,68 +598,42 @@ class UserAgent(Agent):
                                     passes=cycle.passes)
         self._cycle = None
 
-    def _direct_negotiation(self, vm_id: str, purpose: str) -> None:
-        """i1 ("requote") or i2 ("samehost"): ask the VM's own host directly."""
-        host = AgentId(HOST, self.world.vms[vm_id].host_id)
-        self._round += 1
-        conv = f"{self.id.name}#{purpose}{self._round}"
-        self.send(
-            AgentMessage(conv, self.id, host, REQUEST,
-                         ScheduleRequest(self.request.user_id, vm_id, purpose)),
-            ResultListener(conv, self.now + self.collect_timeout,
-                           on_result=lambda m: self._direct_proposal(host, m),
-                           on_timeout=lambda: self._intention_done(False)))
-
-    def _direct_proposal(self, host: AgentId, msg: AgentMessage) -> None:
-        if self._cycle is None:
-            return   # resolved out-of-band while the quote was in flight
-        if msg.performative != PROPOSE or not isinstance(msg.body, HostProposal):
-            self._intention_done(False)
-            return
-        proposal = msg.body
-        self._round += 1
-        conv = f"{self.id.name}#acc{self._round}"
-        self.send(
-            AgentMessage(conv, self.id, host, ACCEPT,
-                         AcceptBody(self.request.user_id, proposal.vm_id)),
-            ResultListener(conv, self.now + self.collect_timeout,
-                           on_result=lambda m: self._intention_done(
-                               m.performative == INFORM),
-                           on_timeout=lambda: self._intention_done(False)))
-
     # host-initiated rescue ------------------------------------------------------
 
     def handle_message(self, msg: AgentMessage) -> None:
         body = msg.body
         if msg.performative == PROPOSE and isinstance(body, ReplacementOffer):
             self._on_replacement_offer(msg)
-        elif msg.performative == INFORM and isinstance(body, ContractInfo):
-            batch = self.batch
-            if self._cycle is not None and batch.reservation is not None:
-                vm = self.world.vms[batch.reservation.vm_id]
-                if validate_contract(batch, vm, self.now):
-                    self._end_cycle(True)
         elif msg.performative == INFORM and isinstance(body, RescueFailed):
-            if not self.batch.terminal:
-                self._begin_cycle(body.event_id)
+            self._begin_cycle(body.event_id)
         elif msg.performative == INFORM and isinstance(body, SlotExpired):
-            if not self.batch.terminal and self._cycle is None:
-                self._begin_cycle(self._last_event_id)
+            self._begin_cycle(self._last_event_id)
 
     def _on_replacement_offer(self, msg: AgentMessage) -> None:
         offer: ReplacementOffer = msg.body
-        batch = self.batch
-        if batch.terminal:
-            self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                   REJECT, None, reply=True))
+        conv = msg.conversation_id
+        if not self.batch.terminal and \
+                offer.proposal.completion <= self.request.deadline:
+            self.send(
+                AgentMessage(conv, self.id, msg.sender, ACCEPT, offer.proposal,
+                             reply=True),
+                ResultListener(conv, self.now + self.collect_timeout,
+                               on_result=lambda m: self._rescued(
+                                   offer.event_id, m.performative == INFORM),
+                               on_timeout=lambda: self._rescued(offer.event_id,
+                                                                False)))
             return
-        if offer.proposal.completion <= self.request.deadline:
-            self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                   ACCEPT,
-                                   AcceptBody(self.request.user_id,
-                                              offer.proposal.vm_id),
-                                   reply=True))
-        else:
-            self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                   REJECT, None, reply=True))
-            self._begin_cycle(offer.event_id)
+        self.send(AgentMessage(conv, self.id, msg.sender, REJECT, None,
+                               reply=True))
+        self._begin_cycle(offer.event_id)
+
+    def _rescued(self, event_id: int, ok: bool) -> None:
+        """The host's answer to an accepted offer: a commit ends a running
+        cycle once the new contract holds; a decline starts the cycle."""
+        batch = self.batch
+        if not ok:
+            self._begin_cycle(event_id)
+        elif self._cycle is not None and batch.reservation is not None:
+            vm = self.world.vms[batch.reservation.vm_id]
+            if validate_contract(batch, vm, self.now):
+                self._end_cycle(True)

@@ -82,10 +82,7 @@ def main(argv: list[str] | None = None) -> int:
             with (open(args.trace, "w") if args.trace
                   else contextlib.nullcontext()) as sink:
                 result = harness.run_simulation(config, trace_sink=sink)
-            if result.truncated:
-                print(f"warning: run cut at time_limit {config.time_limit:g} "
-                      f"before quiescence; the row counts only work finished "
-                      f"by then", file=sys.stderr)
+            harness.warn_if_cut(result)
             if args.dump_events:
                 with open(args.dump_events, "w") as fh:
                     json.dump([e.to_json() for e in result.events], fh, indent=1)

@@ -10,6 +10,7 @@ probabilities.
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import TextIO
@@ -147,6 +148,15 @@ def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
             trace.write()
 
 
+def warn_if_cut(result: RunResult, label: str = "") -> None:
+    """One stderr warning for a run cut at time_limit; `label` names the run
+    within a grid."""
+    if result.truncated:
+        print(f"warning: run{label} cut at time_limit "
+              f"{result.config.time_limit:g} before quiescence; the row counts "
+              f"only work finished by then", file=sys.stderr)
+
+
 def result_row(result: RunResult, axis: str = "", axis_value="") -> dict:
     m = result.metrics
     return {
@@ -167,6 +177,15 @@ def result_row(result: RunResult, axis: str = "", axis_value="") -> dict:
 AXES = ("theta", "hosts", "probability")
 
 
+def _grid_row(cfg: ScenarioConfig, probed: dict[tuple[str, int], float],
+              axis: str, value) -> dict:
+    """Run one grid cell, sharing its probe horizon, and return its row."""
+    result = run_simulation(cfg, horizon=_shared_horizon(cfg, probed))
+    warn_if_cut(result, f" (scheduler {cfg.scheduler}, seed {cfg.seed}, "
+                        f"{axis} {value})")
+    return result_row(result, axis=axis, axis_value=value)
+
+
 def sweep(config: ScenarioConfig, axis: str, values: list,
           reps: int = 1) -> list[dict]:
     """One run per (axis value, repetition seed); rows in (value, seed) order."""
@@ -185,8 +204,7 @@ def sweep(config: ScenarioConfig, axis: str, values: list,
                 cfg = config.replaced(hosts=int(value), seed=seed)
             else:
                 cfg = config.replaced(event_probability=float(value), seed=seed)
-            result = run_simulation(cfg, horizon=_shared_horizon(cfg, probed))
-            rows.append(result_row(result, axis=axis, axis_value=value))
+            rows.append(_grid_row(cfg, probed, axis, value))
     rows.sort(key=lambda r: (float(r["axis_value"]), r["seed"]))
     return rows
 
@@ -203,9 +221,7 @@ def compare(config: ScenarioConfig, schedulers: list[str],
                 cfg = config.replaced(scheduler=scheduler,
                                       event_probability=float(p),
                                       seed=config.seed + rep)
-                result = run_simulation(cfg,
-                                        horizon=_shared_horizon(cfg, probed))
-                rows.append(result_row(result, axis="probability", axis_value=p))
+                rows.append(_grid_row(cfg, probed, "probability", p))
     rows.sort(key=lambda r: (r["scheduler"], float(r["axis_value"]), r["seed"]))
     return rows
 

@@ -6,15 +6,18 @@ deadlines give the reschedulers something to miss.
 The rows in tests/data/golden_rows.csv are the csv_bytes of this matrix.
 tests/data/golden_trace_sha256.txt pins the streamed trace of a smaller
 matrix: five schedulers x p {0, 0.5}, seed 2, 200 users on 5 hosts with the
-deadlines of configs/uncertain.json; each line is the cell's name and the
-sha256 of its trace file. A change that moves a row or a trace must say so
-and regenerate both files:
+deadlines of configs/uncertain.json; each line is the cell's name, the
+sha256 of its trace file, and the sha256 of the same trace with every
+record's `detail.conversation` removed. The second digest holds still when a
+change renames conversations and nothing else. A change that moves a row or a
+trace must say so and regenerate both files:
 
   PYTHONPATH=src python tests/golden.py --write
 """
 
 import hashlib
 import io
+import json
 import pathlib
 import sys
 
@@ -56,15 +59,26 @@ def trace_cells() -> list[ScenarioConfig]:
             for scheduler in SCHEDULERS for p in PROBABILITIES]
 
 
+def without_conversations(text: str) -> str:
+    """The trace with `detail.conversation` dropped from every record."""
+    records = [json.loads(line) for line in text.splitlines()]
+    for record in records:
+        record["detail"].pop("conversation", None)
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
 def trace_digest_lines() -> list[str]:
     """Run every trace cell with a streamed trace; one `<scheduler> p=<p>
-    <sha256>` line per cell."""
+    <sha256> <sha256 without conversations>` line per cell."""
     lines = []
     for cfg in trace_cells():
         sink = io.StringIO()
         run_simulation(cfg, trace_sink=sink)
-        digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
-        lines.append(f"{cfg.scheduler} p={cfg.event_probability} {digest}")
+        text = sink.getvalue()
+        digests = [hashlib.sha256(t.encode()).hexdigest()
+                   for t in (text, without_conversations(text))]
+        lines.append(f"{cfg.scheduler} p={cfg.event_probability} "
+                     + " ".join(digests))
     return lines
 
 

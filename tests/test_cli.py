@@ -15,6 +15,18 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def write_cut_config(tmp_path):
+    """mct with 200 users on 3 hosts and a time_limit of 50: every run is cut."""
+    return write_config(tmp_path, seed=1, users=200, hosts=3, theta=5,
+                        arrival_window=[0, 100], scheduler="mct",
+                        time_limit=50)
+
+
+def warnings_in(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")]
+
+
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -63,9 +75,7 @@ class TestRunCommand:
         # 200 users on 3 hosts need far longer than 50 s: the cut row reads
         # makespan 0.0, so only the warning tells it from a finished run
         out = tmp_path / "results.csv"
-        path = write_config(tmp_path, seed=1, users=200, hosts=3, theta=5,
-                            arrival_window=[0, 100], scheduler="mct",
-                            time_limit=50)
+        path = write_cut_config(tmp_path)
         assert main(["run", "--config", path, "--out", str(out)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("warning:")] == [
@@ -131,9 +141,20 @@ class TestSweepCommand:
             hashes = {r["config_hash"] for r in rows if r["axis_value"] == value}
             assert len(hashes) == 1
 
+    def test_sweep_warns_once_per_cut_run(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_cut_config(tmp_path),
+                     "--axis", "theta", "--values", "2,5", "--reps", "2",
+                     "--out", str(out)]) == 0
+        assert warnings_in(capsys) == [
+            f"warning: run (scheduler mct, seed {seed}, theta {theta}) cut at "
+            f"time_limit 50 before quiescence; the row counts only work "
+            f"finished by then" for theta in (2, 5) for seed in (1, 2)]
+        assert len(read_rows(out)) == 4
+
 
 class TestCompareCommand:
-    def test_compare_grid(self, tmp_path):
+    def test_compare_grid(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         code = main(["compare", "--config",
                      write_config(tmp_path, deadline=[200, 500]),
@@ -143,3 +164,15 @@ class TestCompareCommand:
         rows = read_rows(out)
         assert {r["scheduler"] for r in rows} == {"ara", "mct"}
         assert all(r["axis"] == "probability" for r in rows)
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_compare_warns_once_per_cut_run(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", write_cut_config(tmp_path),
+                     "--schedulers", "mct,round_robin", "--probability", "0",
+                     "--out", str(out)]) == 0
+        assert warnings_in(capsys) == [
+            f"warning: run (scheduler {scheduler}, seed 1, probability 0.0) cut "
+            f"at time_limit 50 before quiescence; the row counts only work "
+            f"finished by then" for scheduler in ("mct", "round_robin")]
+        assert len(read_rows(out)) == 2

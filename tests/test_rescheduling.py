@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cloudsched import model
+from cloudsched.agents import ReplacementOffer
 from cloudsched.harness import run_simulation
 from cloudsched.kernel import Kernel, RngStream
 from cloudsched.model import BatchState, RequestStatus
@@ -480,6 +481,113 @@ class TestIntentions:
         vms_used = {batches["u00000"].reservation.vm_id,
                     batches["u00001"].reservation.vm_id}
         assert vms_used == {"h000v01", "h000v02"}
+
+    def _rescue_world(self, deadlines, cpus):
+        """u0000k (20000 MI each) contracted back to back on h000v00, on one
+        host whose VM h000v0j has cpu `cpus[j]`."""
+        world = make_world(
+            [("h000", [make_vm(f"h000v{j:02d}", "h000", cpu=cpu)
+                       for j, cpu in enumerate(cpus)])],
+            [make_request(f"u{k:05d}", workloads=(20000.0,), deadline=d)
+             for k, d in enumerate(deadlines)])
+        kernel, runtime, sa, hosts, users = build_sim(world, theta=1)
+        host = hosts["h000"]
+        for k in range(len(deadlines)):
+            assert host.commit_contract(f"u{k:05d}", "h000v00") is not None
+        return world, kernel, runtime, host
+
+    def _records(self, runtime, kind, agent=None):
+        return [r for r in runtime.trace.records if r["kind"] == kind
+                and (agent is None or r["agent"] == agent)]
+
+    def test_declined_rescue_commit_starts_the_cycle_of_the_offer(self):
+        # halving h000v00 at t=1 stretches u00000 to ~39 (deadline 25); the
+        # host offers h000v01 (completion ~20), but h000v01 is halved too
+        # while the user's ACCEPT is on the wire, so the commit's re-quote
+        # (~39) declines and the user starts its own cycle for event 7
+        world, kernel, runtime, host = self._rescue_world([25.0],
+                                                          [1000.0, 1000.0])
+        first = degrade_event("h000v00", 0.5, fire_at=1.0, event_id=7)
+        second = degrade_event("h000v01", 0.5, fire_at=1.015, event_id=8)
+        for event in (first, second):
+            kernel.schedule(event.fire_at, lambda e=event: host.on_vm_event(e))
+        kernel.run_until_quiescent()
+        (offer,) = self._records(runtime, "rescue_offer")
+        assert offer["detail"] == {"user": "u00000", "vm": "h000v01", "event": 7}
+        starts = self._records(runtime, "cycle_start", "user:u00000")
+        assert starts[0]["detail"] == {"event": 7}
+        assert starts[0]["t"] == pytest.approx(1.03)
+        assert [c["t"] for c in self._records(runtime, "contract")
+                if c["t"] < starts[0]["t"]] == [0.0]
+        for vm in world.vms.values():
+            model.assert_no_overlap(vm)
+
+    def test_unanswered_rescue_offer_times_out_and_serves_the_next(self):
+        # halving h000v00 at t=1 breaks both contracts (ends ~19 and ~39
+        # against deadlines 18 and 25); the offer to u00000 is lost, so the
+        # host's listener expires, tells u00000 its rescue failed, and only
+        # then offers u00001 a sibling
+        world, kernel, runtime, host = self._rescue_world(
+            [18.0, 25.0], [2000.0, 1500.0, 1500.0])
+        runtime.drop_filter = lambda m: isinstance(m.body, ReplacementOffer) \
+            and m.to.name == "u00000"
+        event = degrade_event("h000v00", 0.5, fire_at=1.0, event_id=3)
+        kernel.schedule(1.0, lambda: host.on_vm_event(event))
+        kernel.run_until_quiescent()
+        offers = self._records(runtime, "rescue_offer")
+        assert [(o["t"], o["detail"]["user"]) for o in offers[:2]] == \
+            [(1.0, "u00000"), (pytest.approx(2.0), "u00001")]
+        (timeout,) = self._records(runtime, "listener_timeout", "host:h000")
+        assert timeout["t"] == pytest.approx(2.0)
+        starts = self._records(runtime, "cycle_start", "user:u00000")
+        assert starts[0]["detail"] == {"event": 3}
+        assert starts[0]["t"] == pytest.approx(2.01)
+        assert not self._records(runtime, "cycle_start", "user:u00001")
+        assert world.batches["u00001"].request.status is RequestStatus.COMPLETED
+        for vm in world.vms.values():
+            model.assert_no_overlap(vm)
+
+    def test_direct_proposal_after_rescue_resolved_the_cycle_is_not_accepted(self):
+        # a cut at t=2 breaks u00000's contract on h000v00: i1 is declined,
+        # and i2's quote request leaves at 2.02. A degrade of h000v00 at
+        # 2.005 has the host rescue the batch onto h000v01 behind u00001
+        # (a slot not yet started when the user checks it); that contract
+        # ends the cycle at 2.035, before i2's proposal (h000v02, behind
+        # u00002) lands at 2.04, which must not be accepted
+        world = make_world(
+            [("h000", [make_vm("h000v00", "h000", cpu=600.0),
+                       make_vm("h000v01", "h000", cpu=2500.0),
+                       make_vm("h000v02", "h000", cpu=2500.0)])],
+            [make_request("u00000", workloads=(60000.0,), deadline=1000.0),
+             make_request("u00001", workloads=(25000.0,)),
+             make_request("u00002", workloads=(30000.0,))])
+        kernel, runtime, sa, hosts, users = build_sim(world, theta=1)
+        host, user = hosts["h000"], users["u00000"]
+        for user_id, vm_id in (("u00000", "h000v00"), ("u00001", "h000v01"),
+                               ("u00002", "h000v02")):
+            assert host.commit_contract(user_id, vm_id) is not None
+        cut = cut_event("u00000", 950.0, fire_at=2.0, event_id=1)
+        degrade = degrade_event("h000v00", 0.9, fire_at=2.005, event_id=2)
+        kernel.schedule(2.0, lambda: user.on_user_event(cut))
+        kernel.schedule(2.005, lambda: host.on_vm_event(degrade))
+        kernel.run_until_quiescent()
+        assert self._attempts(runtime) == ["i1", "i2"]
+        (end,) = self._records(runtime, "cycle_end", "user:u00000")
+        assert end["detail"]["resolved"] is True
+        assert end["t"] == pytest.approx(2.035)
+        proposals = [r for r in self._records(runtime, "deliver", "user:u00000")
+                     if r["detail"]["performative"] == "PROPOSE"]
+        assert proposals[-1]["t"] == pytest.approx(2.04)
+        accepts = [r for r in self._records(runtime, "send", "user:u00000")
+                   if r["detail"]["performative"] == "ACCEPT"]
+        assert [a["t"] for a in accepts] == [pytest.approx(2.015)]
+        batch = world.batches["u00000"]
+        assert batch.reservation.vm_id == "h000v01"
+        assert [r.user_id for r in world.vms["h000v02"].reservations] == \
+            ["u00002"]
+        assert batch.request.status is RequestStatus.COMPLETED
+        for vm in world.vms.values():
+            model.assert_no_overlap(vm)
 
     @pytest.mark.parametrize("event, starts_cycle", [
         (cut_event("u00001", 500.0, event_id=1), False),
