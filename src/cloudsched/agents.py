@@ -533,22 +533,16 @@ class UserAgent(Agent):
             self._fail_batch()
             self._end_cycle(False)
             return
-        if batch.reservation is not None:
-            vm = self.world.vms[batch.reservation.vm_id]
-            model.checkpoint(batch, vm, self.now)
-            if batch.terminal:
-                self._end_cycle(True)
-                return
-            if validate_contract(batch, vm, self.now):
-                self._end_cycle(True)
-                return
+        if self._contract_holds():
+            self._end_cycle(True)
+            return
         intention = deliberate(self, "reschedule", LADDER, self._rung)
         if intention is None:
             self._rung = 0
             cycle.passes += 1
             reqs = self.world.fresh_requirements(batch, self.now)
-            if not self.world.any_capacity_feasible(reqs) and \
-                    self.request.deadline == float("inf"):
+            if self.request.deadline == float("inf") and \
+                    not self.world.any_capacity_feasible(reqs):
                 self._fail_batch()
                 self._end_cycle(False)
                 return
@@ -572,6 +566,16 @@ class UserAgent(Agent):
             vm = self.world.vms[batch.reservation.vm_id]
             self._negotiate(self._negotiation(purpose, self._intention_done),
                             [(AgentId(HOST, vm.host_id), vm.vm_id, purpose)])
+
+    def _contract_holds(self) -> bool:
+        """Checkpoint the bound batch to now; True when that finished it or
+        its contract still delivers, False when it holds no reservation."""
+        batch = self.batch
+        if batch.reservation is None:
+            return False
+        vm = self.world.vms[batch.reservation.vm_id]
+        model.checkpoint(batch, vm, self.now)
+        return batch.terminal or validate_contract(batch, vm, self.now)
 
     def _intention_done(self, ok: bool) -> None:
         if self._cycle is None:
@@ -630,10 +634,7 @@ class UserAgent(Agent):
     def _rescued(self, event_id: int, ok: bool) -> None:
         """The host's answer to an accepted offer: a commit ends a running
         cycle once the new contract holds; a decline starts the cycle."""
-        batch = self.batch
         if not ok:
             self._begin_cycle(event_id)
-        elif self._cycle is not None and batch.reservation is not None:
-            vm = self.world.vms[batch.reservation.vm_id]
-            if validate_contract(batch, vm, self.now):
-                self._end_cycle(True)
+        elif self._cycle is not None and self._contract_holds():
+            self._end_cycle(True)

@@ -61,14 +61,3 @@ def compute_metrics(world: SimWorld) -> RunMetrics:
         vm_count=len(vms),
     )
 
-
-def ledger_makespan(world: SimWorld) -> float:
-    """Independent cross-check: the latest per-task finish over every committed
-    reservation, scanned straight from the VM ledgers."""
-    latest = 0.0
-    for vm in world.vms.values():
-        for res in vm.reservations:
-            for finish in res.per_task_finish:
-                if finish <= res.effective_end + 1e-9 and finish > latest:
-                    latest = finish
-    return latest

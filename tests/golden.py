@@ -9,8 +9,15 @@ matrix: five schedulers x p {0, 0.5}, seed 2, 200 users on 5 hosts with the
 deadlines of configs/uncertain.json; each line is the cell's name, the
 sha256 of its trace file, and the sha256 of the same trace with every
 record's `detail.conversation` removed. The second digest holds still when a
-change renames conversations and nothing else. A change that moves a row or a
-trace must say so and regenerate both files:
+change renames conversations and nothing else.
+
+tests/data/saturated_rows.csv and tests/data/saturated_trace_sha256.txt pin
+the rows and traces of a saturated matrix: five schedulers x p {0, 0.5},
+seed 2, 300 users on 2 hosts with the deadlines of configs/uncertain.json.
+There most users cannot be served, so `ara` retries its initial round
+thousands of times and its empty recommendations dominate the run.
+
+A change that moves a row or a trace must say so and regenerate every file:
 
   PYTHONPATH=src python tests/golden.py --write
 """
@@ -29,6 +36,8 @@ GOLDEN = ROOT / "tests" / "data" / "golden_rows.csv"
 TRACE_DIGESTS = ROOT / "tests" / "data" / "golden_trace_sha256.txt"
 SEEDS = (1, 2, 3)
 PROBABILITIES = (0.0, 0.5)
+SATURATED_ROWS = ROOT / "tests" / "data" / "saturated_rows.csv"
+SATURATED_DIGESTS = ROOT / "tests" / "data" / "saturated_trace_sha256.txt"
 TRACE_SEED = 2
 
 
@@ -52,11 +61,15 @@ def golden_bytes() -> bytes:
     return csv_bytes(rows)
 
 
-def trace_cells() -> list[ScenarioConfig]:
+def trace_cells(users: int = 200, hosts: int = 5) -> list[ScenarioConfig]:
     uncertain = ScenarioConfig.from_json(str(ROOT / "configs" / "uncertain.json"))
-    return [uncertain.replaced(scheduler=scheduler, seed=TRACE_SEED, users=200,
-                               hosts=5, event_probability=p)
+    return [uncertain.replaced(scheduler=scheduler, seed=TRACE_SEED, users=users,
+                               hosts=hosts, event_probability=p)
             for scheduler in SCHEDULERS for p in PROBABILITIES]
+
+
+def saturated_cells() -> list[ScenarioConfig]:
+    return trace_cells(users=300, hosts=2)
 
 
 def without_conversations(text: str) -> str:
@@ -67,19 +80,26 @@ def without_conversations(text: str) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
-def trace_digest_lines() -> list[str]:
-    """Run every trace cell with a streamed trace; one `<scheduler> p=<p>
-    <sha256> <sha256 without conversations>` line per cell."""
-    lines = []
-    for cfg in trace_cells():
+def traced_runs(configs: list[ScenarioConfig]) -> tuple[bytes, list[str]]:
+    """Run every cell with a streamed trace: the rows as CSV, and one
+    `<scheduler> p=<p> <sha256> <sha256 without conversations>` line per
+    cell."""
+    rows, lines = [], []
+    for cfg in configs:
         sink = io.StringIO()
-        run_simulation(cfg, trace_sink=sink)
+        rows.append(result_row(run_simulation(cfg, trace_sink=sink),
+                               axis="probability",
+                               axis_value=cfg.event_probability))
         text = sink.getvalue()
         digests = [hashlib.sha256(t.encode()).hexdigest()
                    for t in (text, without_conversations(text))]
         lines.append(f"{cfg.scheduler} p={cfg.event_probability} "
                      + " ".join(digests))
-    return lines
+    return csv_bytes(rows), lines
+
+
+def trace_digest_lines() -> list[str]:
+    return traced_runs(trace_cells())[1]
 
 
 if __name__ == "__main__":
@@ -87,4 +107,8 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/golden.py --write")
     GOLDEN.write_bytes(golden_bytes())
     TRACE_DIGESTS.write_text("\n".join(trace_digest_lines()) + "\n")
-    print(f"wrote {GOLDEN} and {TRACE_DIGESTS}")
+    rows, lines = traced_runs(saturated_cells())
+    SATURATED_ROWS.write_bytes(rows)
+    SATURATED_DIGESTS.write_text("\n".join(lines) + "\n")
+    print(f"wrote {GOLDEN}, {TRACE_DIGESTS}, {SATURATED_ROWS} "
+          f"and {SATURATED_DIGESTS}")

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudsched import model
@@ -9,11 +9,14 @@ from cloudsched.agents import HostAgent, SuperviseAgent, UserAgent
 from cloudsched.ara import (HostProposal, VmRegistry, VmSnapshot,
                             make_proposal, select_best)
 from cloudsched.bdi import ACCEPT, INFORM, AgentRuntime
+from cloudsched.harness import run_simulation
 from cloudsched.kernel import Kernel
 from cloudsched.model import RequestStatus
+from cloudsched.scenario import ScenarioConfig
 from cloudsched.tracelog import TraceLog
 
 from conftest import make_request, make_vm, make_world, requirements
+from test_ledger_properties import worlds
 
 
 def snap(vm_id, at=0.0, cpu=1000.0, ram=1740.0, storage=10.0, bw=2000.0,
@@ -24,6 +27,11 @@ def snap(vm_id, at=0.0, cpu=1000.0, ram=1740.0, storage=10.0, bw=2000.0,
 def reqs(user="u00000", total=10000.0, deadline=math.inf):
     return requirements(make_request(user, workloads=(total,),
                                      deadline=deadline))
+
+
+def ordered_ids(registry):
+    """The registry's VMs in priority order: available time, then vm_id."""
+    return [vm_id for _, vm_id, _ in registry._order]
 
 
 class TestRegistry:
@@ -37,9 +45,9 @@ class TestRegistry:
         registry = VmRegistry()
         registry.sync(snap("a", at=0.0))
         registry.sync(snap("b", at=5.0))
-        assert registry.ordered_ids() == ["a", "b"]
+        assert ordered_ids(registry) == ["a", "b"]
         registry.sync(snap("a", at=40.0))
-        assert registry.ordered_ids() == ["b", "a"]
+        assert ordered_ids(registry) == ["b", "a"]
 
     def test_sync_preserves_lease(self):
         registry = VmRegistry()
@@ -98,24 +106,64 @@ class TestRegistry:
         assert [s.vm_id for s in rec.vm_refs] == ["fast"]
 
 
+CPUS = (500.0, 1000.0, 2500.0)
+RAMS = (100.0, 800.0, 1740.0)
+STORAGES = (1.0, 5.0, 10.0)
+BANDWIDTHS = (100.0, 1000.0, 2000.0)
+
+# A sync's capacities and cpu both fall and rise from one sync of a VM to the
+# next. A request's maxima are drawn from the same values (plus one above
+# them all), so a capacity often equals the requirement, and its workload
+# over any cpu is a whole number, so max(tau, available) + W / cpu often
+# equals a deadline tau + slack.
 registry_ops = st.lists(st.one_of(
     st.tuples(st.just("sync"), st.integers(0, 5),
-              st.sampled_from([0.0, 5.0, 9.0, 20.0]),
-              st.sampled_from([1740.0, 100.0])),
+              st.sampled_from([0.0, 5.0, 9.0, 20.0]), st.sampled_from(RAMS),
+              st.sampled_from(STORAGES), st.sampled_from(BANDWIDTHS),
+              st.sampled_from(CPUS)),
     st.tuples(st.just("recommend"), st.integers(1, 4),
-              st.sampled_from([math.inf, 15.0, 30.0])),
+              st.sampled_from([5000.0, 10000.0, 20000.0]),
+              st.sampled_from(RAMS + (2000.0,)),
+              st.sampled_from(STORAGES + (20.0,)),
+              st.sampled_from(BANDWIDTHS + (3000.0,)),
+              st.sampled_from([math.inf, 2.0, 4.0, 10.0, 14.0, 20.0, 30.0])),
     st.tuples(st.just("finalize"), st.integers(0, 12))), max_size=40)
 
 
+def reference_walk(snaps, busy, want, theta, tau):
+    """The first theta READY VMs, by (available_time, vm_id), that `feasible`
+    accepts: recommend's definition, re-sorted from scratch."""
+    order = sorted(snaps, key=lambda v: (snaps[v].available_time, v))
+    return [v for v in order if v not in busy and
+            model.feasible(snaps[v], want,
+                           max(tau, snaps[v].available_time))][:theta]
+
+
 @given(registry_ops)
-@example([("sync", 1, 20.0, 1740.0), ("sync", 0, 0.0, 1740.0),
-          ("recommend", 2, math.inf), ("finalize", 0)])
+@example([("sync", 1, 20.0, 1740.0, 10.0, 2000.0, 1000.0),
+          ("sync", 0, 0.0, 1740.0, 10.0, 2000.0, 1000.0),
+          ("recommend", 2, 10000.0, 800.0, 1.0, 100.0, math.inf),
+          ("finalize", 0)])
+# a capacity that rises after the index was built
+@example([("sync", 0, 0.0, 100.0, 10.0, 2000.0, 1000.0),
+          ("recommend", 1, 10000.0, 800.0, 1.0, 100.0, math.inf),
+          ("sync", 0, 0.0, 1740.0, 10.0, 2000.0, 1000.0),
+          ("recommend", 1, 10000.0, 800.0, 1.0, 100.0, math.inf)])
+# capacities equal to the requirement
+@example([("sync", 0, 0.0, 800.0, 5.0, 1000.0, 1000.0),
+          ("recommend", 1, 10000.0, 800.0, 5.0, 1000.0, math.inf)])
+# a slow VM first in the index, then a fast one that finishes exactly at
+# the deadline: start 3 + 20000 / 2500 == 3 + 8
+@example([("sync", 0, 0.0, 1740.0, 10.0, 2000.0, 500.0),
+          ("sync", 1, 0.0, 1740.0, 10.0, 2000.0, 2500.0),
+          ("recommend", 1, 20000.0, 800.0, 1.0, 100.0, 8.0)])
 def test_registry_matches_full_sort_reference(ops):
     """Random sync / recommend / finalize sequences (the supervise agent's
     lease expiry is a finalize too) against a model that re-sorts every time:
     the index equals a full sort by (available_time, vm_id), recommend takes
     the first theta READY feasible VMs in that order, and finalize releases
-    exactly its conversation's leases, in first-sync order, once."""
+    exactly its conversation's leases, in first-sync order, once. A request's
+    deadline is tau plus the op's slack."""
     trace = TraceLog()
     registry = VmRegistry(trace=trace)
     snaps, busy, conversations = {}, {}, []
@@ -123,18 +171,17 @@ def test_registry_matches_full_sort_reference(ops):
     for op in ops:
         tau += 1.0
         if op[0] == "sync":
-            _, k, at, ram = op
-            snaps[f"v{k}"] = snap(f"v{k}", at=at, ram=ram)
+            _, k, at, ram, storage, bw, cpu = op
+            snaps[f"v{k}"] = snap(f"v{k}", at=at, cpu=cpu, ram=ram,
+                                  storage=storage, bw=bw)
             registry.sync(snaps[f"v{k}"])
         elif op[0] == "recommend":
-            _, theta, deadline = op
+            _, theta, total, ram, storage, bw, slack = op
             conv = f"c{len(conversations)}"
             conversations.append(conv)
-            want = reqs(total=10000.0, deadline=deadline)
-            order = sorted(snaps, key=lambda v: (snaps[v].available_time, v))
-            expected = [v for v in order if v not in busy and
-                        model.feasible(snaps[v], want,
-                                       max(tau, snaps[v].available_time))][:theta]
+            want = model.Requirements("u00000", total, ram, storage, bw,
+                                      tau + slack, (total,), (0,))
+            expected = reference_walk(snaps, busy, want, theta, tau)
             rec = registry.recommend(want, theta, tau, conv)
             assert [s.vm_id for s in rec.vm_refs] == expected
             busy.update((v, conv) for v in expected)
@@ -148,9 +195,37 @@ def test_registry_matches_full_sort_reference(ops):
             assert registry.finalize(conv, tau) == 0
             for v in held:
                 del busy[v]
-        assert registry.ordered_ids() == sorted(
+        assert ordered_ids(registry) == sorted(
             snaps, key=lambda v: (snaps[v].available_time, v))
         assert registry.busy == set(busy)
+
+
+@settings(max_examples=20, deadline=None)
+@given(world=worlds, tight=st.booleans())
+def test_every_recommend_of_a_run_matches_the_reference(world, tight):
+    """Every recommendation of an `ara` run over a random world with events
+    equals the reference walk over the registry's snapshots at that call.
+    A tight world gives every VM and task the same ram, so every request's
+    ram equals every VM's."""
+    if tight:
+        world = dict(world, vm_ram=(1250.0, 1250.0), task_ram=(1250.0, 1250.0))
+    recommend = VmRegistry.recommend
+    calls = []
+
+    def checked(registry, want, theta, tau, conversation_id):
+        expected = reference_walk(registry.snapshots, registry.busy, want,
+                                  theta, tau)
+        rec = recommend(registry, want, theta, tau, conversation_id)
+        assert [s.vm_id for s in rec.vm_refs] == expected, tau
+        calls.append(tau)
+        return rec
+
+    VmRegistry.recommend = checked
+    try:
+        run_simulation(ScenarioConfig(scheduler="ara", **world))
+    finally:
+        VmRegistry.recommend = recommend
+    assert calls
 
 
 class TestSelectBest:

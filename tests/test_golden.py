@@ -1,7 +1,7 @@
 """Equivalence gate: the pinned matrix must reproduce tests/data/golden_rows.csv
 byte for byte, and the pinned trace matrix the sha256 digests in
-tests/data/golden_trace_sha256.txt (see tests/golden.py for both matrices and
-how to regenerate)."""
+tests/data/golden_trace_sha256.txt, and the saturated matrix both its rows and
+its digests (see tests/golden.py for the matrices and how to regenerate)."""
 
 import golden
 
@@ -17,3 +17,9 @@ def test_golden_rows_byte_identical():
 def test_trace_digests_match():
     expected = golden.TRACE_DIGESTS.read_text().splitlines()
     assert golden.trace_digest_lines() == expected
+
+
+def test_saturated_rows_and_digests_match():
+    rows, lines = golden.traced_runs(golden.saturated_cells())
+    assert rows.splitlines() == golden.SATURATED_ROWS.read_bytes().splitlines()
+    assert lines == golden.SATURATED_DIGESTS.read_text().splitlines()

@@ -547,24 +547,27 @@ class TestIntentions:
         for vm in world.vms.values():
             model.assert_no_overlap(vm)
 
-    def test_direct_proposal_after_rescue_resolved_the_cycle_is_not_accepted(self):
-        # a cut at t=2 breaks u00000's contract on h000v00: i1 is declined,
-        # and i2's quote request leaves at 2.02. A degrade of h000v00 at
-        # 2.005 has the host rescue the batch onto h000v01 behind u00001
-        # (a slot not yet started when the user checks it); that contract
-        # ends the cycle at 2.035, before i2's proposal (h000v02, behind
-        # u00002) lands at 2.04, which must not be accepted
+    def _rescue_during_cycle(self, busy_siblings):
+        """A cut at t=2 breaks u00000's contract on h000v00: i1 is declined,
+        and i2's quote request leaves at 2.02. A degrade of h000v00 at 2.005
+        has the host rescue the batch onto h000v01; the user accepts the
+        offer at 2.015, and its commit ends the cycle at 2.035, before i2's
+        proposal (h000v02) lands at 2.04, which must not be accepted. With
+        `busy_siblings`, u00001 and u00002 hold h000v01 and h000v02."""
+        others = [make_request("u00001", workloads=(25000.0,)),
+                  make_request("u00002", workloads=(30000.0,))]
         world = make_world(
             [("h000", [make_vm("h000v00", "h000", cpu=600.0),
                        make_vm("h000v01", "h000", cpu=2500.0),
                        make_vm("h000v02", "h000", cpu=2500.0)])],
-            [make_request("u00000", workloads=(60000.0,), deadline=1000.0),
-             make_request("u00001", workloads=(25000.0,)),
-             make_request("u00002", workloads=(30000.0,))])
+            [make_request("u00000", workloads=(60000.0,), deadline=1000.0)]
+            + (others if busy_siblings else []))
         kernel, runtime, sa, hosts, users = build_sim(world, theta=1)
         host, user = hosts["h000"], users["u00000"]
-        for user_id, vm_id in (("u00000", "h000v00"), ("u00001", "h000v01"),
-                               ("u00002", "h000v02")):
+        contracts = [("u00000", "h000v00")]
+        if busy_siblings:
+            contracts += [("u00001", "h000v01"), ("u00002", "h000v02")]
+        for user_id, vm_id in contracts:
             assert host.commit_contract(user_id, vm_id) is not None
         cut = cut_event("u00000", 950.0, fire_at=2.0, event_id=1)
         degrade = degrade_event("h000v00", 0.9, fire_at=2.005, event_id=2)
@@ -583,11 +586,25 @@ class TestIntentions:
         assert [a["t"] for a in accepts] == [pytest.approx(2.015)]
         batch = world.batches["u00000"]
         assert batch.reservation.vm_id == "h000v01"
-        assert [r.user_id for r in world.vms["h000v02"].reservations] == \
-            ["u00002"]
         assert batch.request.status is RequestStatus.COMPLETED
         for vm in world.vms.values():
             model.assert_no_overlap(vm)
+        return world
+
+    def test_direct_proposal_after_rescue_resolved_the_cycle_is_not_accepted(self):
+        # the rescue slot on h000v01 waits behind u00001, so it has not
+        # started when the user checks it
+        world = self._rescue_during_cycle(busy_siblings=True)
+        assert [r.user_id for r in world.vms["h000v02"].reservations] == \
+            ["u00002"]
+
+    def test_rescue_onto_an_idle_sibling_ends_the_running_cycle(self):
+        # the rescue slot on h000v01 starts at its commit (2.025), so when
+        # the user hears of it (2.035) the contract holds only for the batch
+        # checkpointed to 2.035
+        world = self._rescue_during_cycle(busy_siblings=False)
+        assert world.batches["u00000"].reservation.start == pytest.approx(2.025)
+        assert not world.vms["h000v02"].reservations
 
     @pytest.mark.parametrize("event, starts_cycle", [
         (cut_event("u00001", 500.0, event_id=1), False),
