@@ -540,9 +540,9 @@ class UserAgent(Agent):
         if intention is None:
             self._rung = 0
             cycle.passes += 1
-            reqs = self.world.fresh_requirements(batch, self.now)
-            if self.request.deadline == float("inf") and \
-                    not self.world.any_capacity_feasible(reqs):
+            # _contract_holds has checkpointed the batch at this instant
+            if self.request.deadline == float("inf") and not \
+                    self.world.any_capacity_feasible(batch.remaining_requirements()):
                 self._fail_batch()
                 self._end_cycle(False)
                 return

@@ -24,15 +24,6 @@ ROUND_ROBIN = "round_robin"
 CENTRAL_KINDS = (MCT, MET, MIN_MIN, ROUND_ROBIN)
 
 
-class RingCursor:
-    def __init__(self, size: int):
-        self.size = size
-        self.position = 0
-
-    def advance_past(self, index: int) -> None:
-        self.position = (index + 1) % self.size
-
-
 Placement = tuple[str, model.Reservation | None]
 
 
@@ -129,25 +120,23 @@ def assign_min_min(pending: list[BatchState], vms: list[VmDescriptor],
 
 
 def assign_round_robin(pending: list[BatchState], vms: list[VmDescriptor],
-                       tau: float, cursor: RingCursor) -> list[Placement]:
+                       tau: float, start: int = 0) -> list[Placement]:
     """Batches in arrival order take the next capacity-feasible VM in circular
-    order; the cursor persists across calls and infeasible VMs are skipped."""
+    order, skipping infeasible VMs: the first batch's scan begins at
+    vms[start], each later one's just past the VM the batch before it took."""
     assignments: list[Placement] = []
+    size = len(vms)
     for batch in pending:
         reqs = batch.remaining_requirements()
-        chosen = None
-        for step in range(cursor.size):
-            idx = (cursor.position + step) % cursor.size
-            if model.capacity_feasible(vms[idx], reqs):
-                chosen = idx
+        reservation = None
+        for step in range(size):
+            idx = (start + step) % size
+            vm = vms[idx]
+            if model.capacity_feasible(vm, reqs):
+                reservation = model.reserve(vm, reqs, model.available_time(vm, tau))
+                start = (idx + 1) % size
                 break
-        if chosen is None:
-            assignments.append((batch.request.user_id, None))
-            continue
-        vm = vms[chosen]
-        assignments.append((batch.request.user_id,
-                            model.reserve(vm, reqs, model.available_time(vm, tau))))
-        cursor.advance_past(chosen)
+        assignments.append((batch.request.user_id, reservation))
     return assignments
 
 
@@ -170,7 +159,8 @@ class CentralScheduler:
         self.minmin_interval = minmin_interval
         self.trace = trace if trace is not None else NULL_TRACE
         self.vms = list(world.vms.values())
-        self.cursor = RingCursor(len(self.vms))
+        self.ring = 0       # where round_robin's next scan begins
+        self._ring_index = {vm.vm_id: i for i, vm in enumerate(self.vms)}
         self._buffer: list[BatchState] = []
         self._flush_entry: int | None = None
         self._pending: set[str] = set()
@@ -213,7 +203,10 @@ class CentralScheduler:
         elif self.kind == MIN_MIN:
             pairs = assign_min_min(pending, self.vms, tau)
         else:
-            pairs = assign_round_robin(pending, self.vms, tau, self.cursor)
+            pairs = assign_round_robin(pending, self.vms, tau, self.ring)
+            taken = [res.vm_id for _, res in pairs if res is not None]
+            if taken:
+                self.ring = (self._ring_index[taken[-1]] + 1) % len(self.vms)
         self._absorb(pairs)
 
     def _absorb(self, pairs: list[Placement]) -> None:

@@ -5,7 +5,8 @@ Runs with a nonzero event probability first execute a no-event twin of the same
 seed to estimate the horizon; event fire times are then drawn uniformly over
 (0, horizon) so events land during execution for every scheduler. `sweep` and
 `compare` probe each (config, seed) once and share the horizon across
-probabilities.
+probabilities. They also generate each seed's world and draw its events once,
+as a template that no run writes, and run every cell and probe on a copy.
 """
 
 import csv
@@ -23,7 +24,7 @@ from .kernel import Kernel, RngStreams
 from .metrics import RunMetrics, compute_metrics
 from .model import SimWorld
 from .rescheduling import UncertainEvent
-from .scenario import ScenarioConfig, generate_scenario
+from .scenario import ScenarioConfig, generate_scenario, world_key
 from .tracelog import TraceLog
 
 CSV_COLUMNS = ("config_hash", "scheduler", "axis", "axis_value", "seed",
@@ -43,8 +44,31 @@ class RunResult:
     truncated: bool = False     # cut at config.time_limit with entries pending
 
 
-def _world(config: ScenarioConfig) -> SimWorld:
-    return generate_scenario(config, RngStreams(config.seed).scenario)
+class _Template:
+    """A generated world that no run writes, and its event draws, made when
+    a run first needs them. Each run takes a copy of the world, except a
+    `run_simulation` run on its own template's last use."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.world = generate_scenario(config, RngStreams(config.seed).scenario)
+        self._draws: list[rescheduling.EventDraw] | None = None
+
+    def events(self, config: ScenarioConfig,
+               horizon: float | None) -> list[UncertainEvent]:
+        """The events of `config`, whose seed is the template's: its pinned
+        ones, or those drawn for its probability over the horizon."""
+        if config.events is not None:
+            return [UncertainEvent.from_json(e) for e in config.events]
+        if config.event_probability <= 0.0:
+            return []
+        if self._draws is None:
+            self._draws = rescheduling.draw_events(
+                self.world.users, list(self.world.vms.values()),
+                RngStreams(config.seed).events)
+        if horizon <= 0.0:
+            horizon = max(1.0, config.arrival_window[1])
+        return rescheduling.select_events(self._draws, config.event_probability,
+                                          horizon)
 
 
 def _execute(config: ScenarioConfig, world: SimWorld,
@@ -98,14 +122,22 @@ def _execute(config: ScenarioConfig, world: SimWorld,
                      runtime=runtime, truncated=len(kernel) > 0)
 
 
-def _probe_horizon(config: ScenarioConfig) -> float:
+def _run(config: ScenarioConfig, template: _Template, horizon: float | None,
+         trace: TraceLog, last_use: bool = False) -> RunResult:
+    """The one run step: the config on a copy of the template's world (on
+    the world itself at its last use), with the template's events for it."""
+    world = template.world if last_use else template.world.copy()
+    return _execute(config, world, template.events(config, horizon), trace)
+
+
+def _probe_horizon(config: ScenarioConfig, template: _Template) -> float:
     """Makespan of the no-event twin: the horizon event times are drawn over."""
-    config = config.replaced(event_probability=0.0)
-    probe = _execute(config, _world(config), [], TraceLog(enabled=False))
+    probe = _run(config.replaced(event_probability=0.0), template, None,
+                 TraceLog(enabled=False))
     return probe.metrics.makespan
 
 
-def _shared_horizon(config: ScenarioConfig,
+def _shared_horizon(config: ScenarioConfig, template: _Template,
                     probed: dict[tuple[str, int], float]) -> float | None:
     """The probe horizon of a run that draws events, probed once per (config
     without its probability, seed) and kept in `probed`; else None."""
@@ -113,7 +145,7 @@ def _shared_horizon(config: ScenarioConfig,
         return None
     key = (config.replaced(event_probability=0.0).config_hash(), config.seed)
     if key not in probed:
-        probed[key] = _probe_horizon(config)
+        probed[key] = _probe_horizon(config, template)
     return probed[key]
 
 
@@ -127,22 +159,13 @@ def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
 
     With `trace_sink` (an open text file) the trace streams into it, and every
     record is in the file when the run returns or raises."""
-    world = _world(config)
-    events = []
-    if config.events is not None:
-        events = [UncertainEvent.from_json(e) for e in config.events]
-    elif config.event_probability > 0.0:
-        if horizon is None:
-            horizon = _probe_horizon(config)
-        if horizon <= 0.0:
-            horizon = max(1.0, config.arrival_window[1])
-        events = rescheduling.generate_events(
-            world.users, list(world.vms.values()), config.event_probability,
-            RngStreams(config.seed).events, horizon)
+    template = _Template(config)
+    if horizon is None:
+        horizon = _shared_horizon(config, template, {})
     trace = TraceLog(enabled=collect_trace or trace_sink is not None,
                      sink=trace_sink)
     try:
-        return _execute(config, world, events, trace)
+        return _run(config, template, horizon, trace, last_use=True)
     finally:
         if trace_sink is not None:
             trace.write()
@@ -177,10 +200,15 @@ def result_row(result: RunResult, axis: str = "", axis_value="") -> dict:
 AXES = ("theta", "hosts", "probability")
 
 
-def _grid_row(cfg: ScenarioConfig, probed: dict[tuple[str, int], float],
-              axis: str, value) -> dict:
-    """Run one grid cell, sharing its probe horizon, and return its row."""
-    result = run_simulation(cfg, horizon=_shared_horizon(cfg, probed))
+def _grid_row(cfg: ScenarioConfig, templates: dict[int, _Template],
+              probed: dict[tuple[str, int], float], axis: str, value) -> dict:
+    """Run one grid cell on its seed's template, made on first use and kept
+    in `templates`, sharing its probe horizon; return its row."""
+    template = templates.get(cfg.seed)
+    if template is None:
+        template = templates[cfg.seed] = _Template(cfg)
+    result = _run(cfg, template, _shared_horizon(cfg, template, probed),
+                  TraceLog(enabled=False))
     warn_if_cut(result, f" (scheduler {cfg.scheduler}, seed {cfg.seed}, "
                         f"{axis} {value})")
     return result_row(result, axis=axis, axis_value=value)
@@ -188,13 +216,16 @@ def _grid_row(cfg: ScenarioConfig, probed: dict[tuple[str, int], float],
 
 def sweep(config: ScenarioConfig, axis: str, values: list,
           reps: int = 1) -> list[dict]:
-    """One run per (axis value, repetition seed); rows in (value, seed) order."""
+    """One run per (axis value, repetition seed); rows in (value, seed) order.
+    Runs share one template per seed until the axis changes the world."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}")
     if not values:
         raise ValueError("sweep requires at least one axis value")
     rows = []
     probed: dict[tuple[str, int], float] = {}
+    templates: dict[int, _Template] = {}
+    shape = None
     for value in values:
         for rep in range(reps):
             seed = config.seed + rep
@@ -204,7 +235,9 @@ def sweep(config: ScenarioConfig, axis: str, values: list,
                 cfg = config.replaced(hosts=int(value), seed=seed)
             else:
                 cfg = config.replaced(event_probability=float(value), seed=seed)
-            rows.append(_grid_row(cfg, probed, axis, value))
+            if world_key(cfg) != shape:
+                shape, templates = world_key(cfg), {}
+            rows.append(_grid_row(cfg, templates, probed, axis, value))
     rows.sort(key=lambda r: (float(r["axis_value"]), r["seed"]))
     return rows
 
@@ -212,16 +245,18 @@ def sweep(config: ScenarioConfig, axis: str, values: list,
 def compare(config: ScenarioConfig, schedulers: list[str],
             probabilities: list[float], reps: int = 1) -> list[dict]:
     """Grid of scheduler x event probability x repetition seed; the no-event
-    probe runs once per (scheduler, seed), not once per probability."""
+    probe runs once per (scheduler, seed), not once per probability. Seeds
+    go outermost, so one template is held at a time."""
     rows = []
     probed: dict[tuple[str, int], float] = {}
-    for scheduler in schedulers:
-        for p in probabilities:
-            for rep in range(reps):
+    for rep in range(reps):
+        templates: dict[int, _Template] = {}
+        for scheduler in schedulers:
+            for p in probabilities:
                 cfg = config.replaced(scheduler=scheduler,
                                       event_probability=float(p),
                                       seed=config.seed + rep)
-                rows.append(_grid_row(cfg, probed, "probability", p))
+                rows.append(_grid_row(cfg, templates, probed, "probability", p))
     rows.sort(key=lambda r: (r["scheduler"], float(r["axis_value"]), r["seed"]))
     return rows
 

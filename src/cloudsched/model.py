@@ -30,6 +30,10 @@ class RequestStatus(str, Enum):
 
 @dataclass
 class TaskSpec:
+    """One task's requirements. No run writes a TaskSpec: the worlds copied
+    from one template share them, so a TaskInflate puts a new spec in the
+    request's task list instead."""
+
     task_id: str
     workload: float        # MI
     ram: float             # MB
@@ -232,7 +236,7 @@ class BatchState:
 
     `view` caches remaining_requirements(); `checkpoint` (when it pours work)
     and `rescheduling.apply_user_event` (before it mutates) reset it to None,
-    as they are the only writers of the fractions, task fields and deadline.
+    as they are the only writers of the fractions, task list and deadline.
     """
 
     request: UserRequest
@@ -395,14 +399,6 @@ def fail(batch: BatchState, vms: dict[str, VmDescriptor], kernel: Kernel,
     return vm
 
 
-def assert_no_overlap(vm: VmDescriptor) -> None:
-    """Test-build invariant: pairwise-disjoint executed/active intervals per VM."""
-    spans = sorted((r.start, r.effective_end) for r in vm.reservations)
-    for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-        if s2 < e1 - EPS:
-            raise OverlapError(f"vm {vm.vm_id}: [{s1},{e1}] overlaps [{s2},{e2}]")
-
-
 @dataclass
 class SimWorld:
     """Ground truth shared by the run: the datacenter plus per-batch runtime state.
@@ -429,6 +425,18 @@ class SimWorld:
             batches={u.user_id: BatchState(u) for u in users},
             vms=vms,
         )
+
+    def copy(self) -> "SimWorld":
+        """A fresh world on the draws of this one, which no run has touched:
+        new VMs with empty ledgers, new requests and batch states, and the
+        same `TaskSpec`s, which no run writes."""
+        hosts = [Host(host.host_id,
+                      [VmDescriptor(vm.vm_id, vm.host_id, vm.cpu, vm.ram,
+                                    vm.storage, vm.bandwidth) for vm in host.vms])
+                 for host in self.datacenter.hosts]
+        users = [UserRequest(req.user_id, list(req.tasks), req.deadline,
+                             req.arrival) for req in self.users]
+        return SimWorld.build(Datacenter(hosts), users)
 
     def fresh_requirements(self, batch: BatchState, now: float) -> Requirements:
         """Checkpoint progress up to now, then take the remaining-work view."""

@@ -23,7 +23,8 @@ from typing import Callable
 
 from . import model
 from .kernel import Kernel
-from .model import BatchState, Reservation, SimWorld, UserRequest, VmDescriptor
+from .model import (BatchState, Reservation, SimWorld, TaskSpec, UserRequest,
+                    VmDescriptor)
 from .tracelog import TraceLog
 
 TASK_INFLATE_RANGE = (1.10, 1.50)
@@ -83,6 +84,48 @@ class UncertainEvent:
                               body["target_kind"], body["target_id"], mutation)
 
 
+# One target's draws: (selection draw, fire-time draw in [0, 1), target kind,
+# target id, mutation).
+EventDraw = tuple[float, float, str, str, TaskInflate | DeadlineCut | VmDegrade]
+
+
+def draw_events(users: list[UserRequest], vms: list[VmDescriptor],
+                rng: random.Random) -> list[EventDraw]:
+    """The random draws behind `generate_events`, which need no probability
+    and no horizon: one per batch, then one per VM, consuming the stream in
+    the order `generate_events` always has."""
+    r = rng.random
+    draws: list[EventDraw] = []
+    for req in users:
+        pick, at = r(), r()
+        inflate = r() < 0.5
+        factors = {f: rng.uniform(*TASK_INFLATE_RANGE) for f in TASK_FIELDS}
+        delta = rng.uniform(*DEADLINE_CUT_RANGE)
+        draws.append((pick, at, "user", req.user_id,
+                      TaskInflate(factors) if inflate else DeadlineCut(delta)))
+    for vm in vms:
+        pick, at = r(), r()
+        factors = {f: rng.uniform(*VM_DEGRADE_RANGE) for f in VM_FIELDS}
+        draws.append((pick, at, "vm", vm.vm_id, VmDegrade(factors)))
+    return draws
+
+
+def select_events(draws: list[EventDraw], probability: float,
+                  horizon: float) -> list[UncertainEvent]:
+    """The events of one (probability, horizon): a target is selected when
+    its selection draw is below the probability, and fires at
+    `Random.uniform(0, horizon)`'s value for its fire-time draw."""
+    if not 0.0 <= probability <= 1.0:
+        raise ValueError("probability must lie in [0, 1]")
+    events: list[UncertainEvent] = []
+    for pick, at, kind, target_id, mutation in draws:
+        if pick < probability:
+            events.append(UncertainEvent(len(events), 0.0 + (horizon - 0.0) * at,
+                                         kind, target_id, mutation))
+    events.sort(key=lambda e: (e.fire_at, e.event_id))
+    return events
+
+
 def generate_events(users: list[UserRequest], vms: list[VmDescriptor],
                     probability: float, rng: random.Random,
                     horizon: float) -> list[UncertainEvent]:
@@ -93,32 +136,7 @@ def generate_events(users: list[UserRequest], vms: list[VmDescriptor],
     a fixed seed the event set at a higher probability is a superset of the
     set at a lower one (raising p never reshuffles the surviving events).
     """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
-    events: list[UncertainEvent] = []
-    next_id = 0
-    for req in users:
-        selected = rng.random() < probability
-        fire_at = rng.uniform(0.0, horizon)
-        inflate = rng.random() < 0.5
-        factors = {f: rng.uniform(*TASK_INFLATE_RANGE) for f in TASK_FIELDS}
-        delta = rng.uniform(*DEADLINE_CUT_RANGE)
-        if selected:
-            mutation: TaskInflate | DeadlineCut = \
-                TaskInflate(factors) if inflate else DeadlineCut(delta)
-            events.append(UncertainEvent(next_id, fire_at, "user",
-                                         req.user_id, mutation))
-            next_id += 1
-    for vm in vms:
-        selected = rng.random() < probability
-        fire_at = rng.uniform(0.0, horizon)
-        factors = {f: rng.uniform(*VM_DEGRADE_RANGE) for f in VM_FIELDS}
-        if selected:
-            events.append(UncertainEvent(next_id, fire_at, "vm", vm.vm_id,
-                                         VmDegrade(factors)))
-            next_id += 1
-    events.sort(key=lambda e: (e.fire_at, e.event_id))
-    return events
+    return select_events(draw_events(users, vms, rng), probability, horizon)
 
 
 def validate_contract(batch: BatchState, vm: VmDescriptor, now: float) -> bool:
@@ -153,10 +171,14 @@ def apply_user_event(batch: BatchState, vm: VmDescriptor | None,
     mutation = event.mutation
     batch.view = None
     if isinstance(mutation, TaskInflate):
+        # a new spec, as the worlds copied from one template share the old one
+        tasks, factors = batch.request.tasks, mutation.factors
         for i in batch.incomplete_indices():
-            task = batch.request.tasks[i]
-            for f in TASK_FIELDS:
-                setattr(task, f, getattr(task, f) * mutation.factors[f])
+            task = tasks[i]
+            tasks[i] = TaskSpec(task.task_id, task.workload * factors["workload"],
+                                task.ram * factors["ram"],
+                                task.storage * factors["storage"],
+                                task.bandwidth * factors["bandwidth"])
     elif isinstance(mutation, DeadlineCut):
         batch.request.deadline = max(now, batch.request.deadline - mutation.delta)
     else:

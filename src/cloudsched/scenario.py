@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .model import Datacenter, Host, SimWorld, TaskSpec, UserRequest, VmDescriptor
 
@@ -102,7 +102,7 @@ class ScenarioConfig:
                     raise ConfigError("events entries must be event objects")
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["deadline"] = UNBOUNDED if self.deadline is None else list(self.deadline)
         for key, value in out.items():
             if isinstance(value, tuple):
@@ -154,6 +154,19 @@ class ScenarioConfig:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload.update(changes)
         return ScenarioConfig(**payload)
+
+
+# The config fields `generate_scenario` draws the world from; the seed only
+# seeds its stream (and names a failed draw).
+WORLD_FIELDS = ("hosts", "vms_per_host", "users", "tasks_per_user", "vm_cpu",
+                "vm_ram", "vm_storage", "vm_bandwidth", "task_workload",
+                "task_ram", "task_storage", "task_bandwidth", "deadline",
+                "arrival_window")
+
+
+def world_key(config: ScenarioConfig) -> tuple:
+    """Two configs with equal keys draw equal worlds from one seed."""
+    return tuple(getattr(config, name) for name in WORLD_FIELDS)
 
 
 def generate_scenario(config: ScenarioConfig, rng: random.Random) -> SimWorld:

@@ -1,7 +1,7 @@
 import pytest
 
-from cloudsched.model import (BatchState, Datacenter, Host, SimWorld,
-                              TaskSpec, UserRequest, VmDescriptor)
+from cloudsched.model import (EPS, BatchState, Datacenter, Host, OverlapError,
+                              SimWorld, TaskSpec, UserRequest, VmDescriptor)
 from cloudsched.tracelog import TraceLog
 
 
@@ -35,6 +35,14 @@ def single_vm_world():
     vm = make_vm()
     req = make_request(workloads=(10000.0, 20000.0, 10000.0))
     return make_world([("h000", [vm])], [req])
+
+
+def assert_no_overlap(vm):
+    """Pairwise-disjoint executed/active intervals on the VM."""
+    spans = sorted((r.start, r.effective_end) for r in vm.reservations)
+    for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
+        if s2 < e1 - EPS:
+            raise OverlapError(f"vm {vm.vm_id}: [{s1},{e1}] overlaps [{s2},{e2}]")
 
 
 def placed(pairs):

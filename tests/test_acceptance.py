@@ -9,15 +9,14 @@ import pytest
 
 from cloudsched import model
 from cloudsched.ara import select_best
-from cloudsched.baselines import (CENTRAL_KINDS, RingCursor, assign_mct,
-                                  assign_met, assign_min_min,
-                                  assign_round_robin)
+from cloudsched.baselines import (CENTRAL_KINDS, assign_mct, assign_met,
+                                  assign_min_min, assign_round_robin)
 from cloudsched.harness import csv_bytes, result_row, run_simulation
 from cloudsched.model import BatchState
 from cloudsched.scenario import ScenarioConfig
 
 import oracles
-from conftest import make_request, make_vm, placed
+from conftest import assert_no_overlap, make_request, make_vm, placed
 
 SEEDS = (1, 2, 3, 4, 5)
 THETAS = (1, 3, 5, 10, 15, 20)
@@ -174,8 +173,7 @@ def test_criterion_5_oracle_equivalence():
                 got = placed(assign_min_min(batches, vms, 0.0))
                 expected = oracles.oracle_min_min(batch_tuples, vm_tuples)
             else:
-                cursor = RingCursor(len(vms))
-                got = placed(assign_round_robin(batches, vms, 0.0, cursor))
+                got = placed(assign_round_robin(batches, vms, 0.0))
                 expected = oracles.oracle_round_robin(batch_tuples, vm_tuples)
             assert got == expected, f"{kind} diverges from its oracle"
             checked += 1
@@ -218,7 +216,7 @@ def test_criterion_6_protocol_safety():
         result = run_simulation(config, collect_trace=True)
         world = result.world
         for vm in world.vms.values():
-            model.assert_no_overlap(vm)
+            assert_no_overlap(vm)
         # BUSY lease intervals never overlap per VM
         open_at = {}
         for record in result.trace.records:

@@ -15,7 +15,8 @@ from cloudsched.model import RequestStatus
 from cloudsched.scenario import ScenarioConfig
 from cloudsched.tracelog import TraceLog
 
-from conftest import make_request, make_vm, make_world, requirements
+from conftest import (assert_no_overlap, make_request, make_vm, make_world,
+                      requirements)
 from test_ledger_properties import worlds
 
 
@@ -332,7 +333,7 @@ class TestProtocol:
         kernel.run_until_quiescent()
         statuses = {u: world.batches[u].request.status for u in world.batches}
         assert all(s is RequestStatus.COMPLETED for s in statuses.values())
-        model.assert_no_overlap(world.vms["h000v00"])
+        assert_no_overlap(world.vms["h000v00"])
 
     def test_dropped_accept_frees_leases_via_expiry(self):
         lease_timeout = 10.0

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudsched import model
-from cloudsched.baselines import (CENTRAL_KINDS, CentralScheduler,
-                                  RingCursor, assign_mct, assign_met,
-                                  assign_min_min, assign_round_robin)
+from cloudsched.baselines import (CENTRAL_KINDS, CentralScheduler, assign_mct,
+                                  assign_met, assign_min_min, assign_round_robin)
 from cloudsched.kernel import Kernel
 from cloudsched.metrics import utilization_variance
 from cloudsched.model import BatchState, RequestStatus
@@ -16,7 +15,8 @@ from cloudsched.rescheduling import TaskInflate, UncertainEvent, VmDegrade
 from cloudsched.tracelog import TraceLog
 
 import oracles
-from conftest import make_request, make_vm, make_world, placed, requirements
+from conftest import (assert_no_overlap, make_request, make_vm, make_world,
+                      placed, requirements)
 
 
 def fresh_batches(specs):
@@ -95,27 +95,39 @@ class TestAssignExamples:
 
     def test_round_robin_circular(self):
         vms = [make_vm("a"), make_vm("b")]
-        cursor = RingCursor(2)
         batches = fresh_batches([(f"u{i:05d}", 10000.0) for i in range(4)])
-        pairs = placed(assign_round_robin(batches, vms, 0.0, cursor))
+        pairs = placed(assign_round_robin(batches, vms, 0.0))
         assert [vm for _, vm in pairs] == ["a", "b", "a", "b"]
 
     def test_round_robin_skips_infeasible(self):
         vms = [make_vm("a"), make_vm("b", ram=900.0)]
-        cursor = RingCursor(2)
         first = BatchState(make_request("u00000", workloads=(10000.0,)))
         second = BatchState(make_request("u00001", workloads=(10000.0,),
                                          ram=1000.0))
-        pairs = placed(assign_round_robin([first, second], vms, 0.0, cursor))
-        assert pairs == [("u00000", "a"), ("u00001", "a")]
-        # cursor advanced past the skipped VM b
-        assert cursor.position == 1
+        third = BatchState(make_request("u00002", workloads=(10000.0,)))
+        pairs = placed(assign_round_robin([first, second, third], vms, 0.0))
+        # the scan advanced past a again, skipping b
+        assert pairs == [("u00000", "a"), ("u00001", "a"), ("u00002", "b")]
+
+    def test_round_robin_ring_persists_across_arrivals(self):
+        world = make_world([("h000", [make_vm("h000v00"), make_vm("h000v01"),
+                                      make_vm("h000v02")])],
+                           [make_request(f"u{i:05d}", arrival=float(i))
+                            for i in range(4)])
+        kernel = Kernel()
+        scheduler = CentralScheduler("round_robin", world, kernel)
+        scheduler.start()
+        kernel.run_until_quiescent()
+        assert [world.vms[vm_id].reservations[0].user_id
+                for vm_id in ("h000v00", "h000v01", "h000v02")] == \
+            ["u00000", "u00001", "u00002"]
+        assert world.vms["h000v00"].reservations[1].user_id == "u00003"
+        assert scheduler.ring == 1
 
     def test_round_robin_homogeneous_spread_bound(self):
         vms = [make_vm(f"v{i}", cpu=1000.0) for i in range(5)]
-        cursor = RingCursor(5)
         batches = fresh_batches([(f"u{i:05d}", 20000.0) for i in range(23)])
-        assign_round_robin(batches, vms, 0.0, cursor)
+        assign_round_robin(batches, vms, 0.0)
         reserved = [sum(r.end - r.start for r in vm.reservations) for vm in vms]
         assert max(reserved) - min(reserved) <= 20.0 + 1e-9   # one batch length
 
@@ -174,11 +186,9 @@ class TestOracleEquivalence:
             vms, batches = self._random_instance(rng)
             vm_tuples, batch_tuples = self._tuples(vms, batches, 0.0)
             start = rng.randrange(len(vms))
-            cursor = RingCursor(len(vms))
-            cursor.position = start
             expected = oracles.oracle_round_robin(batch_tuples, vm_tuples,
                                                   start=start)
-            assert placed(assign_round_robin(batches, vms, 0.0, cursor)) == expected, \
+            assert placed(assign_round_robin(batches, vms, 0.0, start)) == expected, \
                 f"rr case {case}"
 
 
@@ -238,11 +248,9 @@ class TestStressOracle:
             vm_tuples, batch_tuples = self._tuples(vms, batches, tau)
             if policy == "round_robin":
                 start = rng.randrange(len(vms))
-                cursor = RingCursor(len(vms))
-                cursor.position = start
                 expected = oracles.oracle_round_robin(batch_tuples, vm_tuples,
                                                       start=start)
-                actual = placed(assign_round_robin(batches, vms, tau, cursor))
+                actual = placed(assign_round_robin(batches, vms, tau, start))
             else:
                 oracle = getattr(oracles, f"oracle_{policy}")
                 assign = {"mct": assign_mct, "met": assign_met,
@@ -252,7 +260,7 @@ class TestStressOracle:
             assert actual == expected, f"{policy} case {case}"
             for vm, vm_tuple in zip(vms, vm_tuples):
                 # new bookings chain from the pre-booked availability
-                model.assert_no_overlap(vm)
+                assert_no_overlap(vm)
                 at = vm_tuple[5]
                 for res in vm.reservations:
                     if res.user_id.startswith("u"):

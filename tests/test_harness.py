@@ -5,9 +5,10 @@ import pytest
 from cloudsched import harness
 from cloudsched.harness import (compare, csv_bytes, result_row,
                                 run_simulation, sweep)
-from cloudsched.kernel import RngStream
-from cloudsched.rescheduling import generate_events
-from cloudsched.scenario import ScenarioConfig, generate_scenario
+from cloudsched.kernel import RngStream, RngStreams
+from cloudsched.rescheduling import (DeadlineCut, TaskInflate, VmDegrade,
+                                     generate_events)
+from cloudsched.scenario import SCHEDULERS, ScenarioConfig, generate_scenario
 
 
 def test_event_sets_nest_across_probabilities():
@@ -80,19 +81,29 @@ def test_hosts_axis_changes_world_size():
     assert rows[0]["vm_count"] < rows[1]["vm_count"]
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap `owner.name` so that each call appends its arguments to the list
+    returned."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
 def test_compare_rows_equal_per_cell_runs(monkeypatch):
-    """compare probes once per (scheduler, seed); every row must still equal
-    the row of its cell run on its own, which probes for itself."""
+    """compare probes once per (scheduler, seed) and generates one world per
+    seed; every row must still equal the row of its cell run on its own,
+    which probes and generates for itself."""
     config = ScenarioConfig(seed=7, users=40, hosts=2, theta=2,
                             arrival_window=(0, 20), deadline=(300.0, 800.0))
     schedulers, probabilities = ["ara", "mct", "min_min"], [0.0, 0.5, 1.0]
-    executions = []
-    execute = harness._execute
-    monkeypatch.setattr(harness, "_execute",
-                        lambda *a: executions.append(1) or execute(*a))
+    executions = count_calls(monkeypatch, harness, "_execute")
+    generated = count_calls(monkeypatch, harness, "generate_scenario")
     rows = compare(config, schedulers, probabilities, reps=2)
     # 18 cells plus one probe per (scheduler, seed), not one per p > 0
     assert len(executions) == 18 + 3 * 2
+    assert [cfg.seed for cfg, _ in generated] == [7, 8]
     monkeypatch.undo()
     expected = []
     for scheduler in sorted(schedulers):
@@ -114,3 +125,62 @@ def test_probability_sweep_rows_equal_per_cell_runs():
                     axis="probability", axis_value=p)
                 for p in (0.5, 1.0) for seed in (3, 4)]
     assert csv_bytes(rows) == csv_bytes(expected)
+
+
+@pytest.mark.parametrize("axis, values, scheduler, worlds", [
+    ("theta", [1, 3], "ara", 2),      # the world does not change: one per seed
+    ("hosts", [1, 2], "mct", 4),      # it does: one per (hosts, seed)
+])
+def test_sweep_rows_equal_per_cell_runs(monkeypatch, axis, values, scheduler,
+                                        worlds):
+    config = ScenarioConfig(seed=3, users=30, hosts=2, theta=2,
+                            scheduler=scheduler, event_probability=0.6,
+                            arrival_window=(0, 20), deadline=(300.0, 800.0))
+    generated = count_calls(monkeypatch, harness, "generate_scenario")
+    rows = sweep(config, axis, values, reps=2)
+    assert len(generated) == worlds
+    monkeypatch.undo()
+    expected = [result_row(run_simulation(config.replaced(
+                    **{axis: value, "seed": seed})),
+                    axis=axis, axis_value=value)
+                for value in values for seed in (3, 4)]
+    assert csv_bytes(rows) == csv_bytes(expected)
+
+
+def ground_truth(world) -> tuple:
+    """Task fields, VM capacities and ledgers, deadlines and statuses."""
+    return ([(t.task_id, t.workload, t.ram, t.storage, t.bandwidth)
+             for req in world.users for t in req.tasks],
+            [(vm.vm_id, vm.cpu, vm.ram, vm.storage, vm.bandwidth,
+              vm.reservations) for vm in world.vms.values()],
+            [(req.user_id, req.deadline, req.status) for req in world.users])
+
+
+def test_compare_leaves_its_template_as_generated(monkeypatch):
+    """At p=1 every user is inflated or cut and every VM degraded, under each
+    scheduler; the runs write only their copies, so the grid's template
+    still equals a freshly generated world."""
+    config = ScenarioConfig(seed=4, users=30, hosts=2, theta=2,
+                            arrival_window=(0, 20), deadline=(300.0, 800.0))
+    made, runs = [], []
+    make, execute = harness._Template, harness._execute
+    monkeypatch.setattr(harness, "_Template",
+                        lambda cfg: made.append(make(cfg)) or made[-1])
+    monkeypatch.setattr(harness, "_execute",
+                        lambda *a: runs.append(execute(*a)) or runs[-1])
+    compare(config, list(SCHEDULERS), [1.0])
+    fresh = generate_scenario(config, RngStreams(4).scenario)
+    tasks, vms, users = ground_truth(fresh)
+
+    cells = [r for r in runs if r.events]
+    assert len(cells) == len(SCHEDULERS) and len(runs) == 2 * len(SCHEDULERS)
+    for result in cells:
+        assert len(result.events) == len(fresh.users) + len(fresh.vms)
+        assert {type(e.mutation) for e in result.events} == \
+            {TaskInflate, DeadlineCut, VmDegrade}
+        run_tasks, run_vms, run_users = ground_truth(result.world)
+        assert run_tasks != tasks and run_vms != vms and run_users != users
+    (template,) = made
+    assert ground_truth(template.world) == (tasks, vms, users)
+    assert all(not vm.reservations for vm in template.world.vms.values())
+    assert template.world == fresh

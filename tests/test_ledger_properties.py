@@ -18,6 +18,8 @@ from cloudsched import ara, model
 from cloudsched.harness import run_simulation
 from cloudsched.scenario import SCHEDULERS, ScenarioConfig
 
+from conftest import assert_no_overlap
+
 
 def full_scan(vm, tau, exclude=None):
     at = tau
@@ -28,7 +30,7 @@ def full_scan(vm, tau, exclude=None):
 
 
 def check_ledger(vm, taus):
-    model.assert_no_overlap(vm)
+    assert_no_overlap(vm)
     starts = [r.start for r in vm.reservations]
     ends = [r.effective_end for r in vm.reservations]
     assert starts == sorted(starts), vm.vm_id

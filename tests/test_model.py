@@ -10,7 +10,7 @@ from cloudsched.kernel import Kernel
 from cloudsched.model import (BatchState, OverlapError, RequestStatus,
                               checkpoint, reserve)
 
-from conftest import make_request, make_vm, requirements
+from conftest import assert_no_overlap, make_request, make_vm, requirements
 
 
 def reqs_for(vm_or_req, workloads=(10000.0,), deadline=math.inf, **kw):
@@ -130,7 +130,7 @@ class TestReserve:
         for i, wl in enumerate(workloads):
             reqs = requirements(make_request(f"u{i:05d}", workloads=(wl,)))
             reserve(vm, reqs, model.available_time(vm, 0.0))
-        model.assert_no_overlap(vm)
+        assert_no_overlap(vm)
 
     def test_booking_before_tail_end_rejected(self):
         vm = make_vm(cpu=1000.0)

@@ -1,20 +1,26 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cloudsched import model
 from cloudsched.agents import ReplacementOffer
 from cloudsched.harness import run_simulation
 from cloudsched.kernel import Kernel, RngStream
 from cloudsched.model import BatchState, RequestStatus
-from cloudsched.rescheduling import (DeadlineCut, TaskInflate, UncertainEvent,
-                                     VmDegrade, apply_event, apply_user_event,
-                                     apply_vm_degrade, generate_events,
-                                     validate_contract)
+from cloudsched.rescheduling import (DEADLINE_CUT_RANGE, TASK_FIELDS,
+                                     TASK_INFLATE_RANGE, VM_DEGRADE_RANGE,
+                                     VM_FIELDS, DeadlineCut, TaskInflate,
+                                     UncertainEvent, VmDegrade, apply_event,
+                                     apply_user_event, apply_vm_degrade,
+                                     draw_events, generate_events,
+                                     select_events, validate_contract)
 from cloudsched.tracelog import TraceLog
 from cloudsched.scenario import ScenarioConfig
 
-from conftest import make_request, make_vm, make_world, requirements
+from conftest import (assert_no_overlap, make_request, make_vm, make_world,
+                      requirements)
 from test_ara import build_sim
 
 
@@ -92,6 +98,54 @@ class TestGenerateEvents:
         assert back == events
 
 
+def one_pass_events(users, vms, probability, rng, horizon):
+    """The event generator as one loop that draws and selects together, as
+    it was before the draws were split from the selection."""
+    events = []
+    next_id = 0
+    for req in users:
+        selected = rng.random() < probability
+        fire_at = rng.uniform(0.0, horizon)
+        inflate = rng.random() < 0.5
+        factors = {f: rng.uniform(*TASK_INFLATE_RANGE) for f in TASK_FIELDS}
+        delta = rng.uniform(*DEADLINE_CUT_RANGE)
+        if selected:
+            mutation = TaskInflate(factors) if inflate else DeadlineCut(delta)
+            events.append(UncertainEvent(next_id, fire_at, "user",
+                                         req.user_id, mutation))
+            next_id += 1
+    for vm in vms:
+        selected = rng.random() < probability
+        fire_at = rng.uniform(0.0, horizon)
+        factors = {f: rng.uniform(*VM_DEGRADE_RANGE) for f in VM_FIELDS}
+        if selected:
+            events.append(UncertainEvent(next_id, fire_at, "vm", vm.vm_id,
+                                         VmDegrade(factors)))
+            next_id += 1
+    events.sort(key=lambda e: (e.fire_at, e.event_id))
+    return events
+
+
+@given(seed=st.integers(0, 2**32), users=st.integers(0, 12),
+       vms=st.integers(0, 6),
+       cells=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                                          st.just(1.0)),
+                                st.floats(1e-3, 1e7)),
+                      min_size=1, max_size=4))
+def test_split_draws_match_one_pass_generation(seed, users, vms, cells):
+    """One set of draws, selected for several (probability, horizon) cells,
+    gives each cell bit for bit the events of a fresh one-pass draw."""
+    reqs = [make_request(f"u{i:05d}") for i in range(users)]
+    machines = [make_vm(f"h000v{i:02d}") for i in range(vms)]
+    draws = draw_events(reqs, machines, RngStream(seed, "events"))
+    for p, horizon in cells:
+        expected = one_pass_events(reqs, machines, p, RngStream(seed, "events"),
+                                   horizon)
+        assert select_events(draws, p, horizon) == expected
+        assert generate_events(reqs, machines, p, RngStream(seed, "events"),
+                               horizon) == expected
+
+
 class TestApplyEvent:
     def test_task_inflate_upper_bound(self):
         vm = make_vm(cpu=1000.0)
@@ -141,7 +195,7 @@ class TestApplyEvent:
         # second shifts behind the stretched first and runs at half speed
         assert second.reservation.start == pytest.approx(15.0)
         assert second.reservation.end == pytest.approx(35.0)
-        model.assert_no_overlap(vm)
+        assert_no_overlap(vm)
 
 
 class TestValidateContract:
@@ -474,7 +528,7 @@ class TestIntentions:
         assert [o["detail"]["user"] for o in offers] == ["u00000", "u00001"]
         assert offers[0]["t"] < offers[1]["t"]
         for vm in world.vms.values():
-            model.assert_no_overlap(vm)
+            assert_no_overlap(vm)
         assert batches["u00000"].request.status is RequestStatus.COMPLETED
         assert batches["u00001"].request.status is RequestStatus.COMPLETED
         # the two rescues landed on distinct siblings (no double booking)
@@ -520,7 +574,7 @@ class TestIntentions:
         assert [c["t"] for c in self._records(runtime, "contract")
                 if c["t"] < starts[0]["t"]] == [0.0]
         for vm in world.vms.values():
-            model.assert_no_overlap(vm)
+            assert_no_overlap(vm)
 
     def test_unanswered_rescue_offer_times_out_and_serves_the_next(self):
         # halving h000v00 at t=1 breaks both contracts (ends ~19 and ~39
@@ -545,7 +599,7 @@ class TestIntentions:
         assert not self._records(runtime, "cycle_start", "user:u00001")
         assert world.batches["u00001"].request.status is RequestStatus.COMPLETED
         for vm in world.vms.values():
-            model.assert_no_overlap(vm)
+            assert_no_overlap(vm)
 
     def _rescue_during_cycle(self, busy_siblings):
         """A cut at t=2 breaks u00000's contract on h000v00: i1 is declined,
@@ -588,7 +642,7 @@ class TestIntentions:
         assert batch.reservation.vm_id == "h000v01"
         assert batch.request.status is RequestStatus.COMPLETED
         for vm in world.vms.values():
-            model.assert_no_overlap(vm)
+            assert_no_overlap(vm)
         return world
 
     def test_direct_proposal_after_rescue_resolved_the_cycle_is_not_accepted(self):
