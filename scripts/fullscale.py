@@ -2,7 +2,9 @@
 """Full-scale timing matrix: every (scheduler, event probability) cell runs
 `cloudsched run` in its own child process, --reps times, and the JSON result
 holds each run's wall time, peak RSS and a digest of its CSV row, plus the
-median wall time per cell. With --trace each run also streams its trace into
+median wall time per cell and its lower and upper quartiles
+(`statistics.quantiles`, exclusive method; both equal the one time when
+--reps is 1). With --trace each run also streams its trace into
 the work directory, and the trace's digest is kept next to the CSV's.
 
 The base config is --config (default configs/desk.json, unbounded deadlines)
@@ -60,6 +62,14 @@ def run_once(src: str, config: dict, workdir: str, trace: bool) -> dict:
     return result
 
 
+def wall_summary(results: list[dict]) -> dict:
+    """Median wall time of a cell's runs, with its lower and upper quartiles."""
+    walls = [r["wall_s"] for r in results]
+    q1, median, q3 = (statistics.quantiles(walls, n=4) if len(walls) > 1
+                      else walls * 3)
+    return {"median_wall_s": median, "q1_wall_s": q1, "q3_wall_s": q3}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--config", default=str(ROOT / "configs" / "desk.json"),
@@ -97,8 +107,7 @@ def main() -> int:
                         "trace": args.trace, "by_src": {}}
                 for src, results in runs.items():
                     cell["by_src"][src] = {
-                        "runs": results,
-                        "median_wall_s": statistics.median(r["wall_s"] for r in results),
+                        "runs": results, **wall_summary(results),
                         "max_peak_rss_mb": max(r["peak_rss_mb"] for r in results)}
                 print(json.dumps(cell), flush=True)
                 cells.append(cell)

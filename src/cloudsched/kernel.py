@@ -38,7 +38,7 @@ class Kernel:
     def schedule(self, fire_at: float, action: Callable[[], Any], kind: str = "timer") -> int:
         """Enqueue an action at a future (or current) virtual time; returns the
         entry id. `kind` labels the entry for tracers that wrap this method."""
-        if fire_at < self.now:
+        if not fire_at >= self.now:      # a NaN time raises too
             raise SchedulingInPastError(
                 f"schedule at t={fire_at} before now={self.now}")
         seq = self._seq

@@ -43,7 +43,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.workload <= 0:
             raise ValueError(f"task {self.task_id}: workload must be positive")
-        if min(self.ram, self.storage, self.bandwidth) < 0:
+        if self.ram < 0 or self.storage < 0 or self.bandwidth < 0:
             raise ValueError(f"task {self.task_id}: negative resource requirement")
 
 
@@ -260,29 +260,29 @@ class BatchState:
         return self.request.status in (RequestStatus.COMPLETED, RequestStatus.FAILED)
 
     def incomplete_indices(self) -> list[int]:
-        return [i for i in range(len(self.fractions))
-                if self.remaining_workload(i) > MI_EPS]
-
-    def remaining_workload(self, i: int) -> float:
-        return self.request.tasks[i].workload * (1.0 - self.fractions[i])
-
-    def all_done(self) -> bool:
-        return not self.incomplete_indices()
+        """Indices of the tasks whose remaining work exceeds MI_EPS."""
+        fractions = self.fractions
+        return [i for i, task in enumerate(self.request.tasks)
+                if task.workload * (1.0 - fractions[i]) > MI_EPS]
 
     def remaining_requirements(self) -> Requirements:
         """Aggregate view of the work still to execute, at current ground truth."""
         if self.view is not None:
             return self.view
+        fractions = self.fractions
         idx, workloads = [], []
         ram = storage = bandwidth = 0.0
         for i, task in enumerate(self.request.tasks):
-            remaining = task.workload * (1.0 - self.fractions[i])
+            remaining = task.workload * (1.0 - fractions[i])
             if remaining > MI_EPS:
                 idx.append(i)
                 workloads.append(remaining)
-                ram = max(ram, task.ram)
-                storage = max(storage, task.storage)
-                bandwidth = max(bandwidth, task.bandwidth)
+                if task.ram > ram:
+                    ram = task.ram
+                if task.storage > storage:
+                    storage = task.storage
+                if task.bandwidth > bandwidth:
+                    bandwidth = task.bandwidth
         self.view = Requirements(self.request.user_id, sum(workloads), ram,
                                  storage, bandwidth, self.request.deadline,
                                  tuple(workloads), tuple(idx))
@@ -293,9 +293,10 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
     """Advance execution progress up to time tau; returns indices of newly finished tasks.
 
     Work accrues at vm.cpu within the reservation's written interval, poured
-    sequentially into the remaining tasks. Task success is judged against the
-    deadline in force now, so callers must checkpoint BEFORE mutating ground
-    truth (deadline changes at most once per batch).
+    sequentially into the remaining tasks in one pass, and the batch is
+    COMPLETED once no task has more than MI_EPS left. Task success is judged
+    against the deadline in force now, so callers must checkpoint BEFORE
+    mutating ground truth (deadline changes at most once per batch).
     """
     res = batch.reservation
     newly_done: list[int] = []
@@ -307,26 +308,33 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
     batch.last_checkpoint = max(batch.last_checkpoint, tau)
     if hi <= lo + EPS:
         return newly_done
-    if batch.request.status is RequestStatus.SCHEDULED:
-        batch.request.status = RequestStatus.EXECUTING
+    request = batch.request
+    if request.status is RequestStatus.SCHEDULED:
+        request.status = RequestStatus.EXECUTING
     batch.view = None
-    budget = vm.cpu * (hi - lo)
-    cursor = lo
-    for i in batch.incomplete_indices():
-        need = batch.remaining_workload(i)
+    cpu, deadline, cursor = vm.cpu, request.deadline, lo
+    budget = cpu * (hi - lo)
+    tasks, fractions = request.tasks, batch.fractions
+    finishes, successes = batch.finishes, batch.successes
+    for i, task in enumerate(tasks):
+        need = task.workload * (1.0 - fractions[i])
+        if need <= MI_EPS:
+            continue
         if need <= budget + MI_EPS:
             budget -= need
-            cursor += need / vm.cpu
-            batch.fractions[i] = 1.0
-            batch.finishes[i] = cursor
-            batch.successes[i] = cursor <= batch.request.deadline
+            cursor += need / cpu
+            fractions[i] = 1.0
+            finishes[i] = cursor
+            successes[i] = cursor <= deadline
             newly_done.append(i)
         else:
-            batch.fractions[i] += budget / batch.request.tasks[i].workload
-            budget = 0.0
+            fractions[i] += budget / task.workload
+            # tasks before i are done; this one and later ones may be open
+            for j in range(i, len(tasks)):
+                if tasks[j].workload * (1.0 - fractions[j]) > MI_EPS:
+                    return newly_done
             break
-    if batch.all_done():
-        batch.request.status = RequestStatus.COMPLETED
+    request.status = RequestStatus.COMPLETED
     return newly_done
 
 

@@ -24,6 +24,23 @@ class ConfigError(Exception):
     """Invalid scenario configuration (bad range, unknown field, bad value)."""
 
 
+# The numeric fields, scalars and [min, max] ranges alike.
+INT_FIELDS = ("seed", "hosts", "users", "theta", "vms_per_host",
+              "tasks_per_user")
+FLOAT_FIELDS = ("vm_cpu", "vm_ram", "vm_storage", "vm_bandwidth",
+                "task_workload", "task_ram", "task_storage", "task_bandwidth",
+                "deadline", "arrival_window", "event_probability", "latency",
+                "retry_period", "collect_timeout", "lease_timeout",
+                "minmin_interval", "realloc_cost_per_pair", "time_limit")
+
+
+def _is_number(value, integer: bool) -> bool:
+    """An int (not a bool), or when not `integer` also a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or (not integer and math.isfinite(value))
+
+
 @dataclass
 class ScenarioConfig:
     seed: int = 1
@@ -58,12 +75,22 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("vms_per_host", "tasks_per_user", "vm_cpu", "vm_ram",
-                     "vm_storage", "vm_bandwidth", "task_workload", "task_ram",
-                     "task_storage", "task_bandwidth", "arrival_window"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigError(f"{name}: min {lo} > max {hi}")
+        # each value's type before its comparisons: NaN fails every
+        # comparison, so it would pass them all
+        for integer, names in ((True, INT_FIELDS), (False, FLOAT_FIELDS)):
+            for name in names:
+                value = getattr(self, name)
+                if value is None:                   # an unbounded deadline
+                    continue
+                ranged = isinstance(value, (tuple, list))
+                if not all(_is_number(x, integer)
+                           for x in (value if ranged else (value,))):
+                    kind = "integers" if integer else "finite numbers"
+                    raise ConfigError(f"{name} must hold {kind} only")
+                if ranged:
+                    lo, hi = value
+                    if lo > hi:
+                        raise ConfigError(f"{name}: min {lo} > max {hi}")
         for name in ("vm_cpu", "vm_ram", "vm_storage", "vm_bandwidth",
                      "task_workload"):
             if getattr(self, name)[0] <= 0:
@@ -76,10 +103,8 @@ class ScenarioConfig:
             raise ConfigError("vms_per_host: need min >= 0 and max >= 1")
         if self.tasks_per_user[0] < 1:
             raise ConfigError("tasks_per_user: min must be at least 1")
-        if self.deadline is not None:
-            lo, hi = self.deadline
-            if lo > hi or lo <= 0:
-                raise ConfigError(f"deadline: bad range [{lo}, {hi}]")
+        if self.deadline is not None and self.deadline[0] <= 0:
+            raise ConfigError("deadline: min must be positive")
         if self.scheduler not in SCHEDULERS:
             raise ConfigError(f"scheduler must be one of {SCHEDULERS}")
         if not 0.0 <= self.event_probability <= 1.0:
@@ -180,17 +205,10 @@ def generate_scenario(config: ScenarioConfig, rng: random.Random) -> SimWorld:
     hosts = []
     for i in range(config.hosts):
         host_id = f"h{i:03d}"
-        vm_count = rng.randint(*config.vms_per_host)
-        vms = []
-        for k in range(vm_count):
-            vms.append(VmDescriptor(
-                vm_id=f"{host_id}v{k:02d}",
-                host_id=host_id,
-                cpu=draw(config.vm_cpu),
-                ram=draw(config.vm_ram),
-                storage=draw(config.vm_storage),
-                bandwidth=draw(config.vm_bandwidth),
-            ))
+        vms = [VmDescriptor(f"{host_id}v{k:02d}", host_id, draw(config.vm_cpu),
+                            draw(config.vm_ram), draw(config.vm_storage),
+                            draw(config.vm_bandwidth))
+               for k in range(rng.randint(*config.vms_per_host))]
         hosts.append(Host(host_id, vms))
     if not any(host.vms for host in hosts):
         raise ConfigError(f"seed {config.seed}: the drawn datacenter holds no VM")
@@ -202,13 +220,11 @@ def generate_scenario(config: ScenarioConfig, rng: random.Random) -> SimWorld:
         task_count = rng.randint(*config.tasks_per_user)
         tasks = []
         for p in range(task_count):
-            tasks.append(TaskSpec(
-                task_id=f"{user_id}t{p}",
-                workload=wl_lo + (wl_hi - wl_lo) * r(),
-                ram=ram_lo + (ram_hi - ram_lo) * r(),
-                storage=st_lo + (st_hi - st_lo) * r(),
-                bandwidth=bw_lo + (bw_hi - bw_lo) * r(),
-            ))
+            tasks.append(TaskSpec(f"{user_id}t{p}",
+                                  wl_lo + (wl_hi - wl_lo) * r(),
+                                  ram_lo + (ram_hi - ram_lo) * r(),
+                                  st_lo + (st_hi - st_lo) * r(),
+                                  bw_lo + (bw_hi - bw_lo) * r()))
         deadline = math.inf if config.deadline is None else draw(config.deadline)
         arrival = draw(config.arrival_window)
         users.append(UserRequest(user_id, tasks, deadline, arrival=arrival))

@@ -125,6 +125,22 @@ class TestRunCommand:
         assert main(["run", "--config", path,
                      "--out", str(tmp_path / "r.csv")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("task_workload", "[NaN, 1.0]"), ("vm_cpu", "[500, Infinity]"),
+        ("latency", "NaN"), ("deadline", "[850, NaN]"), ("hosts", "2.5"),
+        ("seed", "1.0")])
+    def test_non_finite_or_non_integer_is_one_error_line(self, tmp_path,
+                                                          capsys, field,
+                                                          value):
+        # json.dumps writes no NaN or Infinity unasked; json.load reads them
+        path = tmp_path / "bad.json"
+        path.write_text('{"users": 20, "%s": %s}' % (field, value))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}")
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestSweepCommand:
     def test_sweep_rows_sorted_and_seeded(self, tmp_path):

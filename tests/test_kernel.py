@@ -31,6 +31,13 @@ def test_schedule_in_past_rejected():
         kernel.schedule(4.0, lambda: None)
 
 
+def test_schedule_at_nan_rejected():
+    kernel = Kernel()
+    with pytest.raises(SchedulingInPastError):
+        kernel.schedule(float("nan"), lambda: None)
+    assert len(kernel) == 0
+
+
 def test_empty_queue_returns_current_time():
     kernel = Kernel()
     assert kernel.run_until_quiescent(100.0) == 0.0

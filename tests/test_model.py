@@ -209,7 +209,7 @@ class TestCheckpoint:
         checkpoint(batch, vm, 5.0)
         assert batch.fractions[0] == pytest.approx(0.5)
         req.tasks[0].workload *= 1.5
-        assert batch.remaining_workload(0) == pytest.approx(7500.0)
+        assert batch.remaining_requirements().workloads == pytest.approx((7500.0,))
 
 
 class TestReleaseRemainder:

@@ -21,6 +21,7 @@ from cloudsched.scenario import ScenarioConfig
 
 from conftest import (assert_no_overlap, make_request, make_vm, make_world,
                       requirements)
+from oracles import reference_remaining_requirements
 from test_ara import build_sim
 
 
@@ -280,22 +281,6 @@ class TestApplyEventStep:
                                    "mutation": "VmDegrade", "affected": 2})]
 
 
-def scratch_requirements(batch):
-    """The remaining-work view recomputed from the batch's ground truth."""
-    idx = [i for i in range(len(batch.fractions))
-           if batch.remaining_workload(i) > model.MI_EPS]
-    tasks = batch.request.tasks
-    return model.Requirements(
-        user_id=batch.request.user_id,
-        total_workload=sum(batch.remaining_workload(i) for i in idx),
-        max_ram=max((tasks[i].ram for i in idx), default=0.0),
-        max_storage=max((tasks[i].storage for i in idx), default=0.0),
-        max_bandwidth=max((tasks[i].bandwidth for i in idx), default=0.0),
-        deadline=batch.request.deadline,
-        workloads=tuple(batch.remaining_workload(i) for i in idx),
-        task_indices=tuple(idx))
-
-
 class TestRequirementsView:
     """remaining_requirements() is cached on the batch; every writer of what
     it reads must reset the cache."""
@@ -307,7 +292,8 @@ class TestRequirementsView:
         batch.request.tasks[2].ram = 1100.0
 
         def check():
-            assert batch.remaining_requirements() == scratch_requirements(batch)
+            assert batch.remaining_requirements() == \
+                reference_remaining_requirements(batch)
 
         check()
         model.checkpoint(batch, vm, 15.0)                   # partial
@@ -331,7 +317,8 @@ class TestRequirementsView:
 
         def checked(batch):
             got = cached(batch)
-            assert got == scratch_requirements(batch), batch.request.user_id
+            assert got == reference_remaining_requirements(batch), \
+                batch.request.user_id
             calls.append(1)
             return got
 

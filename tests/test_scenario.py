@@ -1,9 +1,13 @@
 """generate_scenario draws each uniform value as lo + (hi - lo) * rng.random()
 with `rng.random` bound once. The reference below is the plain form, one
 `rng.uniform` call per field in the same order; both must build the same world
-field for field."""
+field for field.
+
+`ScenarioConfig.validate` rejects a NaN or infinite number in every float
+field and range, and a non-integer in every integer field and range."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,7 @@ import pytest
 from cloudsched.kernel import RngStreams
 from cloudsched.model import (Datacenter, Host, SimWorld, TaskSpec,
                               UserRequest, VmDescriptor)
-from cloudsched.scenario import ScenarioConfig, generate_scenario
+from cloudsched.scenario import ConfigError, ScenarioConfig, generate_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,3 +72,62 @@ def test_world_matches_uniform_reference(name, seed):
                 for t in a.tasks] == \
             [(t.task_id, t.workload, t.ram, t.storage, t.bandwidth) for t in b.tasks]
     assert got.datacenter == want.datacenter and got.users == want.users
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def numeric_fields(*types):
+    """The config fields annotated with one of `types`."""
+    return tuple(f.name for f in fields(ScenarioConfig) if f.type in types)
+
+
+INT_FIELDS = numeric_fields(int)
+INT_RANGES = numeric_fields(tuple[int, int])
+FLOAT_FIELDS = numeric_fields(float)
+FLOAT_RANGES = numeric_fields(tuple[float, float], tuple[float, float] | None)
+
+
+def test_every_numeric_field_is_covered():
+    assert len(INT_FIELDS + INT_RANGES + FLOAT_FIELDS + FLOAT_RANGES) == 24
+    assert "deadline" in FLOAT_RANGES and "seed" in INT_FIELDS
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_float_field_rejected(name, bad):
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig.from_dict({name: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("name", FLOAT_RANGES)
+def test_non_finite_range_bound_rejected(name, at, bad):
+    bounds = list(getattr(ScenarioConfig(), name) or (850.0, 2100.0))
+    bounds[at] = bad
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig.from_dict({name: bounds})
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, "3", math.nan])
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_non_integer_field_rejected(name, bad):
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig.from_dict({name: bad})
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig().replaced(**{name: bad})
+
+
+@pytest.mark.parametrize("bounds", [[1.0, 2], [1, 2.5], [True, 2], [1, math.inf]])
+@pytest.mark.parametrize("name", INT_RANGES)
+def test_non_integer_range_bound_rejected(name, bounds):
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig.from_dict({name: bounds})
+
+
+def test_integral_numbers_and_unbounded_deadline_still_accepted():
+    config = ScenarioConfig.from_dict({
+        "vm_cpu": [500, 2500], "latency": 0, "event_probability": 1,
+        "time_limit": 100, "deadline": "unbounded"})
+    assert config.deadline is None and config.vm_cpu == (500, 2500)
