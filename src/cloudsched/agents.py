@@ -84,7 +84,9 @@ class SuperviseAgent(Agent):
         self.registry = VmRegistry(trace=runtime.trace)
         self.theta = theta
         self.lease_timeout = lease_timeout
-        self._lease_timers: dict[str, int] = {}
+        # a live lease timer per leasing conversation (each is leased once)
+        self._leases: dict[str, Recommendation] = {}
+        self._lease_timers = runtime.kernel.lane(self._leases, self._lease_expired)
 
     def handle_message(self, msg: AgentMessage) -> None:
         body = msg.body
@@ -92,22 +94,18 @@ class SuperviseAgent(Agent):
             rec = self.registry.recommend(body, self.theta, self.now,
                                           msg.conversation_id)
             if rec.vm_refs:
-                self._lease_timers[rec.conversation_id] = self.runtime.kernel.schedule(
-                    self.now + self.lease_timeout,
-                    lambda: self._lease_expired(rec.conversation_id),
-                    kind="lease-expiry")
+                self.runtime.kernel.timer(self._lease_timers,
+                                          self.now + self.lease_timeout,
+                                          rec.conversation_id, rec)
             self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
                                    INFORM, rec, reply=True))
         elif msg.performative == INFORM and isinstance(body, VmSnapshot):
             self.registry.sync(body)
         elif msg.performative == INFORM and isinstance(body, RoundOutcome):
-            timer = self._lease_timers.pop(body.conversation, None)
-            if timer is not None:
-                self.runtime.kernel.cancel(timer)
+            self._leases.pop(body.conversation, None)
             self.registry.finalize(body.conversation, self.now)
 
-    def _lease_expired(self, conversation: str) -> None:
-        self._lease_timers.pop(conversation, None)
+    def _lease_expired(self, conversation: str, rec: Recommendation) -> None:
         released = self.registry.finalize(conversation, self.now)
         if released and self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "lease_expired",

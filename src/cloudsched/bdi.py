@@ -5,9 +5,15 @@ Agents never block on a reply: send_async registers a per-conversation result
 listener and returns immediately, so an agent with an outstanding request still
 handles every other inbound message in arrival order. Exactly one of
 on_result/on_timeout fires per listener.
+
+The runtime pays per send instant, not per message: the messages sent for one
+delivery instant share one kernel entry (the kernel's open batch), and the
+listeners' timers ride one kernel timer lane, so a listener that resolves
+costs the kernel nothing.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -65,7 +71,6 @@ class ResultListener:
     expires_at: float
     on_result: Callable[[AgentMessage], None]
     on_timeout: Callable[[], None]
-    timer_id: int | None = None
 
 
 class Agent:
@@ -101,7 +106,8 @@ def deliberate(agent: Agent, desire: str, ladder: tuple[str, ...],
 
 class AgentRuntime:
     """Mailbox router on top of the kernel: constant per-hop latency, result
-    listeners with expiry, FAILURE bounce for unknown recipients."""
+    listeners with expiry, FAILURE bounce for unknown recipients. A kernel
+    serves one runtime: its open delivery batch belongs to this runtime."""
 
     def __init__(self, kernel: Kernel, latency: float = 0.01, trace: TraceLog | None = None):
         self.kernel = kernel
@@ -109,6 +115,7 @@ class AgentRuntime:
         self.trace = trace if trace is not None else NULL_TRACE
         self.agents: dict[AgentId, Agent] = {}
         self._listeners: dict[tuple[AgentId, str], ResultListener] = {}
+        self._timers = kernel.lane(self._listeners, self._expire)
         self.drop_filter: Callable[[AgentMessage], bool] | None = None
         self.listeners_registered = 0
         self.listeners_resolved = 0
@@ -119,20 +126,7 @@ class AgentRuntime:
             raise ValueError(f"duplicate agent id {agent.id}")
         self.agents[agent.id] = agent
 
-    def add_listener(self, owner: AgentId, listener: ResultListener) -> None:
-        """Register a listener under (owner, conversation). A second one under
-        a live key raises: the first one's timer would expire it."""
-        key = (owner, listener.conversation_id)
-        if key in self._listeners:
-            raise ValueError(f"{owner} already awaits conversation "
-                             f"{listener.conversation_id!r}")
-        self._listeners[key] = listener
-        self.listeners_registered += 1
-        listener.timer_id = self.kernel.schedule(
-            listener.expires_at, lambda: self._expire(key), kind="listener-timeout")
-
-    def _expire(self, key: tuple[AgentId, str]) -> None:
-        listener = self._listeners.pop(key)
+    def _expire(self, key: tuple[AgentId, str], listener: ResultListener) -> None:
         self.listeners_timed_out += 1
         if self.trace.enabled:
             self.trace.emit(self.kernel.now, key[0].label, "listener_timeout",
@@ -140,46 +134,68 @@ class AgentRuntime:
         listener.on_timeout()
 
     def send_async(self, msg: AgentMessage, listener: ResultListener | None = None) -> None:
-        """Enqueue delivery at now + latency; the sender continues immediately."""
+        """Queue delivery at now + latency; the sender continues immediately.
+        A listener is registered under (sender, conversation); a second one
+        under a live key raises, since the first one's timer would expire it."""
+        kernel = self.kernel
         if listener is not None:
-            self.add_listener(msg.sender, listener)
+            key = (msg.sender, listener.conversation_id)
+            if key in self._listeners:
+                raise ValueError(f"{msg.sender} already awaits conversation "
+                                 f"{listener.conversation_id!r}")
+            self.listeners_registered += 1
+            kernel.timer(self._timers, listener.expires_at, key, listener)
         dropped = self.drop_filter is not None and self.drop_filter(msg)
         if self.trace.enabled:
-            self.trace.emit(self.kernel.now, msg.sender.label,
+            self.trace.emit(kernel.now, msg.sender.label,
                             "drop" if dropped else "send",
                             to=msg.to.label, performative=msg.performative,
                             conversation=msg.conversation_id)
-        if not dropped:
-            self.kernel.schedule(self.kernel.now + self.latency,
-                                 lambda: self._deliver(msg), kind="deliver")
+        if dropped:
+            return
+        at = kernel.now + self.latency
+        if at == kernel.batch_at:
+            kernel.batch.append(msg)
+            kernel.batched += 1
+        else:
+            batch = [msg]
+            kernel.schedule(at, partial(self._deliver, batch), kind="deliver")
+            kernel.batch_at = at
+            kernel.batch = batch
 
-    def _deliver(self, msg: AgentMessage) -> None:
-        recipient = self.agents.get(msg.to)
-        if recipient is None:
-            bounce = AgentMessage(msg.conversation_id, msg.to, msg.sender,
-                                  FAILURE, body={"reason": "unknown-recipient"},
-                                  reply=True)
-            if self.trace.enabled:
-                self.trace.emit(self.kernel.now, msg.to.label, "bounce",
-                                conversation=msg.conversation_id)
-            self.kernel.schedule(self.kernel.now + self.latency,
-                                 lambda: self._deliver(bounce), kind="deliver")
-            return
-        if self.trace.enabled:
-            self.trace.emit(self.kernel.now, msg.to.label, "deliver",
-                            sender=msg.sender.label, performative=msg.performative,
-                            conversation=msg.conversation_id)
-        key = (msg.to, msg.conversation_id)
-        listener = self._listeners.pop(key, None)
-        if listener is not None:
-            self.listeners_resolved += 1
-            self.kernel.cancel(listener.timer_id)
-            listener.on_result(msg)
-            return
-        if msg.reply:
-            # reply arriving after its listener expired: discard
-            if self.trace.enabled:
-                self.trace.emit(self.kernel.now, msg.to.label, "late_reply",
-                                conversation=msg.conversation_id)
-            return
-        recipient.handle_message(msg)
+    def _deliver(self, batch: list[AgentMessage]) -> None:
+        """Deliver one instant's messages in the order they were sent."""
+        kernel = self.kernel
+        if kernel.batch is batch:
+            kernel.batch_at = -1.0      # a send from now on opens a new entry
+        agents, listeners, trace = self.agents, self._listeners, self.trace
+        kernel.batched += 1             # the loop counts the first one down too
+        for msg in batch:
+            kernel.batched -= 1
+            to = msg.to
+            recipient = agents.get(to)
+            if recipient is None:
+                bounce = AgentMessage(msg.conversation_id, to, msg.sender,
+                                      FAILURE, body={"reason": "unknown-recipient"},
+                                      reply=True)
+                if trace.enabled:
+                    trace.emit(kernel.now, to.label, "bounce",
+                               conversation=msg.conversation_id)
+                kernel.schedule(kernel.now + self.latency,
+                                partial(self._deliver, [bounce]), kind="deliver")
+                continue
+            if trace.enabled:
+                trace.emit(kernel.now, to.label, "deliver",
+                           sender=msg.sender.label, performative=msg.performative,
+                           conversation=msg.conversation_id)
+            listener = listeners.pop((to, msg.conversation_id), None)
+            if listener is not None:
+                self.listeners_resolved += 1
+                listener.on_result(msg)
+            elif msg.reply:
+                # reply arriving after its listener expired: discard
+                if trace.enabled:
+                    trace.emit(kernel.now, to.label, "late_reply",
+                               conversation=msg.conversation_id)
+            else:
+                recipient.handle_message(msg)

@@ -24,7 +24,7 @@ from .kernel import Kernel, RngStreams
 from .metrics import RunMetrics, compute_metrics
 from .model import SimWorld
 from .rescheduling import UncertainEvent
-from .scenario import ScenarioConfig, generate_scenario, world_key
+from .scenario import ConfigError, ScenarioConfig, generate_scenario, world_key
 from .tracelog import TraceLog
 
 CSV_COLUMNS = ("config_hash", "scheduler", "axis", "axis_value", "seed",
@@ -58,7 +58,14 @@ class _Template:
         """The events of `config`, whose seed is the template's: its pinned
         ones, or those drawn for its probability over the horizon."""
         if config.events is not None:
-            return [UncertainEvent.from_json(e) for e in config.events]
+            events = [UncertainEvent.from_json(e) for e in config.events]
+            for event in events:
+                targets = (self.world.batches if event.target_kind == "user"
+                           else self.world.vms)
+                if event.target_id not in targets:
+                    raise ConfigError(f"event {event.event_id} targets unknown "
+                                      f"{event.target_kind} {event.target_id!r}")
+            return events
         if config.event_probability <= 0.0:
             return []
         if self._draws is None:
@@ -222,6 +229,10 @@ def sweep(config: ScenarioConfig, axis: str, values: list,
         raise ValueError(f"axis must be one of {AXES}")
     if not values:
         raise ValueError("sweep requires at least one axis value")
+    if axis != "probability":
+        for value in values:
+            if not float(value).is_integer():
+                raise ConfigError(f"{axis}: {value} is not an integer")
     rows = []
     probed: dict[tuple[str, int], float] = {}
     templates: dict[int, _Template] = {}

@@ -294,7 +294,9 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
 
     Work accrues at vm.cpu within the reservation's written interval, poured
     sequentially into the remaining tasks in one pass, and the batch is
-    COMPLETED once no task has more than MI_EPS left. Task success is judged
+    COMPLETED once no task has more than MI_EPS left. A partial pour that
+    leaves its task at most MI_EPS finishes that task at the interval's end,
+    so no task counts as done without a finish time. Task success is judged
     against the deadline in force now, so callers must checkpoint BEFORE
     mutating ground truth (deadline changes at most once per batch).
     """
@@ -329,8 +331,14 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
             newly_done.append(i)
         else:
             fractions[i] += budget / task.workload
-            # tasks before i are done; this one and later ones may be open
-            for j in range(i, len(tasks)):
+            if task.workload * (1.0 - fractions[i]) > MI_EPS:
+                return newly_done
+            # the pour left at most MI_EPS by rounding: the task is done at hi
+            fractions[i] = 1.0
+            finishes[i] = hi
+            successes[i] = hi <= deadline
+            newly_done.append(i)
+            for j in range(i + 1, len(tasks)):
                 if tasks[j].workload * (1.0 - fractions[j]) > MI_EPS:
                     return newly_done
             break

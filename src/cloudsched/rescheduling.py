@@ -17,6 +17,7 @@ fires. Capacity degradation repairs the timeline first, so a degraded-but-slack
 contract stays valid and triggers nothing.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -70,18 +71,49 @@ class UncertainEvent:
         return body
 
     @staticmethod
-    def from_json(body: dict) -> "UncertainEvent":
+    def from_json(body) -> "UncertainEvent":
+        """An event from its `to_json` form. ValueError names the first flaw:
+        a wrong shape or kind, a mutation that does not fit its target kind,
+        a missing or non-positive factor, a negative or non-finite time."""
+        if not isinstance(body, dict) or not isinstance(body.get("mutation"), dict):
+            raise ValueError("an event must be an object with a mutation object")
         m = body["mutation"]
-        if m["kind"] == "task_inflate":
-            mutation: TaskInflate | DeadlineCut | VmDegrade = TaskInflate(dict(m["factors"]))
-        elif m["kind"] == "deadline_cut":
-            mutation = DeadlineCut(float(m["delta"]))
-        elif m["kind"] == "vm_degrade":
-            mutation = VmDegrade(dict(m["factors"]))
+        kind = m.get("kind")
+        if kind not in MUTATION_KINDS:
+            raise ValueError(f"unknown mutation kind {kind!r}")
+        target_kind, names = MUTATION_KINDS[kind]
+        if body.get("target_kind") != target_kind:
+            raise ValueError(f"a {kind} event must target a {target_kind}")
+        event_id, fire_at = body.get("event_id"), body.get("fire_at")
+        if not (_finite(event_id) and float(event_id).is_integer()):
+            raise ValueError("event_id must be an integer")
+        if not isinstance(body.get("target_id"), str):
+            raise ValueError("target_id must be a string")
+        if not _finite(fire_at) or fire_at < 0:
+            raise ValueError("fire_at must be a finite number >= 0")
+        if names is None:
+            if not _finite(m.get("delta")):
+                raise ValueError("delta must be a finite number")
+            mutation: TaskInflate | DeadlineCut | VmDegrade = DeadlineCut(float(m["delta"]))
         else:
-            raise ValueError(f"unknown mutation kind {m['kind']!r}")
-        return UncertainEvent(int(body["event_id"]), float(body["fire_at"]),
-                              body["target_kind"], body["target_id"], mutation)
+            factors = m.get("factors")
+            if not isinstance(factors, dict) or not all(
+                    _finite(factors.get(f)) and factors[f] > 0 for f in names):
+                raise ValueError(f"{kind} factors must give {', '.join(names)} "
+                                 f"as finite positive numbers")
+            mutation = (TaskInflate if kind == "task_inflate" else VmDegrade)(dict(factors))
+        return UncertainEvent(int(event_id), float(fire_at), target_kind,
+                              body["target_id"], mutation)
+
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# mutation kind -> (the target kind it applies to, its factor fields or None)
+MUTATION_KINDS = {"task_inflate": ("user", TASK_FIELDS),
+                  "deadline_cut": ("user", None),
+                  "vm_degrade": ("vm", VM_FIELDS)}
 
 
 # One target's draws: (selection draw, fire-time draw in [0, 1), target kind,

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .model import Datacenter, Host, SimWorld, TaskSpec, UserRequest, VmDescriptor
+from .rescheduling import UncertainEvent
 
 UNBOUNDED = "unbounded"
 SCHEDULERS = ("ara", "mct", "met", "min_min", "round_robin")
@@ -32,6 +33,22 @@ FLOAT_FIELDS = ("vm_cpu", "vm_ram", "vm_storage", "vm_bandwidth",
                 "deadline", "arrival_window", "event_probability", "latency",
                 "retry_period", "collect_timeout", "lease_timeout",
                 "minmin_interval", "realloc_cost_per_pair", "time_limit")
+
+
+# (field, lower bound, strict): a range is bounded through its min, and an
+# unbounded deadline (None) is not checked
+BOUNDS = (
+    ("vm_cpu", 0, True), ("vm_ram", 0, True), ("vm_storage", 0, True),
+    ("vm_bandwidth", 0, True), ("task_workload", 0, True),
+    ("task_ram", 0, False), ("task_storage", 0, False),
+    ("task_bandwidth", 0, False), ("arrival_window", 0, False),
+    ("vms_per_host", 0, False), ("tasks_per_user", 1, False),
+    ("deadline", 0, True), ("hosts", 1, False), ("users", 1, False),
+    ("theta", 1, False), ("event_probability", 0, False),
+    ("latency", 0, False), ("realloc_cost_per_pair", 0, False),
+    ("retry_period", 0, True), ("collect_timeout", 0, True),
+    ("lease_timeout", 0, True), ("minmin_interval", 0, True),
+    ("time_limit", 0, True))
 
 
 def _is_number(value, integer: bool) -> bool:
@@ -91,40 +108,32 @@ class ScenarioConfig:
                     lo, hi = value
                     if lo > hi:
                         raise ConfigError(f"{name}: min {lo} > max {hi}")
-        for name in ("vm_cpu", "vm_ram", "vm_storage", "vm_bandwidth",
-                     "task_workload"):
-            if getattr(self, name)[0] <= 0:
-                raise ConfigError(f"{name}: min must be positive")
-        for name in ("task_ram", "task_storage", "task_bandwidth",
-                     "arrival_window"):
-            if getattr(self, name)[0] < 0:
-                raise ConfigError(f"{name}: min cannot be negative")
-        if self.vms_per_host[0] < 0 or self.vms_per_host[1] < 1:
-            raise ConfigError("vms_per_host: need min >= 0 and max >= 1")
-        if self.tasks_per_user[0] < 1:
-            raise ConfigError("tasks_per_user: min must be at least 1")
-        if self.deadline is not None and self.deadline[0] <= 0:
-            raise ConfigError("deadline: min must be positive")
+        for name, bound, strict in BOUNDS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            ranged = isinstance(value, (tuple, list))
+            low = value[0] if ranged else value
+            if low < bound or (strict and low == bound):
+                rule = ("must be positive" if strict else
+                        "cannot be negative" if bound == 0 else
+                        f"must be at least {bound}")
+                raise ConfigError(f"{name}{': min' if ranged else ''} {rule}")
+        if self.vms_per_host[1] < 1:
+            raise ConfigError("vms_per_host: max must be at least 1")
+        if self.event_probability > 1.0:
+            raise ConfigError("event_probability must lie in [0, 1]")
         if self.scheduler not in SCHEDULERS:
             raise ConfigError(f"scheduler must be one of {SCHEDULERS}")
-        if not 0.0 <= self.event_probability <= 1.0:
-            raise ConfigError("event_probability must lie in [0, 1]")
-        if self.hosts < 1 or self.users < 1 or self.theta < 1:
-            raise ConfigError("hosts, users, and theta must be positive")
-        if self.latency < 0 or self.realloc_cost_per_pair < 0:
-            raise ConfigError("latency and realloc cost cannot be negative")
-        for name in ("retry_period", "collect_timeout", "lease_timeout",
-                     "minmin_interval", "time_limit"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         if self.collect_timeout <= 2 * self.latency:
             # a reply arrives two hops after its request; a listener expiring
             # no later than that (a tie fires the timeout first) never resolves
             raise ConfigError("collect_timeout must exceed 2 * latency")
-        if self.events is not None:
-            for entry in self.events:
-                if not isinstance(entry, dict) or "mutation" not in entry:
-                    raise ConfigError("events entries must be event objects")
+        for n, entry in enumerate(self.events or ()):
+            try:
+                UncertainEvent.from_json(entry)
+            except ValueError as exc:
+                raise ConfigError(f"events[{n}]: {exc}") from exc
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

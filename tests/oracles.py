@@ -5,12 +5,22 @@ A VM is (vm_id, cpu, ram, storage, bandwidth, available_time); a batch is
 (user_id, total_workload, max_ram, max_storage, max_bandwidth). All four
 policies return [(user_id, vm_id | None), ...] in commit order.
 
-The batch-progress references at the end are the per-task-call forms of
+The batch-progress references are the per-task-call forms of
 `model.checkpoint` and `BatchState.remaining_requirements`, which the
 one-pass versions must match bit for bit.
+
+The messaging references at the end are the kernel and runtime with one
+kernel entry per message and per listener timer, each timer cancelled when
+its listener resolves; delivery batches and timer lanes must keep their
+firing order, clock and pending count exactly.
 """
 
+import heapq
+
+from cloudsched.bdi import FAILURE, AgentMessage
+from cloudsched.kernel import SchedulingInPastError
 from cloudsched.model import EPS, MI_EPS, RequestStatus, Requirements
+from cloudsched.tracelog import NULL_TRACE
 
 
 def _fits(vm, batch):
@@ -121,7 +131,8 @@ def reference_remaining_requirements(batch):
 def reference_checkpoint(batch, vm, tau):
     """`model.checkpoint` as it read the batch through per-task calls: the
     incomplete indices up front, each task's remaining work again in the
-    pour, and every task once more to decide COMPLETED."""
+    pour, and every task once more to decide COMPLETED. A partial pour that
+    leaves a task at most MI_EPS finishes it at the end of the interval."""
     res = batch.reservation
     newly_done = []
     if res is None or batch.terminal:
@@ -149,7 +160,142 @@ def reference_checkpoint(batch, vm, tau):
         else:
             batch.fractions[i] += budget / batch.request.tasks[i].workload
             budget = 0.0
+            if _remaining_workload(batch, i) <= MI_EPS:
+                # a partial pour that leaves at most MI_EPS finishes the task
+                batch.fractions[i] = 1.0
+                batch.finishes[i] = hi
+                batch.successes[i] = hi <= batch.request.deadline
+                newly_done.append(i)
             break
     if not reference_incomplete_indices(batch):
         batch.request.status = RequestStatus.COMPLETED
     return newly_done
+
+
+class ReferenceKernel:
+    """The kernel with one heap entry per scheduled action."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = 0
+        self._pending = set()
+
+    def __len__(self):
+        return len(self._pending)
+
+    def schedule(self, fire_at, action, kind="timer"):
+        if not fire_at >= self.now:
+            raise SchedulingInPastError(
+                f"schedule at t={fire_at} before now={self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (fire_at, seq, action))
+        self._pending.add(seq)
+        return seq
+
+    def cancel(self, entry_id):
+        if entry_id in self._pending:
+            self._pending.remove(entry_id)
+            return True
+        return False
+
+    def run_until_quiescent(self, limit=float("inf")):
+        heap, pending = self._heap, self._pending
+        while heap:
+            fire_at, seq, action = heap[0]
+            if seq not in pending:
+                heapq.heappop(heap)
+                continue
+            if fire_at > limit:
+                self.now = limit
+                return limit
+            heapq.heappop(heap)
+            pending.remove(seq)
+            self.now = fire_at
+            action()
+        return self.now
+
+
+class ReferenceRuntime:
+    """The agent runtime with a kernel entry per message and a scheduled,
+    cancelled timer per result listener."""
+
+    def __init__(self, kernel, latency=0.01, trace=None):
+        self.kernel = kernel
+        self.latency = latency
+        self.trace = trace if trace is not None else NULL_TRACE
+        self.agents = {}
+        self._listeners = {}
+        self._timer_ids = {}
+        self.drop_filter = None
+        self.listeners_registered = 0
+        self.listeners_resolved = 0
+        self.listeners_timed_out = 0
+
+    def register(self, agent):
+        if agent.id in self.agents:
+            raise ValueError(f"duplicate agent id {agent.id}")
+        self.agents[agent.id] = agent
+
+    def add_listener(self, owner, listener):
+        key = (owner, listener.conversation_id)
+        if key in self._listeners:
+            raise ValueError(f"{owner} already awaits conversation "
+                             f"{listener.conversation_id!r}")
+        self._listeners[key] = listener
+        self.listeners_registered += 1
+        self._timer_ids[key] = self.kernel.schedule(
+            listener.expires_at, lambda: self._expire(key), kind="listener-timeout")
+
+    def _expire(self, key):
+        listener = self._listeners.pop(key)
+        del self._timer_ids[key]
+        self.listeners_timed_out += 1
+        if self.trace.enabled:
+            self.trace.emit(self.kernel.now, key[0].label, "listener_timeout",
+                            conversation=key[1])
+        listener.on_timeout()
+
+    def send_async(self, msg, listener=None):
+        if listener is not None:
+            self.add_listener(msg.sender, listener)
+        dropped = self.drop_filter is not None and self.drop_filter(msg)
+        if self.trace.enabled:
+            self.trace.emit(self.kernel.now, msg.sender.label,
+                            "drop" if dropped else "send",
+                            to=msg.to.label, performative=msg.performative,
+                            conversation=msg.conversation_id)
+        if not dropped:
+            self.kernel.schedule(self.kernel.now + self.latency,
+                                 lambda: self._deliver(msg), kind="deliver")
+
+    def _deliver(self, msg):
+        recipient = self.agents.get(msg.to)
+        if recipient is None:
+            bounce = AgentMessage(msg.conversation_id, msg.to, msg.sender,
+                                  FAILURE, body={"reason": "unknown-recipient"},
+                                  reply=True)
+            if self.trace.enabled:
+                self.trace.emit(self.kernel.now, msg.to.label, "bounce",
+                                conversation=msg.conversation_id)
+            self.kernel.schedule(self.kernel.now + self.latency,
+                                 lambda: self._deliver(bounce), kind="deliver")
+            return
+        if self.trace.enabled:
+            self.trace.emit(self.kernel.now, msg.to.label, "deliver",
+                            sender=msg.sender.label, performative=msg.performative,
+                            conversation=msg.conversation_id)
+        key = (msg.to, msg.conversation_id)
+        listener = self._listeners.pop(key, None)
+        if listener is not None:
+            self.listeners_resolved += 1
+            self.kernel.cancel(self._timer_ids.pop(key))
+            listener.on_result(msg)
+            return
+        if msg.reply:
+            if self.trace.enabled:
+                self.trace.emit(self.kernel.now, msg.to.label, "late_reply",
+                                conversation=msg.conversation_id)
+            return
+        recipient.handle_message(msg)

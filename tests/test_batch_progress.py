@@ -133,7 +133,8 @@ cases = st.fixed_dictionaries({
 # a task ending at cursor == deadline succeeds, the next one fails
 @example(case=case_of([task(10000.0), task(10000.0)], deadline=10.0,
                       steps=[("checkpoint", 20.0)]))
-# a partial pour that leaves at most MI_EPS (by rounding) completes the batch
+# a partial pour that leaves at most MI_EPS (by rounding) finishes the task
+# at the end of the interval, so the batch completes with every finish set
 @example(case=case_of([PART_POUR_TASK], cpu=1.0,
                       steps=[("checkpoint", PART_POUR_BUDGET)]))
 # hi <= lo + EPS pours nothing: at the start, and EPS / 2 after a checkpoint
@@ -166,7 +167,8 @@ def test_edge_examples_reach_their_edges():
 
     batch = run_twins(case_of([PART_POUR_TASK], cpu=1.0,
                               steps=[("checkpoint", PART_POUR_BUDGET)]))
-    assert batch.fractions[0] < 1.0 and batch.finishes == [None]
+    assert batch.fractions == [1.0] and batch.finishes == [PART_POUR_BUDGET]
+    assert batch.successes == [True]
     assert batch.request.status is RequestStatus.COMPLETED
 
     batch = run_twins(case_of([task(10000.0), task(10000.0)], deadline=10.0,

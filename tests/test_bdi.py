@@ -178,7 +178,7 @@ class TestSendAsync:
         request = AgentMessage("conv", user.id, echo.id, REQUEST, None)
         user.send(request, listener("first"))
         with pytest.raises(ValueError):
-            runtime.add_listener(user.id, listener("second"))
+            user.send(request, listener("second"))
         kernel.run_until_quiescent()
         # once resolved the key is free again, and the first timer is gone
         user.send(request, listener("third"))

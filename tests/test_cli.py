@@ -142,7 +142,62 @@ class TestRunCommand:
         assert not (tmp_path / "r.csv").exists()
 
 
+def degrade(**changes):
+    """A pinned VM degrade of the first VM; `changes` replace its fields, and
+    a `factors` change replaces the mutation's factors."""
+    factors = changes.pop("factors", {"cpu": 0.5, "ram": 0.5, "storage": 0.5,
+                                      "bandwidth": 0.5})
+    event = {"event_id": 0, "fire_at": 1.0, "target_kind": "vm",
+             "target_id": "h000v00",
+             "mutation": {"kind": "vm_degrade", "factors": factors}}
+    event.update(changes)
+    return event
+
+
+class TestPinnedEvents:
+    def run(self, tmp_path, capsys, event, scheduler="mct"):
+        path = write_config(tmp_path, users=5, hosts=1, scheduler=scheduler,
+                            events=[event])
+        code = main(["run", "--config", path, "--out", str(tmp_path / "r.csv")])
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_well_formed_event_runs(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, degrade())[0] == 0
+
+    @pytest.mark.parametrize("event, message", [
+        (degrade(mutation={}), "unknown mutation kind None"),
+        (degrade(fire_at=-1.0), "fire_at must be a finite number >= 0"),
+        (degrade(factors={"cpu": 0.5, "storage": 0.5, "bandwidth": 0.5}),
+         "vm_degrade factors must give"),
+        (degrade(factors={"cpu": 0, "ram": 0.5, "storage": 0.5,
+                          "bandwidth": 0.5}), "vm_degrade factors must give"),
+    ], ids=["empty-mutation", "negative-fire-at", "factor-missing",
+            "zero-cpu-factor"])
+    @pytest.mark.parametrize("scheduler", ["ara", "mct"])
+    def test_malformed_event_is_one_error_line(self, tmp_path, capsys,
+                                                scheduler, event, message):
+        code, err = self.run(tmp_path, capsys, event, scheduler)
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith(f"error: events[0]: {message}")
+
+    def test_unknown_target_is_one_error_line(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, degrade(target_id="h000v99"))
+        assert code == 2
+        assert err == ["error: event 0 targets unknown vm 'h000v99'"]
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("axis", ["theta", "hosts"])
+    def test_non_integer_value_on_integer_axis_is_one_error_line(
+            self, tmp_path, capsys, axis):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path),
+                     "--axis", axis, "--values", "2,2.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == \
+            [f"error: {axis}: 2.5 is not an integer"]
+        assert not out.exists()
+
     def test_sweep_rows_sorted_and_seeded(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config", write_config(tmp_path),

@@ -15,7 +15,8 @@ import pytest
 from cloudsched.kernel import RngStreams
 from cloudsched.model import (Datacenter, Host, SimWorld, TaskSpec,
                               UserRequest, VmDescriptor)
-from cloudsched.scenario import ConfigError, ScenarioConfig, generate_scenario
+from cloudsched.scenario import (BOUNDS, ConfigError, ScenarioConfig,
+                                generate_scenario)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,3 +132,23 @@ def test_integral_numbers_and_unbounded_deadline_still_accepted():
         "vm_cpu": [500, 2500], "latency": 0, "event_probability": 1,
         "time_limit": 100, "deadline": "unbounded"})
     assert config.deadline is None and config.vm_cpu == (500, 2500)
+
+
+@pytest.mark.parametrize("name, bound, strict", BOUNDS)
+def test_lower_bounds(name, bound, strict):
+    """Each bounded field (a range through its min) is rejected below its
+    bound, and at it when the bound is strict."""
+    def config_with(low):
+        value = getattr(ScenarioConfig(), name)
+        if name == "deadline":                      # unbounded by default
+            return {name: [low, 2100.0]}
+        if isinstance(value, tuple):
+            return {name: [low, max(low, value[1])]}
+        return {name: low}
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig.from_dict(config_with(bound - 1))
+    if strict:
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig.from_dict(config_with(bound))
+    else:
+        assert ScenarioConfig.from_dict(config_with(bound))
