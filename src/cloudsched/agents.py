@@ -26,13 +26,14 @@ and every agent applies its uncertain events through
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import model, rescheduling
 from .ara import (HostProposal, Recommendation, VmRegistry, VmSnapshot,
                   make_proposal, select_best)
 from .bdi import (ACCEPT, FAILURE, HOST, INFORM, PROPOSE, REJECT, REQUEST,
                   SUPERVISE, USER, Agent, AgentId, AgentMessage, AgentRuntime,
-                  ResultListener, deliberate)
+                  deliberate)
 from .model import BatchState, Host, Requirements, RequestStatus, SimWorld
 from .rescheduling import RescheduleCycle, validate_contract
 
@@ -83,10 +84,10 @@ class SuperviseAgent(Agent):
         super().__init__(AgentId(SUPERVISE, "sa"), runtime)
         self.registry = VmRegistry(trace=runtime.trace)
         self.theta = theta
-        self.lease_timeout = lease_timeout
         # a live lease timer per leasing conversation (each is leased once)
-        self._leases: dict[str, Recommendation] = {}
-        self._lease_timers = runtime.kernel.lane(self._leases, self._lease_expired)
+        self._leases: dict[str, tuple] = {}
+        self._lease_timers = runtime.kernel.lane(self._leases, self._lease_expired,
+                                                 lease_timeout)
 
     def handle_message(self, msg: AgentMessage) -> None:
         body = msg.body
@@ -95,10 +96,8 @@ class SuperviseAgent(Agent):
                                           msg.conversation_id)
             if rec.vm_refs:
                 self.runtime.kernel.timer(self._lease_timers,
-                                          self.now + self.lease_timeout,
                                           rec.conversation_id, rec)
-            self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                   INFORM, rec, reply=True))
+            self.reply(msg, INFORM, rec)
         elif msg.performative == INFORM and isinstance(body, VmSnapshot):
             self.registry.sync(body)
         elif msg.performative == INFORM and isinstance(body, RoundOutcome):
@@ -119,12 +118,11 @@ class HostAgent(Agent):
     capacity degradation of one of its VMs."""
 
     def __init__(self, runtime: AgentRuntime, host: Host, world: SimWorld,
-                 supervise: AgentId, collect_timeout: float):
+                 supervise: AgentId):
         super().__init__(AgentId(HOST, host.host_id), runtime)
         self.host = host
         self.world = world
         self.supervise = supervise
-        self.collect_timeout = collect_timeout
         self._seq = 0
         self._rescue_queue: list[tuple[str, int]] = []   # (user_id, event_id)
         self._rescue_busy = False
@@ -158,12 +156,7 @@ class HostAgent(Agent):
                     self._best_sibling(reqs, exclude_vm=body.vm_id)
             else:
                 proposal = self._quote(body.user_id, body.vm_id)
-            if proposal is None:
-                self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                       REJECT, None, reply=True))
-            else:
-                self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                       PROPOSE, proposal, reply=True))
+            self.reply(msg, REJECT if proposal is None else PROPOSE, proposal)
         elif msg.performative == ACCEPT and isinstance(body, HostProposal):
             self._accept(msg)
         elif msg.performative == INFORM and isinstance(body, ReleaseNotice):
@@ -212,9 +205,7 @@ class HostAgent(Agent):
         """Answer an ACCEPT of a proposal, the user's own or a rescue offer's:
         commit it and reply INFORM, or FAILURE when the re-quote declines."""
         reservation = self.commit_contract(msg.body.user_id, msg.body.vm_id)
-        self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                               FAILURE if reservation is None else INFORM,
-                               reply=True))
+        self.reply(msg, FAILURE if reservation is None else INFORM)
 
     def commit_contract(self, user_id: str, vm_id: str) -> model.Reservation | None:
         """Re-quote against ground truth and commit; replacement releases the
@@ -300,13 +291,9 @@ class HostAgent(Agent):
             if self.runtime.trace.enabled:
                 self.runtime.trace.emit(self.now, str(self.id), "rescue_offer",
                                         user=user_id, vm=offer.vm_id, event=event_id)
-            self.send(
-                AgentMessage(conv, self.id, user, PROPOSE,
-                             ReplacementOffer(offer, event_id)),
-                ResultListener(
-                    conv, self.now + self.collect_timeout,
-                    on_result=lambda m, u=user_id, e=event_id: self._rescue_reply(u, e, m),
-                    on_timeout=lambda u=user_id, e=event_id: self._rescue_reply(u, e, None)))
+            self.send(AgentMessage(conv, self.id, user, PROPOSE,
+                                   ReplacementOffer(offer, event_id)),
+                      partial(self._rescue_reply, user_id, event_id))
             return
         self._rescue_busy = False
 
@@ -344,13 +331,12 @@ class UserAgent(Agent):
     event invalidates it."""
 
     def __init__(self, runtime: AgentRuntime, batch: BatchState, world: SimWorld,
-                 supervise: AgentId, retry_period: float, collect_timeout: float):
+                 supervise: AgentId, retry_period: float):
         super().__init__(AgentId(USER, batch.request.user_id), runtime)
         self.batch = batch
         self.world = world
         self.supervise = supervise
         self.retry_period = retry_period
-        self.collect_timeout = collect_timeout
         self._round = 0
         self._cycle: RescheduleCycle | None = None
         self._rung = 0             # LADDER index: every rung below it failed
@@ -416,16 +402,14 @@ class UserAgent(Agent):
             done(True)
             return
         state = self._negotiation("r", done)
-        conv = state.conversation
-        self.send(
-            AgentMessage(conv, self.id, self.supervise, REQUEST, reqs),
-            ResultListener(conv, self.now + self.collect_timeout,
-                           on_result=lambda m: self._on_recommendation(state, m),
-                           on_timeout=lambda: self._conclude(state, False)))
+        self.send(AgentMessage(state.conversation, self.id, self.supervise,
+                               REQUEST, reqs),
+                  partial(self._on_recommendation, state))
 
-    def _on_recommendation(self, state: _RoundState, msg: AgentMessage) -> None:
-        rec = msg.body
-        if msg.performative != INFORM or not isinstance(rec, Recommendation) \
+    def _on_recommendation(self, state: _RoundState,
+                           msg: AgentMessage | None) -> None:
+        rec = None if msg is None else msg.body
+        if not isinstance(rec, Recommendation) or msg.performative != INFORM \
                 or not rec.vm_refs:
             self._conclude(state, False)
             return
@@ -441,14 +425,10 @@ class UserAgent(Agent):
         if not asks:
             self._decide(state)
         for idx, (host, vm_id, purpose) in enumerate(asks):
-            sub = f"{state.conversation}:{idx}"
-            self.send(
-                AgentMessage(sub, self.id, host, REQUEST,
-                             ScheduleRequest(self.request.user_id, vm_id,
-                                             purpose)),
-                ResultListener(sub, self.now + self.collect_timeout,
-                               on_result=lambda m: self._collect(state, m),
-                               on_timeout=lambda: self._collect(state, None)))
+            self.send(AgentMessage(f"{state.conversation}:{idx}", self.id, host,
+                                   REQUEST, ScheduleRequest(self.request.user_id,
+                                                            vm_id, purpose)),
+                      partial(self._collect, state))
 
     def _collect(self, state: _RoundState, msg: AgentMessage | None) -> None:
         state.pending -= 1
@@ -477,13 +457,13 @@ class UserAgent(Agent):
             self._conclude(state, False)
             return
         host = next(h for p, h in state.proposals if p is best)
-        conv = f"{state.conversation}:acc"
-        self.send(
-            AgentMessage(conv, self.id, host, ACCEPT, best),
-            ResultListener(conv, self.now + self.collect_timeout,
-                           on_result=lambda m: self._conclude(
-                               state, m.performative == INFORM),
-                           on_timeout=lambda: self._conclude(state, False)))
+        self.send(AgentMessage(f"{state.conversation}:acc", self.id, host,
+                               ACCEPT, best),
+                  partial(self._on_accept_reply, state))
+
+    def _on_accept_reply(self, state: _RoundState,
+                         msg: AgentMessage | None) -> None:
+        self._conclude(state, msg is not None and msg.performative == INFORM)
 
     def _conclude(self, state: _RoundState, ok: bool) -> None:
         """A round reports its outcome, which frees its leases; `done` runs
@@ -613,26 +593,19 @@ class UserAgent(Agent):
 
     def _on_replacement_offer(self, msg: AgentMessage) -> None:
         offer: ReplacementOffer = msg.body
-        conv = msg.conversation_id
         if not self.batch.terminal and \
                 offer.proposal.completion <= self.request.deadline:
-            self.send(
-                AgentMessage(conv, self.id, msg.sender, ACCEPT, offer.proposal,
-                             reply=True),
-                ResultListener(conv, self.now + self.collect_timeout,
-                               on_result=lambda m: self._rescued(
-                                   offer.event_id, m.performative == INFORM),
-                               on_timeout=lambda: self._rescued(offer.event_id,
-                                                                False)))
+            self.reply(msg, ACCEPT, offer.proposal,
+                       partial(self._rescued, offer.event_id))
             return
-        self.send(AgentMessage(conv, self.id, msg.sender, REJECT, None,
-                               reply=True))
+        self.reply(msg, REJECT)
         self._begin_cycle(offer.event_id)
 
-    def _rescued(self, event_id: int, ok: bool) -> None:
+    def _rescued(self, event_id: int, msg: AgentMessage | None) -> None:
         """The host's answer to an accepted offer: a commit ends a running
-        cycle once the new contract holds; a decline starts the cycle."""
-        if not ok:
+        cycle once the new contract holds; a decline or none starts the
+        cycle."""
+        if msg is None or msg.performative != INFORM:
             self._begin_cycle(event_id)
         elif self._cycle is not None and self._contract_holds():
             self._end_cycle(True)

@@ -33,7 +33,6 @@ class VmSnapshot:
 @dataclass
 class Recommendation:
     conversation_id: str
-    user_id: str
     vm_refs: list[VmSnapshot]
     theta: int = 0
 
@@ -140,7 +139,7 @@ class VmRegistry:
                 collected.append(snap)
                 if len(collected) >= theta:
                     break
-        return Recommendation(conversation_id, reqs.user_id, collected, theta)
+        return Recommendation(conversation_id, collected, theta)
 
     def finalize(self, conversation_id: str, tau: float) -> int:
         """Release every lease held under this conversation back to READY, in

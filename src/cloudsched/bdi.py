@@ -1,15 +1,16 @@
-"""Agent runtime: asynchronous mailbox messaging, result listeners, and the
+"""Agent runtime: asynchronous mailbox messaging, reply callbacks, and the
 ordered intention ladder an agent deliberates over.
 
-Agents never block on a reply: send_async registers a per-conversation result
-listener and returns immediately, so an agent with an outstanding request still
-handles every other inbound message in arrival order. Exactly one of
-on_result/on_timeout fires per listener.
+Agents never block on a reply: send_async registers the ask's reply callback
+under (sender, conversation) and returns immediately, so an agent with an
+outstanding request still handles every other inbound message in arrival
+order. The callback runs exactly once: with the reply, or with None once the
+runtime's `collect_timeout` has passed.
 
 The runtime pays per send instant, not per message: the messages sent for one
 delivery instant share one kernel entry (the kernel's open batch), and the
-listeners' timers ride one kernel timer lane, so a listener that resolves
-costs the kernel nothing.
+reply timers ride one kernel timer lane, so an ask that is answered costs the
+kernel nothing.
 """
 
 from dataclasses import dataclass
@@ -62,15 +63,10 @@ class AgentMessage:
     to: "AgentId"
     performative: str
     body: Any = None
-    reply: bool = False    # replies route only through the sender's result listener
+    reply: bool = False    # replies route only through the asker's reply callback
 
 
-@dataclass
-class ResultListener:
-    conversation_id: str
-    expires_at: float
-    on_result: Callable[[AgentMessage], None]
-    on_timeout: Callable[[], None]
+OnReply = Callable[[Optional[AgentMessage]], None]
 
 
 class Agent:
@@ -84,8 +80,15 @@ class Agent:
     def now(self) -> float:
         return self.runtime.kernel.now
 
-    def send(self, msg: AgentMessage, listener: ResultListener | None = None) -> None:
-        self.runtime.send_async(msg, listener)
+    def send(self, msg: AgentMessage, on_reply: OnReply | None = None) -> None:
+        self.runtime.send_async(msg, on_reply)
+
+    def reply(self, msg: AgentMessage, performative: str, body: Any = None,
+              on_reply: OnReply | None = None) -> None:
+        """Answer `msg` in its conversation."""
+        self.runtime.send_async(AgentMessage(msg.conversation_id, self.id,
+                                             msg.sender, performative, body,
+                                             reply=True), on_reply)
 
     def handle_message(self, msg: AgentMessage) -> None:
         raise NotImplementedError
@@ -105,17 +108,21 @@ def deliberate(agent: Agent, desire: str, ladder: tuple[str, ...],
 
 
 class AgentRuntime:
-    """Mailbox router on top of the kernel: constant per-hop latency, result
-    listeners with expiry, FAILURE bounce for unknown recipients. A kernel
-    serves one runtime: its open delivery batch belongs to this runtime."""
+    """Mailbox router on top of the kernel: constant per-hop latency, reply
+    callbacks that time out `collect_timeout` after their ask, FAILURE bounce
+    for unknown recipients. A kernel serves one runtime: its open delivery
+    batch belongs to this runtime."""
 
-    def __init__(self, kernel: Kernel, latency: float = 0.01, trace: TraceLog | None = None):
+    def __init__(self, kernel: Kernel, latency: float = 0.01,
+                 collect_timeout: float = 1.0, trace: TraceLog | None = None):
         self.kernel = kernel
         self.latency = latency
         self.trace = trace if trace is not None else NULL_TRACE
         self.agents: dict[AgentId, Agent] = {}
-        self._listeners: dict[tuple[AgentId, str], ResultListener] = {}
-        self._timers = kernel.lane(self._listeners, self._expire)
+        # (sender, conversation) -> its timer's lane item, whose value is the
+        # reply callback
+        self._listeners: dict[tuple[AgentId, str], tuple] = {}
+        self._timers = kernel.lane(self._listeners, self._expire, collect_timeout)
         self.drop_filter: Callable[[AgentMessage], bool] | None = None
         self.listeners_registered = 0
         self.listeners_resolved = 0
@@ -126,25 +133,25 @@ class AgentRuntime:
             raise ValueError(f"duplicate agent id {agent.id}")
         self.agents[agent.id] = agent
 
-    def _expire(self, key: tuple[AgentId, str], listener: ResultListener) -> None:
+    def _expire(self, key: tuple[AgentId, str], on_reply: OnReply) -> None:
         self.listeners_timed_out += 1
         if self.trace.enabled:
             self.trace.emit(self.kernel.now, key[0].label, "listener_timeout",
                             conversation=key[1])
-        listener.on_timeout()
+        on_reply(None)
 
-    def send_async(self, msg: AgentMessage, listener: ResultListener | None = None) -> None:
+    def send_async(self, msg: AgentMessage, on_reply: OnReply | None = None) -> None:
         """Queue delivery at now + latency; the sender continues immediately.
-        A listener is registered under (sender, conversation); a second one
+        `on_reply` is registered under (sender, conversation); a second one
         under a live key raises, since the first one's timer would expire it."""
         kernel = self.kernel
-        if listener is not None:
-            key = (msg.sender, listener.conversation_id)
+        if on_reply is not None:
+            key = (msg.sender, msg.conversation_id)
             if key in self._listeners:
                 raise ValueError(f"{msg.sender} already awaits conversation "
-                                 f"{listener.conversation_id!r}")
+                                 f"{msg.conversation_id!r}")
             self.listeners_registered += 1
-            kernel.timer(self._timers, listener.expires_at, key, listener)
+            kernel.timer(self._timers, key, on_reply)
         dropped = self.drop_filter is not None and self.drop_filter(msg)
         if self.trace.enabled:
             self.trace.emit(kernel.now, msg.sender.label,
@@ -188,12 +195,12 @@ class AgentRuntime:
                 trace.emit(kernel.now, to.label, "deliver",
                            sender=msg.sender.label, performative=msg.performative,
                            conversation=msg.conversation_id)
-            listener = listeners.pop((to, msg.conversation_id), None)
-            if listener is not None:
+            timer = listeners.pop((to, msg.conversation_id), None)
+            if timer is not None:
                 self.listeners_resolved += 1
-                listener.on_result(msg)
+                timer[3](msg)               # its value: the reply callback
             elif msg.reply:
-                # reply arriving after its listener expired: discard
+                # reply arriving after its ask timed out: discard
                 if trace.enabled:
                     trace.emit(kernel.now, to.label, "late_reply",
                                conversation=msg.conversation_id)

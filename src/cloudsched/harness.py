@@ -83,21 +83,20 @@ def _execute(config: ScenarioConfig, world: SimWorld,
     kernel = Kernel()
     runtime = None
     if config.scheduler == "ara":
-        runtime = AgentRuntime(kernel, latency=config.latency, trace=trace)
+        runtime = AgentRuntime(kernel, latency=config.latency,
+                               collect_timeout=config.collect_timeout, trace=trace)
         supervise = SuperviseAgent(runtime, theta=config.theta,
                                    lease_timeout=config.lease_timeout)
         runtime.register(supervise)
         host_agents = {}
         for host in world.datacenter.hosts:
-            agent = HostAgent(runtime, host, world, supervise.id,
-                              collect_timeout=config.collect_timeout)
+            agent = HostAgent(runtime, host, world, supervise.id)
             runtime.register(agent)
             host_agents[host.host_id] = agent
         user_agents = {}
         for req in world.users:
             agent = UserAgent(runtime, world.batches[req.user_id], world,
-                              supervise.id, retry_period=config.retry_period,
-                              collect_timeout=config.collect_timeout)
+                              supervise.id, retry_period=config.retry_period)
             runtime.register(agent)
             user_agents[req.user_id] = agent
         for agent in host_agents.values():

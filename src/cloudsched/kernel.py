@@ -18,23 +18,24 @@ class SchedulingInPastError(Exception):
 
 
 class TimerLane(deque):
-    """Timers of one kind, held as (fire_at, seq, key, value) items in the
-    order they were set, which is fire order when each is set a fixed delay
-    ahead. A timer is live while `live[key] is value`: its owner cancels it by
-    removing the key, with no kernel work. Only the first item has a heap
-    entry, (fire_at, seq, lane), whose seq is never pending; when it
-    surfaces, the kernel fires that timer if it is live and arms the next
+    """Timers of one kind, each set `delay` ahead of the clock, held as
+    (fire_at, seq, key, value) items in the order they were set, which is
+    fire order. A timer is live while `live[key]` is its item: its owner
+    cancels it by removing the key, with no kernel work. Only the first item
+    has a heap entry, (fire_at, seq, lane), whose seq is never pending; when
+    it surfaces, the kernel fires that timer if it is live and arms the next
     live one."""
 
-    __slots__ = ("live", "expire")
+    __slots__ = ("live", "expire", "delay")
 
-    def __init__(self, live: dict, expire: Callable[[Any, Any], Any]):
+    def __init__(self, live: dict, expire: Callable[[Any, Any], Any], delay: float):
         super().__init__()
         self.live = live
         self.expire = expire
+        self.delay = delay
 
-    def __reduce__(self):       # copies keep the live map and the expiry
-        return TimerLane, (self.live, self.expire), None, iter(self)
+    def __reduce__(self):       # copies keep the live map, expiry and delay
+        return TimerLane, (self.live, self.expire, self.delay), None, iter(self)
 
 
 class Kernel:
@@ -92,32 +93,28 @@ class Kernel:
             return True
         return False
 
-    def lane(self, live: dict, expire: Callable[[Any, Any], Any]) -> TimerLane:
-        """A new timer lane whose live timers are the entries of `live`; a
-        timer that fires leaves `live` and then runs `expire(key, value)`."""
+    def lane(self, live: dict, expire: Callable[[Any, Any], Any],
+             delay: float) -> TimerLane:
+        """A new timer lane whose live timers are the entries of `live`, each
+        set `delay` ahead; a timer that fires leaves `live` and then runs
+        `expire(key, value)`."""
+        if not 0.0 <= delay < float("inf"):      # a NaN delay raises too
+            raise ValueError(f"timer delay {delay} is not finite and >= 0")
         self._lives.append(live)
-        return TimerLane(live, expire)
+        return TimerLane(live, expire, delay)
 
-    def timer(self, lane: TimerLane, fire_at: float, key: Any, value: Any) -> None:
-        """Set `live[key] = value` and arm its timer at fire_at, in the place
-        `schedule` would give it. One set earlier than the lane's last gets a
-        lane of its own."""
-        if not fire_at >= self.now:
-            raise SchedulingInPastError(
-                f"timer at t={fire_at} before now={self.now}")
+    def timer(self, lane: TimerLane, key: Any, value: Any) -> None:
+        """Arm a timer for `value` at now + the lane's delay, in the place
+        `schedule` would give it, and make it `live[key]`."""
+        fire_at = self.now + lane.delay
         if fire_at == self.batch_at:
             self.batch_at = -1.0
         seq = self._seq
         self._seq = seq + 1
-        lane.live[key] = value
-        item = (fire_at, seq, key, value)
-        if lane:
-            if fire_at >= lane[-1][0]:
-                lane.append(item)
-                return
-            lane = TimerLane(lane.live, lane.expire)
+        item = lane.live[key] = (fire_at, seq, key, value)
+        if not lane:
+            heapq.heappush(self._heap, (fire_at, seq, lane))
         lane.append(item)
-        heapq.heappush(self._heap, (fire_at, seq, lane))
 
     def _surface(self, lane: TimerLane, limit: float) -> bool:
         """The lane's first timer came due: fire it if live, after arming the
@@ -125,7 +122,7 @@ class Kernel:
         the run (True). Dead timers are dropped without moving the clock."""
         fire_at, seq, key, value = item = lane.popleft()
         live = lane.live
-        fire = live.get(key) is value
+        fire = live.get(key) is item
         if fire and fire_at > limit:
             lane.appendleft(item)
             heapq.heappush(self._heap, (fire_at, seq, lane))
@@ -133,7 +130,7 @@ class Kernel:
             return True
         while lane:
             head = lane[0]
-            if live.get(head[2]) is head[3]:
+            if live.get(head[2]) is head:
                 heapq.heappush(self._heap, (head[0], head[1], lane))
                 break
             lane.popleft()
@@ -178,8 +175,6 @@ class RngStream(random.Random):
         return super().__new__(cls)
 
     def __init__(self, seed: int, stream_id: str):
-        self.base_seed = seed
-        self.stream_id = stream_id
         digest = hashlib.sha256(f"{seed}:{stream_id}".encode()).digest()
         super().__init__(int.from_bytes(digest[:8], "big"))
 

@@ -74,7 +74,9 @@ class UncertainEvent:
     def from_json(body) -> "UncertainEvent":
         """An event from its `to_json` form. ValueError names the first flaw:
         a wrong shape or kind, a mutation that does not fit its target kind,
-        a missing or non-positive factor, a negative or non-finite time."""
+        a missing or non-positive factor, a task_inflate workload factor
+        below 1 (one that shrinks tasks to nothing completes them unrun), a
+        negative or non-finite time."""
         if not isinstance(body, dict) or not isinstance(body.get("mutation"), dict):
             raise ValueError("an event must be an object with a mutation object")
         m = body["mutation"]
@@ -101,6 +103,8 @@ class UncertainEvent:
                     _finite(factors.get(f)) and factors[f] > 0 for f in names):
                 raise ValueError(f"{kind} factors must give {', '.join(names)} "
                                  f"as finite positive numbers")
+            if kind == "task_inflate" and factors["workload"] < 1:
+                raise ValueError("task_inflate workload factor must be at least 1")
             mutation = (TaskInflate if kind == "task_inflate" else VmDegrade)(dict(factors))
         return UncertainEvent(int(event_id), float(fire_at), target_kind,
                               body["target_id"], mutation)

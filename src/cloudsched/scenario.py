@@ -14,7 +14,8 @@ import math
 import random
 from dataclasses import dataclass, fields
 
-from .model import Datacenter, Host, SimWorld, TaskSpec, UserRequest, VmDescriptor
+from .model import (MI_EPS, Datacenter, Host, SimWorld, TaskSpec, UserRequest,
+                    VmDescriptor)
 from .rescheduling import UncertainEvent
 
 UNBOUNDED = "unbounded"
@@ -121,6 +122,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}{': min' if ranged else ''} {rule}")
         if self.vms_per_host[1] < 1:
             raise ConfigError("vms_per_host: max must be at least 1")
+        if self.task_workload[0] <= MI_EPS:
+            # such a task counts as done before it runs, and its batch never ends
+            raise ConfigError(f"task_workload: min must exceed {MI_EPS}")
         if self.event_probability > 1.0:
             raise ConfigError("event_probability must lie in [0, 1]")
         if self.scheduler not in SCHEDULERS:

@@ -10,9 +10,9 @@ The batch-progress references are the per-task-call forms of
 one-pass versions must match bit for bit.
 
 The messaging references at the end are the kernel and runtime with one
-kernel entry per message and per listener timer, each timer cancelled when
-its listener resolves; delivery batches and timer lanes must keep their
-firing order, clock and pending count exactly.
+kernel entry per message and per reply timer, each timer cancelled when its
+reply arrives; delivery batches and timer lanes must keep their firing
+order, clock and pending count exactly.
 """
 
 import heapq
@@ -219,11 +219,12 @@ class ReferenceKernel:
 
 class ReferenceRuntime:
     """The agent runtime with a kernel entry per message and a scheduled,
-    cancelled timer per result listener."""
+    cancelled timer per reply callback."""
 
-    def __init__(self, kernel, latency=0.01, trace=None):
+    def __init__(self, kernel, latency=0.01, collect_timeout=1.0, trace=None):
         self.kernel = kernel
         self.latency = latency
+        self.collect_timeout = collect_timeout
         self.trace = trace if trace is not None else NULL_TRACE
         self.agents = {}
         self._listeners = {}
@@ -238,28 +239,29 @@ class ReferenceRuntime:
             raise ValueError(f"duplicate agent id {agent.id}")
         self.agents[agent.id] = agent
 
-    def add_listener(self, owner, listener):
-        key = (owner, listener.conversation_id)
+    def add_listener(self, owner, conversation, on_reply):
+        key = (owner, conversation)
         if key in self._listeners:
             raise ValueError(f"{owner} already awaits conversation "
-                             f"{listener.conversation_id!r}")
-        self._listeners[key] = listener
+                             f"{conversation!r}")
+        self._listeners[key] = on_reply
         self.listeners_registered += 1
         self._timer_ids[key] = self.kernel.schedule(
-            listener.expires_at, lambda: self._expire(key), kind="listener-timeout")
+            self.kernel.now + self.collect_timeout, lambda: self._expire(key),
+            kind="listener-timeout")
 
     def _expire(self, key):
-        listener = self._listeners.pop(key)
+        on_reply = self._listeners.pop(key)
         del self._timer_ids[key]
         self.listeners_timed_out += 1
         if self.trace.enabled:
             self.trace.emit(self.kernel.now, key[0].label, "listener_timeout",
                             conversation=key[1])
-        listener.on_timeout()
+        on_reply(None)
 
-    def send_async(self, msg, listener=None):
-        if listener is not None:
-            self.add_listener(msg.sender, listener)
+    def send_async(self, msg, on_reply=None):
+        if on_reply is not None:
+            self.add_listener(msg.sender, msg.conversation_id, on_reply)
         dropped = self.drop_filter is not None and self.drop_filter(msg)
         if self.trace.enabled:
             self.trace.emit(self.kernel.now, msg.sender.label,
@@ -287,11 +289,11 @@ class ReferenceRuntime:
                             sender=msg.sender.label, performative=msg.performative,
                             conversation=msg.conversation_id)
         key = (msg.to, msg.conversation_id)
-        listener = self._listeners.pop(key, None)
-        if listener is not None:
+        on_reply = self._listeners.pop(key, None)
+        if on_reply is not None:
             self.listeners_resolved += 1
             self.kernel.cancel(self._timer_ids.pop(key))
-            listener.on_result(msg)
+            on_reply(msg)
             return
         if msg.reply:
             if self.trace.enabled:

@@ -284,20 +284,19 @@ class TestMakeProposal:
 def build_sim(world, theta=2, latency=0.01, lease_timeout=10.0,
               retry_period=5.0, collect_timeout=1.0):
     kernel = Kernel()
-    runtime = AgentRuntime(kernel, latency=latency, trace=TraceLog())
+    runtime = AgentRuntime(kernel, latency=latency,
+                           collect_timeout=collect_timeout, trace=TraceLog())
     sa = SuperviseAgent(runtime, theta=theta, lease_timeout=lease_timeout)
     runtime.register(sa)
     hosts = {}
     for host in world.datacenter.hosts:
-        agent = HostAgent(runtime, host, world, sa.id,
-                          collect_timeout=collect_timeout)
+        agent = HostAgent(runtime, host, world, sa.id)
         runtime.register(agent)
         hosts[host.host_id] = agent
     users = {}
     for req in world.users:
         agent = UserAgent(runtime, world.batches[req.user_id], world, sa.id,
-                          retry_period=retry_period,
-                          collect_timeout=collect_timeout)
+                          retry_period=retry_period)
         runtime.register(agent)
         users[req.user_id] = agent
     for agent in hosts.values():

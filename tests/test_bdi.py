@@ -2,7 +2,7 @@ import pytest
 
 from cloudsched.bdi import (FAILURE, HOST, INFORM, PROPOSE, REQUEST, USER,
                             Agent, AgentId, AgentMessage, AgentRuntime,
-                            ResultListener, deliberate)
+                            deliberate)
 from cloudsched.kernel import Kernel
 from cloudsched.tracelog import TraceLog
 
@@ -25,17 +25,23 @@ class Echo(Agent):
 
     def handle_message(self, msg):
         def reply():
-            self.send(AgentMessage(msg.conversation_id, self.id, msg.sender,
-                                   PROPOSE, "ok", reply=True))
+            self.reply(msg, PROPOSE, "ok")
         if self.delay:
             self.runtime.kernel.schedule(self.now + self.delay, reply)
         else:
             reply()
 
 
-def setup_runtime(latency=0.01):
+def setup_runtime(latency=0.01, collect_timeout=1.0):
     kernel = Kernel()
-    return kernel, AgentRuntime(kernel, latency=latency, trace=TraceLog())
+    return kernel, AgentRuntime(kernel, latency=latency,
+                                collect_timeout=collect_timeout,
+                                trace=TraceLog())
+
+
+def outcome(got, tag=""):
+    """A reply callback that records the reply's performative, or "timeout"."""
+    return lambda m: got.append(tag + ("timeout" if m is None else m.performative))
 
 
 LADDER = ("i1", "i2", "i3")
@@ -80,7 +86,7 @@ class TestSendAsync:
     def test_sender_not_blocked(self):
         # an unrelated INFORM sent after a REQUEST is handled before the
         # REQUEST's (slow) reply arrives
-        kernel, runtime = setup_runtime(latency=0.01)
+        kernel, runtime = setup_runtime(latency=0.01, collect_timeout=10.0)
         user = Recorder(runtime, USER, "u")
         echo = Echo(runtime, "h", delay=0.5)
         other = Recorder(runtime, USER, "x")
@@ -89,9 +95,7 @@ class TestSendAsync:
         runtime.register(other)
         got = []
         user.send(AgentMessage("conv", user.id, echo.id, REQUEST, None),
-                  ResultListener("conv", 10.0,
-                                 on_result=lambda m: got.append(("reply", user.now)),
-                                 on_timeout=lambda: got.append(("timeout", user.now))))
+                  lambda m: got.append((m and "reply", user.now)))
         kernel.schedule(0.1, lambda: other.send(
             AgentMessage("c2", other.id, user.id, INFORM, "meanwhile")))
         kernel.run_until_quiescent()
@@ -105,25 +109,21 @@ class TestSendAsync:
         runtime.register(a)
         got = []
         a.send(AgentMessage("c9", a.id, AgentId(HOST, "ghost"), REQUEST, None),
-               ResultListener("c9", 5.0,
-                              on_result=lambda m: got.append(m.performative),
-                              on_timeout=lambda: got.append("timeout")))
+               outcome(got))
         kernel.run_until_quiescent()
         assert got == [FAILURE]
 
     def test_listener_timeout_and_late_reply_discarded(self):
         kernel, runtime = setup_runtime(latency=0.01)
         user = Recorder(runtime, USER, "u")
-        echo = Echo(runtime, "h", delay=2.0)   # replies after listener expiry
+        echo = Echo(runtime, "h", delay=2.0)   # replies after the timeout
         runtime.register(user)
         runtime.register(echo)
         got = []
         user.send(AgentMessage("conv", user.id, echo.id, REQUEST, None),
-                  ResultListener("conv", 1.0,
-                                 on_result=lambda m: got.append("result"),
-                                 on_timeout=lambda: got.append("timeout")))
+                  lambda m: got.append((m, user.now)))
         kernel.run_until_quiescent()
-        assert got == ["timeout"]
+        assert got == [(None, 1.0)]
         assert user.log == []   # late PROPOSE discarded, not handled
         late = [r for r in runtime.trace.records if r["kind"] == "late_reply"]
         assert len(late) == 1
@@ -138,7 +138,7 @@ class TestSendAsync:
         runtime.register(slow)
         for i, target in enumerate([fast.id, slow.id, AgentId(HOST, "ghost")]):
             user.send(AgentMessage(f"c{i}", user.id, target, REQUEST, None),
-                      ResultListener(f"c{i}", 1.0, lambda m: None, lambda: None))
+                      lambda m: None)
         kernel.run_until_quiescent()
         assert runtime.listeners_registered == 3
         assert runtime.listeners_resolved + runtime.listeners_timed_out == 3
@@ -155,34 +155,28 @@ class TestSendAsync:
         got = []
         for conv, target in [("c0", slow.id), ("c1", AgentId(HOST, "ghost"))]:
             user.send(AgentMessage(conv, user.id, target, REQUEST, None),
-                      ResultListener(conv, 1.0,
-                                     lambda m: got.append(m.performative),
-                                     lambda: got.append("timeout")))
+                      outcome(got))
         kernel.run_until_quiescent()
         assert got == [FAILURE, "timeout"]
         assert user.log == []   # the late PROPOSE was discarded
         assert runtime.listeners_timed_out == 1
 
     def test_second_listener_on_a_live_conversation_raises(self):
-        # the first listener's timer would expire a second one under its key
+        # the first ask's timer would expire a second one under its key
         kernel, runtime = setup_runtime()
         user = Recorder(runtime, USER, "u")
         echo = Echo(runtime, "h")
         runtime.register(user)
         runtime.register(echo)
         got = []
-
-        def listener(tag):
-            return ResultListener("conv", 1.0, lambda m: got.append(tag),
-                                  lambda: got.append(f"{tag}:timeout"))
         request = AgentMessage("conv", user.id, echo.id, REQUEST, None)
-        user.send(request, listener("first"))
+        user.send(request, outcome(got, "first:"))
         with pytest.raises(ValueError):
-            user.send(request, listener("second"))
+            user.send(request, outcome(got, "second:"))
         kernel.run_until_quiescent()
         # once resolved the key is free again, and the first timer is gone
-        user.send(request, listener("third"))
+        user.send(request, outcome(got, "third:"))
         kernel.run_until_quiescent()
-        assert got == ["first", "third"]
+        assert got == ["first:PROPOSE", "third:PROPOSE"]
         assert runtime.listeners_registered == 2
         assert runtime.listeners_timed_out == 0

@@ -112,6 +112,17 @@ class TestRunCommand:
                      "--out", str(tmp_path / "r.csv")]) == 2
 
     @pytest.mark.parametrize("scheduler", ["ara", "mct"])
+    def test_task_done_before_it_runs_is_one_error_line(self, tmp_path, capsys,
+                                                        scheduler):
+        # every task at most MI_EPS: the run used to go on until time_limit
+        path = write_config(tmp_path, seed=1, users=5, hosts=1,
+                            task_workload=[1e-7, 2e-7], scheduler=scheduler)
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == \
+            ["error: task_workload: min must exceed 1e-06"]
+
+    @pytest.mark.parametrize("scheduler", ["ara", "mct"])
     def test_drawn_datacenter_without_vms_is_config_error(self, tmp_path,
                                                           scheduler):
         # vms_per_host [0, 1] passes validation; seed 2 draws no VM at all
@@ -171,8 +182,13 @@ class TestPinnedEvents:
          "vm_degrade factors must give"),
         (degrade(factors={"cpu": 0, "ram": 0.5, "storage": 0.5,
                           "bandwidth": 0.5}), "vm_degrade factors must give"),
+        (dict(degrade(), target_kind="user", target_id="u00000",
+              mutation={"kind": "task_inflate",
+                        "factors": {"workload": 1e-12, "ram": 1.2,
+                                    "storage": 1.2, "bandwidth": 1.2}}),
+         "task_inflate workload factor must be at least 1"),
     ], ids=["empty-mutation", "negative-fire-at", "factor-missing",
-            "zero-cpu-factor"])
+            "zero-cpu-factor", "shrinking-workload-factor"])
     @pytest.mark.parametrize("scheduler", ["ara", "mct"])
     def test_malformed_event_is_one_error_line(self, tmp_path, capsys,
                                                 scheduler, event, message):

@@ -1,15 +1,18 @@
 """The kernel's delivery batches and timer lanes against the one-entry-per-
 action references in `oracles`. Random programs of schedules, cancels, sends
-(with and without listeners, dropped or not, to known and unknown agents),
-lane timers and runs with a limit go through both; every fired action, the
-clock, `len(kernel)` after every step, the listener counters and the trace
-records must be equal."""
+(with and without a reply callback, dropped or not, to known and unknown
+agents), timers of a test lane whose delay differs from the runtime's
+`collect_timeout`, and runs with a limit go through both; every fired action,
+the clock, `len(kernel)` after every step, the listener counters and the
+trace records must be equal."""
 
+import math
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cloudsched.bdi import (USER, Agent, AgentId, AgentMessage, AgentRuntime,
-                            ResultListener)
+from cloudsched.bdi import USER, Agent, AgentId, AgentMessage, AgentRuntime
 from cloudsched.kernel import Kernel
 from cloudsched.tracelog import TraceLog
 
@@ -30,15 +33,18 @@ class Node(Agent):
 
 
 class Side:
-    """One implementation driven by a program. The lane timers of the new
-    kernel are set with `Kernel.timer` and cancelled by dropping their key;
-    the reference schedules and cancels an entry for each."""
+    """One implementation driven by a program. The test lane's timers, each
+    set `delay` ahead, are set with `Kernel.timer` and cancelled by dropping
+    their key; the reference schedules and cancels an entry for each."""
 
-    def __init__(self, reference: bool, latency: float):
+    def __init__(self, reference: bool, latency: float, timeout: float,
+                 delay: float):
         self.reference = reference
+        self.delay = delay
         self.kernel = oracles.ReferenceKernel() if reference else Kernel()
         runtime = oracles.ReferenceRuntime if reference else AgentRuntime
-        self.runtime = runtime(self.kernel, latency=latency, trace=TraceLog())
+        self.runtime = runtime(self.kernel, latency=latency,
+                               collect_timeout=timeout, trace=TraceLog())
         self.runtime.drop_filter = lambda msg: msg.body[0]
         self.nodes = {name: Node(name, self) for name in NAMES}
         for node in self.nodes.values():
@@ -46,8 +52,8 @@ class Side:
         self.out, self.ids, self.labels = [], [], 0
         self.live: dict = {}
         if not reference:
-            self.lane = self.kernel.lane(self.live,
-                                         lambda key, value: self.expire(key))
+            self.lane = self.kernel.lane(
+                self.live, lambda key, value: self.expire(key), delay)
 
     def log(self, *what):
         self.out.append(what + (self.kernel.now, len(self.kernel)))
@@ -76,36 +82,35 @@ class Side:
             self.log("cancel", kernel.cancel(target))
         elif kind == "send":
             _, src, dst, conv, wait, reply, drop, children = op
-            listener = None
-            if wait is not None:
-                def on_result(msg):
-                    self.log("result", src, conv, msg.performative)
+            on_reply = None
+            if wait:
+                def on_reply(msg):
+                    if msg is None:
+                        self.log("timeout", src, conv)
+                    else:
+                        self.log("result", src, conv, msg.performative)
                     self.steps(children)
-
-                def on_timeout():
-                    self.log("timeout", src, conv)
-                    self.steps(children)
-                listener = ResultListener(conv, kernel.now + wait,
-                                          on_result, on_timeout)
             sender = self.nodes[src]
             msg = AgentMessage(conv, sender.id, AgentId(USER, dst),
                                "PROPOSE" if reply else "REQUEST",
                                (drop, children), reply=reply)
             try:
-                sender.send(msg, listener)
+                sender.send(msg, on_reply)
             except ValueError:
                 self.log("awaiting", src, conv)
         elif kind == "timer":
-            _, offset, key = op
+            key = op[1]
             if key in self.live:
                 self.log("armed", key)
             elif self.reference:
                 def expire(key=key):
                     del self.live[key]
                     self.expire(key)
-                self.live[key] = kernel.schedule(kernel.now + offset, expire)
+                self.live[key] = kernel.schedule(kernel.now + self.delay, expire)
             else:
-                kernel.timer(self.lane, kernel.now + offset, key, object())
+                # one value for every timer: a re-set key's dead item must
+                # stay dead although it holds the same value
+                kernel.timer(self.lane, key, None)
         elif kind == "resolve":
             entry = self.live.pop(op[1], None)
             if self.reference and entry is not None:
@@ -118,8 +123,9 @@ class Side:
             self.log("set")
 
 
-def execute(reference: bool, latency: float, program):
-    side = Side(reference, latency)
+def execute(reference: bool, latency: float, timeout: float, delay: float,
+            program):
+    side = Side(reference, latency, timeout, delay)
     for op in program:
         side.step(op)
         side.log("step")
@@ -130,7 +136,7 @@ def execute(reference: bool, latency: float, program):
 
 
 # shared values, so that fire times, expiries and deliveries tie often
-offsets = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])
+offsets = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])    # also lane delays
 latencies = st.sampled_from([0.0, 0.5, 1.0])
 convs = st.sampled_from(["c0", "c1", "c2"])
 keys = st.sampled_from(["k0", "k1"])
@@ -139,7 +145,7 @@ keys = st.sampled_from(["k0", "k1"])
 def sends(children):
     return st.tuples(st.just("send"), st.sampled_from(NAMES),
                      st.sampled_from(NAMES + ("ghost",)), convs,
-                     st.one_of(st.none(), offsets), st.booleans(),
+                     st.booleans(), st.booleans(),
                      st.sampled_from([False, False, False, True]), children)
 
 
@@ -147,7 +153,7 @@ leaf_ops = st.one_of(
     st.tuples(st.just("schedule"), offsets, st.just(())),
     st.tuples(st.just("cancel"), st.integers(0, 40)),
     sends(st.just(())),
-    st.tuples(st.just("timer"), offsets, keys),
+    st.tuples(st.just("timer"), keys),
     st.tuples(st.just("resolve"), keys))
 children = st.lists(leaf_ops, max_size=3).map(tuple)
 entry_ops = st.one_of(
@@ -159,7 +165,7 @@ programs = st.lists(
     max_size=30)
 
 
-def send(src, dst, conv, wait=None, reply=False, drop=False, children=()):
+def send(src, dst, conv, wait=False, reply=False, drop=False, children=()):
     return ("send", src, dst, conv, wait, reply, drop, tuple(children))
 
 
@@ -167,26 +173,37 @@ def send(src, dst, conv, wait=None, reply=False, drop=False, children=()):
 LATENCY_ZERO = [send("a", "b", "c0", children=[send("b", "c", "c1")]),
                 send("a", "c", "c2", children=[send("c", "a", "c0")])]
 # an expiry equal to the delivery instant, set between two sends of it
-EXPIRY_TIE = [send("a", "b", "c0"), send("a", "c", "c1", wait=1.0),
-              send("b", "c", "c2"), ("timer", 1.0, "k0"), send("c", "a", "c0")]
-# a later listener expiring first, then a dropped request times out
-OUT_OF_ORDER = [send("a", "b", "c0", wait=3.0, drop=True),
-                send("b", "c", "c1", wait=1.5, drop=True),
-                ("timer", 3.0, "k0"), ("timer", 1.5, "k1"),
-                send("c", "a", "c2", wait=0.5, drop=True)]
-# a cut with a live timer and an expiring listener beyond the limit
-CUT = [send("a", "b", "c0", wait=3.0, drop=True), ("timer", 1.5, "k0"),
+# (latency, timeout and delay 1.0)
+EXPIRY_TIE = [send("a", "b", "c0"), send("a", "c", "c1", wait=True),
+              send("b", "c", "c2"), ("timer", "k0"), send("c", "a", "c0")]
+# the two lanes' expiries cross: timeout 3.0, delay 0.5, so a lane timer set
+# at t=1 fires before a reply timer set at t=0
+OUT_OF_ORDER = [send("a", "b", "c0", wait=True, drop=True), ("timer", "k0"),
+                ("schedule", 1.0, (("timer", "k1"),
+                                   send("b", "c", "c1", wait=True, drop=True)))]
+# a cut with a live timer and an expiring reply timer beyond the limit
+# (timeout 3.0, delay 1.5)
+CUT = [send("a", "b", "c0", wait=True, drop=True), ("timer", "k0"),
        ("run", 1.0), ("run", 0.0), send("b", "a", "c1"), ("run", 1.5)]
 
 
 @settings(max_examples=400, deadline=None)
-@given(latency=latencies, program=programs)
-@example(latency=0.0, program=LATENCY_ZERO)
-@example(latency=1.0, program=EXPIRY_TIE)
-@example(latency=0.5, program=OUT_OF_ORDER)
-@example(latency=0.5, program=CUT)
-def test_batches_and_lanes_match_reference(latency, program):
-    assert execute(False, latency, program) == execute(True, latency, program)
+@given(latency=latencies, timeout=offsets, delay=offsets, program=programs)
+@example(latency=0.0, timeout=1.0, delay=1.0, program=LATENCY_ZERO)
+@example(latency=1.0, timeout=1.0, delay=1.0, program=EXPIRY_TIE)
+@example(latency=0.5, timeout=3.0, delay=0.5, program=OUT_OF_ORDER)
+@example(latency=0.5, timeout=3.0, delay=1.5, program=CUT)
+def test_batches_and_lanes_match_reference(latency, timeout, delay, program):
+    assert execute(False, latency, timeout, delay, program) == \
+        execute(True, latency, timeout, delay, program)
+
+
+@pytest.mark.parametrize("delay", [-0.5, math.nan, math.inf])
+def test_lane_rejects_a_delay_that_is_negative_nan_or_infinite(delay):
+    kernel = Kernel()
+    with pytest.raises(ValueError):
+        kernel.lane({}, lambda key, value: None, delay)
+    assert len(kernel) == 0
 
 
 class CountingKernel(Kernel):
@@ -200,8 +217,8 @@ class CountingKernel(Kernel):
 
 
 def test_examples_reach_their_edges():
-    """The examples above batch, tie, expire out of order and cut as named."""
-    side = Side(False, 0.0)
+    """The examples above batch, tie, cross and cut as named."""
+    side = Side(False, 0.0, 1.0, 1.0)
     side.kernel = side.runtime.kernel = CountingKernel()
     side.steps(LATENCY_ZERO)
     side.kernel.run_until_quiescent()
@@ -211,25 +228,24 @@ def test_examples_reach_their_edges():
         ("handle", "b", "c0"), ("handle", "c", "c2"),
         ("handle", "c", "c1"), ("handle", "a", "c0")]
 
-    out, *_, timed_out = execute(False, 1.0, EXPIRY_TIE)
+    out, *_, timed_out = execute(False, 1.0, 1.0, 1.0, EXPIRY_TIE)
     # the timer and the lane timer split the instant's sends into three entries
     assert ("timeout", "a", "c1", 1.0, 4) in out and timed_out == 1
     assert [o[0] for o in out if o[0] in ("handle", "expire", "timeout")] == \
         ["handle", "timeout", "handle", "handle", "expire", "handle"]
 
-    out, *_, timed_out = execute(False, 0.5, OUT_OF_ORDER)
+    out, *_ = execute(False, 0.5, 3.0, 0.5, OUT_OF_ORDER)
     assert [(o[0], o[-2]) for o in out if o[0] in ("timeout", "expire")] == [
-        ("timeout", 0.5), ("timeout", 1.5), ("expire", 1.5), ("timeout", 3.0),
-        ("expire", 3.0)]
+        ("expire", 0.5), ("expire", 1.5), ("timeout", 3.0), ("timeout", 4.0)]
 
-    out, *_ = execute(False, 0.5, CUT)
+    out, *_ = execute(False, 0.5, 3.0, 1.5, CUT)
     assert [o for o in out if o[0] == "run"] == [
         ("run", 1.0, 1.0, 2), ("run", 1.0, 1.0, 2), ("run", 2.5, 2.5, 1)]
 
 
 def test_resolved_listeners_cost_no_heap_entry():
-    """Each delivery instant takes one heap entry and resolving a listener
-    takes none: the lane's first timer holds the only timer entry."""
+    """Each delivery instant takes one heap entry and an answered ask takes
+    none: the lane's first timer holds the only timer entry."""
     kernel = CountingKernel()
     runtime = AgentRuntime(kernel, latency=0.5)
     side_nodes = [Agent(AgentId(USER, name), runtime) for name in NAMES]
@@ -238,8 +254,7 @@ def test_resolved_listeners_cost_no_heap_entry():
         runtime.register(node)
     a, b, c = side_nodes
     for n in range(50):
-        a.send(AgentMessage(f"c{n}", a.id, b.id, "REQUEST"),
-               ResultListener(f"c{n}", 1.0, lambda m: None, lambda: None))
+        a.send(AgentMessage(f"c{n}", a.id, b.id, "REQUEST"), lambda m: None)
         b.send(AgentMessage(f"c{n}", b.id, a.id, "PROPOSE", reply=True))
     assert len(kernel) == 150 and len(kernel._heap) == 2
     assert kernel.kinds == ["deliver"]

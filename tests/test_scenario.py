@@ -152,3 +152,25 @@ def test_lower_bounds(name, bound, strict):
             ScenarioConfig.from_dict(config_with(bound))
     else:
         assert ScenarioConfig.from_dict(config_with(bound))
+
+
+def inflate(workload_factor):
+    """A pinned task_inflate of the first user with this workload factor."""
+    return {"event_id": 0, "fire_at": 1.0, "target_kind": "user",
+            "target_id": "u00000",
+            "mutation": {"kind": "task_inflate",
+                         "factors": {"workload": workload_factor, "ram": 1.2,
+                                     "storage": 1.2, "bandwidth": 1.2}}}
+
+
+def test_tasks_done_before_they_run_rejected():
+    """A task of at most MI_EPS counts as done before it runs, whether it is
+    drawn that small or a pinned inflation shrinks it: a central run then
+    books zero-length slots until its cut, and an `ara` run leaves every
+    batch PENDING."""
+    with pytest.raises(ConfigError, match="task_workload: min must exceed"):
+        ScenarioConfig.from_dict({"task_workload": [1e-7, 2e-7]})
+    with pytest.raises(ConfigError, match="events.0.: task_inflate workload"):
+        ScenarioConfig.from_dict({"events": [inflate(1e-12)]})
+    assert ScenarioConfig.from_dict({"task_workload": [2e-6, 3e-6],
+                                     "events": [inflate(1.0)]})
