@@ -26,13 +26,14 @@ def main() -> int:
 
     users = 10000 if args.full else 500
     rows = []
-    for hosts in (10, 30, 50):
-        base = ScenarioConfig(seed=args.seed, users=users, hosts=hosts)
-        chunk = sweep(base, "theta", list(range(1, 21)), reps=args.reps)
-        for row in chunk:
-            row["axis"] = f"theta@hosts={hosts}"
-        rows.extend(chunk)
-    write_csv(rows, args.out)
+    with open(args.out, "w", newline="") as out:     # a bad path fails now
+        for hosts in (10, 30, 50):
+            base = ScenarioConfig(seed=args.seed, users=users, hosts=hosts)
+            chunk = sweep(base, "theta", list(range(1, 21)), reps=args.reps)
+            for row in chunk:
+                row["axis"] = f"theta@hosts={hosts}"
+            rows.extend(chunk)
+        write_csv(rows, out)
     print(f"{len(rows)} rows -> {args.out}")
     return 0
 

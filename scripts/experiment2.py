@@ -34,8 +34,9 @@ def main() -> int:
         deadline = (horizon, 2.5 * horizon)
     base = probe_cfg.replaced(deadline=deadline)
     probabilities = [round(0.1 * k, 1) for k in range(1, 11)]
-    rows = compare(base, list(SCHEDULERS), probabilities, reps=args.reps)
-    write_csv(rows, args.out)
+    with open(args.out, "w", newline="") as out:     # a bad path fails now
+        rows = compare(base, list(SCHEDULERS), probabilities, reps=args.reps)
+        write_csv(rows, out)
     print(f"deadlines {deadline[0]:.0f}..{deadline[1]:.0f}; "
           f"{len(rows)} rows -> {args.out}")
     return 0

@@ -154,10 +154,9 @@ class AgentRuntime:
             kernel.timer(self._timers, key, on_reply)
         dropped = self.drop_filter is not None and self.drop_filter(msg)
         if self.trace.enabled:
-            self.trace.emit(kernel.now, msg.sender.label,
-                            "drop" if dropped else "send",
-                            to=msg.to.label, performative=msg.performative,
-                            conversation=msg.conversation_id)
+            self.trace.message(kernel.now, "drop" if dropped else "send",
+                               msg.sender.label, "to", msg.to.label,
+                               msg.performative, msg.conversation_id)
         if dropped:
             return
         at = kernel.now + self.latency
@@ -192,9 +191,9 @@ class AgentRuntime:
                                 partial(self._deliver, [bounce]), kind="deliver")
                 continue
             if trace.enabled:
-                trace.emit(kernel.now, to.label, "deliver",
-                           sender=msg.sender.label, performative=msg.performative,
-                           conversation=msg.conversation_id)
+                trace.message(kernel.now, "deliver", to.label, "sender",
+                              msg.sender.label, msg.performative,
+                              msg.conversation_id)
             timer = listeners.pop((to, msg.conversation_id), None)
             if timer is not None:
                 self.listeners_resolved += 1

@@ -5,7 +5,8 @@
   cloudsched compare --config cfg.json --schedulers ara,mct --probability 0.1..1.0 --out results.csv
 
 Config files are JSON objects holding exactly the ScenarioConfig fields;
-unknown fields are rejected. Exit code 0 on success, 2 on a config error.
+unknown fields are rejected. Exit code 0 on success, 2 on a config error or
+an output path that cannot be opened (outputs are opened before the run).
 """
 
 import argparse
@@ -13,6 +14,8 @@ import contextlib
 import json
 import sys
 import time
+from pathlib import Path
+from typing import TextIO
 
 from . import harness
 from .scenario import ConfigError, ScenarioConfig
@@ -74,30 +77,41 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    created: list[str] = []     # the outputs opened; an error removes them
+    files = contextlib.ExitStack()
+
+    def create(path: str, **kw) -> TextIO:
+        """Open an output now, so that a bad path fails before the run."""
+        fh = files.enter_context(open(path, "w", **kw))
+        created.append(path)
+        return fh
+
     try:
         config = ScenarioConfig.from_json(args.config)
-        if args.command == "run":
-            if args.seed is not None:
-                config = config.replaced(seed=args.seed)
-            with (open(args.trace, "w") if args.trace
-                  else contextlib.nullcontext()) as sink:
+        if args.command == "run" and args.seed is not None:
+            config = config.replaced(seed=args.seed)
+        with files:
+            out = create(args.out, newline="")
+            if args.command == "run":
+                sink = create(args.trace) if args.trace else None
+                dump = create(args.dump_events) if args.dump_events else None
                 result = harness.run_simulation(config, trace_sink=sink)
-            harness.warn_if_cut(result)
-            if args.dump_events:
-                with open(args.dump_events, "w") as fh:
-                    json.dump([e.to_json() for e in result.events], fh, indent=1)
-            harness.write_csv([harness.result_row(result)], args.out)
-        elif args.command == "sweep":
-            values = _tidy(parse_values(args.values))
-            rows = harness.sweep(config, args.axis, values, reps=args.reps)
-            harness.write_csv(rows, args.out)
-        else:
-            schedulers = [s for s in args.schedulers.split(",") if s]
-            probabilities = parse_values(args.probability, step=0.1)
-            rows = harness.compare(config, schedulers, probabilities,
-                                   reps=args.reps)
-            harness.write_csv(rows, args.out)
-    except (ConfigError, ValueError) as exc:
+                harness.warn_if_cut(result)
+                if dump is not None:
+                    json.dump([e.to_json() for e in result.events], dump, indent=1)
+                rows = [harness.result_row(result)]
+            elif args.command == "sweep":
+                values = _tidy(parse_values(args.values))
+                rows = harness.sweep(config, args.axis, values, reps=args.reps)
+            else:
+                schedulers = [s for s in args.schedulers.split(",") if s]
+                probabilities = parse_values(args.probability, step=0.1)
+                rows = harness.compare(config, schedulers, probabilities,
+                                       reps=args.reps)
+            harness.write_csv(rows, out)
+    except (ConfigError, ValueError, OSError) as exc:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

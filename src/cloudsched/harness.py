@@ -228,6 +228,8 @@ def sweep(config: ScenarioConfig, axis: str, values: list,
         raise ValueError(f"axis must be one of {AXES}")
     if not values:
         raise ValueError("sweep requires at least one axis value")
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
     if axis != "probability":
         for value in values:
             if not float(value).is_integer():
@@ -257,6 +259,10 @@ def compare(config: ScenarioConfig, schedulers: list[str],
     """Grid of scheduler x event probability x repetition seed; the no-event
     probe runs once per (scheduler, seed), not once per probability. Seeds
     go outermost, so one template is held at a time."""
+    if not schedulers or not probabilities:
+        raise ConfigError("compare requires a scheduler and a probability")
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
     rows = []
     probed: dict[tuple[str, int], float] = {}
     for rep in range(reps):
@@ -271,16 +277,14 @@ def compare(config: ScenarioConfig, schedulers: list[str],
     return rows
 
 
-def write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+def write_csv(rows: list[dict], fh: TextIO) -> None:
+    """The rows under a header, into a text file opened with newline=""."""
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def csv_bytes(rows: list[dict]) -> bytes:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    writer.writerows(rows)
+    write_csv(rows, buf)
     return buf.getvalue().encode()

@@ -5,61 +5,78 @@ One record per send/deliver/lease-transition/contract/event/reschedule-step
 suite replays runs from these records. The record kinds and their `detail`
 keys are listed in the README.
 
-With a sink (an open text file) attached, the log streams: every
-CHUNK_RECORDS records are encoded into the sink and dropped from memory, and
-the owner drains the rest with `write()` when the run ends.
+A record is encoded into its line when it is emitted; the log holds only
+lines. With a sink (an open text file) attached, every CHUNK_RECORDS lines go
+into the sink, and the owner drains the rest with `write()` at the run's end.
 
-Each line is byte-identical to `json.dumps(record, sort_keys=True)`. The
-outer keys of a record are fixed and already in sorted order, so a line is a
-fixed template; only `detail` and `t` go through the sorted-key encoder,
-which is built once here rather than once per record.
+Each line is byte-identical to `json.dumps(record, sort_keys=True)`. A
+record's outer keys are fixed and sorted, so a line is a fixed template, and
+so is all of a message record's line (`message`); other details go through
+the sorted-key encoder, built once here.
 """
 
-from json.encoder import c_make_encoder, encode_basestring_ascii
+import json
+from json.encoder import c_make_encoder, encode_basestring_ascii as _esc
+from math import isfinite
 from typing import Any, TextIO
 
 CHUNK_RECORDS = 1024
 
-
-def _not_serializable(o: Any) -> Any:
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    f"is not JSON serializable")
-
-
 # json.dumps(sort_keys=True)'s C encoder: ", " and ": " separators, ASCII
-# escaping, NaN and infinities allowed. No circular-reference markers: a
-# record's detail holds plain values only.
-_encode = c_make_encoder(None, _not_serializable, encode_basestring_ascii,
+# escaping, NaN and infinities allowed, its TypeError for any other type. No
+# circular-reference markers: a record's detail holds plain values only.
+_encode = c_make_encoder(None, json.JSONEncoder().default, _esc,
                          None, ": ", ", ", True, False, True)
-
-
-_join = "".join
-
-
-def _line(record: dict) -> str:
-    return (f'{{"agent": {encode_basestring_ascii(record["agent"])}, '
-            f'"detail": {_join(_encode(record["detail"], 0))}, '
-            f'"kind": {encode_basestring_ascii(record["kind"])}, '
-            f'"t": {_join(_encode(record["t"], 0))}}}\n')
 
 
 class TraceLog:
     def __init__(self, enabled: bool = True, sink: TextIO | None = None):
         self.enabled = enabled
         self.sink = sink
-        self.records: list[dict] = []
+        self.lines: list[str] = []
+        self._t, self._t_text = None, "null"
+
+    @property
+    def records(self) -> list[dict]:
+        """The held lines parsed back into records (for tests and debugging)."""
+        return [json.loads(line) for line in self.lines]
+
+    def _time(self, t: Any) -> str:
+        """`t` encoded (a finite float by its repr, as the encoder does),
+        kept for the last object seen: one kernel entry's records share it."""
+        if t is not self._t:
+            self._t_text = (float.__repr__(t)
+                            if t.__class__ is float and isfinite(t)
+                            else "".join(_encode(t, 0)))
+            self._t = t
+        return self._t_text
+
+    def _add(self, line: str) -> None:
+        self.lines.append(line)
+        if self.sink is not None and len(self.lines) >= CHUNK_RECORDS:
+            self.write()
 
     def emit(self, t: float, agent: str, kind: str, **detail: Any) -> None:
         if self.enabled:
-            self.records.append({"t": t, "agent": agent, "kind": kind, "detail": detail})
-            if self.sink is not None and len(self.records) >= CHUNK_RECORDS:
-                self.write()
+            self._add(f'{{"agent": {_esc(agent)}, '
+                      f'"detail": {"".join(_encode(detail, 0))}, '
+                      f'"kind": {_esc(kind)}, "t": {self._time(t)}}}\n')
+
+    def message(self, t: float, kind: str, agent: str, key: str, peer: str,
+                performative: str, conversation: str) -> None:
+        """A send, drop or deliver record; `key` ("to" or "sender") names
+        the peer, and sorts after the other two detail keys."""
+        if self.enabled:
+            self._add(f'{{"agent": {_esc(agent)}, '
+                      f'"detail": {{"conversation": {_esc(conversation)}, '
+                      f'"performative": {_esc(performative)}, '
+                      f'{_esc(key)}: {_esc(peer)}}}, '
+                      f'"kind": {_esc(kind)}, "t": {self._time(t)}}}\n')
 
     def write(self) -> None:
-        """Encode the buffered records into the sink, one line each, and clear
-        the buffer."""
-        self.sink.writelines(map(_line, self.records))
-        self.records.clear()
+        """Write the held lines into the sink and drop them."""
+        self.sink.writelines(self.lines)
+        self.lines.clear()
 
 
 NULL_TRACE = TraceLog(enabled=False)

@@ -54,12 +54,16 @@ def placed(pairs):
 
 @pytest.fixture
 def emit_only_when_enabled(monkeypatch):
-    """Makes `TraceLog.emit` fail on a disabled log: with tracing off, every
-    emit site must skip the call, and building its arguments with it."""
-    emit = TraceLog.emit
+    """Makes `TraceLog.emit` and `TraceLog.message` fail on a disabled log:
+    with tracing off, every emit site must skip the call, and building its
+    arguments with it."""
+    for name in ("emit", "message"):
+        monkeypatch.setattr(TraceLog, name, _strict(name, getattr(TraceLog, name)))
 
+
+def _strict(name, method):
     def strict(self, *args, **detail):
         if not self.enabled:
-            raise AssertionError(f"emit{args} with tracing off")
-        emit(self, *args, **detail)
-    monkeypatch.setattr(TraceLog, "emit", strict)
+            raise AssertionError(f"{name}{args} with tracing off")
+        method(self, *args, **detail)
+    return strict

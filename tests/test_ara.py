@@ -190,7 +190,7 @@ def test_registry_matches_full_sort_reference(ops):
             conv = conversations[op[1] % len(conversations)] \
                 if conversations else "never-issued"
             held = [v for v in snaps if busy.get(v) == conv]
-            del trace.records[:]
+            trace.lines.clear()
             assert registry.finalize(conv, tau) == len(held)
             assert [r["detail"]["vm"] for r in trace.records] == held
             assert registry.finalize(conv, tau) == 0

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cloudsched import harness
 from cloudsched.cli import main, parse_values
 
 
@@ -263,3 +264,60 @@ class TestCompareCommand:
             f"at time_limit 50 before quiescence; the row counts only work "
             f"finished by then" for scheduler in ("mct", "round_robin")]
         assert len(read_rows(out)) == 2
+
+
+class TestOutputPaths:
+    """Every output path is opened before the run: a path in a missing
+    directory is one error line and exit 2, no run starts, and no other
+    output file is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started before its outputs opened")
+        for name in ("run_simulation", "sweep", "compare"):
+            monkeypatch.setattr(harness, name, refuse)
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace", "--dump-events"])
+    def test_run_path_in_missing_directory(self, tmp_path, capsys, flag):
+        paths = {f: tmp_path / f"{f[2:]}.out"
+                 for f in ("--out", "--trace", "--dump-events")}
+        paths[flag] = tmp_path / "missing" / "file"
+        argv = ["run", "--config", write_config(tmp_path)]
+        for f, path in paths.items():
+            argv += [f, str(path)]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "missing" in line
+        assert not any(path.exists() for path in paths.values())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "theta", "--values", "2"],
+        ["compare", "--schedulers", "mct", "--probability", "0"],
+    ], ids=["sweep", "compare"])
+    def test_grid_out_in_missing_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "grid.csv"
+        assert main(argv + ["--config", write_config(tmp_path),
+                            "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "missing" in line
+
+
+class TestEmptyGrid:
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--axis", "theta", "--values", "2", "--reps", "0"],
+         "reps must be at least 1, got 0"),
+        (["sweep", "--axis", "theta", "--values", "2", "--reps", "-1"],
+         "reps must be at least 1, got -1"),
+        (["compare", "--schedulers", "mct", "--probability", "0",
+          "--reps", "0"], "reps must be at least 1, got 0"),
+        (["compare", "--schedulers", ",", "--probability", "0"],
+         "compare requires a scheduler and a probability"),
+    ], ids=["sweep-reps-0", "sweep-reps-negative", "compare-reps-0",
+            "compare-no-scheduler"])
+    def test_is_one_error_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "grid.csv"
+        assert main(argv + ["--config", write_config(tmp_path),
+                            "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()

@@ -8,7 +8,8 @@ from cloudsched.harness import (compare, csv_bytes, result_row,
 from cloudsched.kernel import RngStream, RngStreams
 from cloudsched.rescheduling import (DeadlineCut, TaskInflate, VmDegrade,
                                      generate_events)
-from cloudsched.scenario import SCHEDULERS, ScenarioConfig, generate_scenario
+from cloudsched.scenario import (SCHEDULERS, ConfigError, ScenarioConfig,
+                                 generate_scenario)
 
 
 def test_event_sets_nest_across_probabilities():
@@ -73,6 +74,18 @@ def test_sweep_rejects_unknown_axis_and_empty_values():
         sweep(config, "latency", [1])
     with pytest.raises(ValueError):
         sweep(config, "theta", [])
+
+
+def test_empty_grids_are_config_errors():
+    config = ScenarioConfig(users=5, hosts=1)
+    for reps in (0, -1):
+        with pytest.raises(ConfigError, match="reps must be at least 1"):
+            sweep(config, "theta", [1], reps=reps)
+        with pytest.raises(ConfigError, match="reps must be at least 1"):
+            compare(config, ["mct"], [0.0], reps=reps)
+    for schedulers, probabilities in (([], [0.0]), (["mct"], [])):
+        with pytest.raises(ConfigError, match="requires a scheduler and a"):
+            compare(config, schedulers, probabilities)
 
 
 def test_hosts_axis_changes_world_size():

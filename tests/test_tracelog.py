@@ -1,9 +1,9 @@
-"""The streamed trace: a run with a sink writes the same bytes that encoding
-the in-memory records of the same run gives, and holds at most one chunk of
-records at a time. Because the stream encodes a record long before the run
-ends, a `detail` object mutated after `emit` would show up here as a byte
-difference. The last tests hold every record to the README's schema table,
-and every row of that table to a kind the source still emits."""
+"""The streamed trace: a run with a sink writes the same bytes as the lines
+the same run holds in memory, and holds at most one chunk of lines at a time.
+Each line, written by `emit` or by the `message` template, is byte-identical
+to `json.dumps(record, sort_keys=True)`. The last tests hold every record to
+the README's schema table, and every row of that table to a kind the source
+still emits."""
 
 import ast
 import io
@@ -34,19 +34,25 @@ def encoded(records):
 def streamed(config):
     sink = io.StringIO()
     result = run_simulation(config, trace_sink=sink)
-    assert result.trace.records == []
+    assert result.trace.lines == []
     return sink.getvalue()
 
 
-def buffer_peak(monkeypatch):
-    """Records the largest buffer seen after any emit."""
-    peak = [0]
-    emit = TraceLog.emit
+def in_memory(config):
+    return "".join(run_simulation(config, collect_trace=True).trace.lines)
 
-    def watched(self, *args, **detail):
-        emit(self, *args, **detail)
-        peak[0] = max(peak[0], len(self.records))
-    monkeypatch.setattr(TraceLog, "emit", watched)
+
+def buffer_peak(monkeypatch):
+    """Records the largest buffer seen after any emit or message."""
+    peak = [0]
+
+    def watch(method):
+        def watched(self, *args, **detail):
+            method(self, *args, **detail)
+            peak[0] = max(peak[0], len(self.lines))
+        return watched
+    for name in ("emit", "message"):
+        monkeypatch.setattr(TraceLog, name, watch(getattr(TraceLog, name)))
     return peak
 
 
@@ -56,7 +62,7 @@ def test_stream_matches_in_memory_encoding(scheduler, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(tracelog, "CHUNK_RECORDS", chunk)
     config = uncertain(scheduler)
-    expected = encoded(run_simulation(config, collect_trace=True).trace.records)
+    expected = in_memory(config)
     peak = buffer_peak(monkeypatch)
     text = streamed(config)
     assert text == expected
@@ -67,11 +73,11 @@ def test_stream_matches_in_memory_encoding(scheduler, chunk, monkeypatch):
 
 def test_stream_of_exact_chunk_multiple(monkeypatch):
     config = uncertain("ara", users=100)
-    records = run_simulation(config, collect_trace=True).trace.records
-    factor = next(k for k in range(2, len(records) + 1) if len(records) % k == 0)
-    monkeypatch.setattr(tracelog, "CHUNK_RECORDS", len(records) // factor)
-    assert len(records) % tracelog.CHUNK_RECORDS == 0
-    assert streamed(config) == encoded(records)
+    lines = run_simulation(config, collect_trace=True).trace.lines
+    factor = next(k for k in range(2, len(lines) + 1) if len(lines) % k == 0)
+    monkeypatch.setattr(tracelog, "CHUNK_RECORDS", len(lines) // factor)
+    assert len(lines) % tracelog.CHUNK_RECORDS == 0
+    assert streamed(config) == "".join(lines)
 
 
 def test_cli_trace_file_is_complete(tmp_path):
@@ -81,9 +87,9 @@ def test_cli_trace_file_is_complete(tmp_path):
     trace = tmp_path / "trace.jsonl"
     assert main(["run", "--config", str(config_path), "--trace", str(trace),
                  "--out", str(tmp_path / "out.csv")]) == 0
-    records = run_simulation(config, collect_trace=True).trace.records
-    assert len(records) > tracelog.CHUNK_RECORDS
-    assert trace.read_text() == encoded(records)
+    expected = in_memory(config)
+    assert expected.count("\n") > tracelog.CHUNK_RECORDS
+    assert trace.read_text() == expected
 
 
 def test_line_template_matches_json_dumps_on_any_record(monkeypatch):
@@ -111,6 +117,30 @@ def test_line_template_matches_json_dumps_on_any_record(monkeypatch):
     assert sink.getvalue() == encoded(
         {"t": t_, "agent": agent, "kind": kind, "detail": detail}
         for t_, agent, kind, detail in cases)
+
+
+def test_message_template_matches_json_dumps(monkeypatch):
+    # equal timestamps of different types or signs follow each other: the
+    # log keeps the last timestamp's text by identity, never by value
+    monkeypatch.setattr(tracelog, "CHUNK_RECORDS", 3)
+    sink = io.StringIO()
+    log = TraceLog(sink=sink)
+    odd = 'q"uo\\te\n\t\x00\x1f\x7f ü☃\U0001f600 ÿ\ud800'
+    cases = [
+        (2.5, "send", odd, "to", odd, odd, odd),
+        (0.25, "deliver", "user:u1", "sender", "host:h0", "PROPOSE", odd),
+        (0.5, "drop", "user:u1", "to", "supervise:sa", odd, "u1#r0"),
+    ] + [(t, "send", "a", "to", "b", "REQUEST", "c")
+         for t in (7, True, 1, 1.0, 0.0, -0.0, 5e-324, 1e16, float("inf"),
+                   float("-inf"), float("nan"))]
+    for t, kind, agent, key, peer, performative, conversation in cases:
+        log.message(t, kind, agent, key, peer, performative, conversation)
+    log.write()
+    assert sink.getvalue() == encoded(
+        {"t": t, "agent": agent, "kind": kind,
+         "detail": {key: peer, "performative": performative,
+                    "conversation": conversation}}
+        for t, kind, agent, key, peer, performative, conversation in cases)
 
 
 @pytest.mark.parametrize("scheduler", ["ara", "mct"])
@@ -143,15 +173,17 @@ def test_records_follow_documented_schema(scheduler):
 
 
 def emitted_kinds() -> set[str]:
-    """Every string literal passed as the `kind` argument (the third) of an
-    `emit(...)` call in the package source, both branches of a conditional
-    kind included."""
+    """Every string literal passed as the `kind` argument of an `emit(...)`
+    call (the third) or a `message(...)` call (the second) in the package
+    source, both branches of a conditional kind included."""
     kinds = set()
     for path in (ROOT / "src" / "cloudsched").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and len(node.args) >= 3 and \
-                    getattr(node.func, "attr", None) == "emit":
-                kinds.update(c.value for c in ast.walk(node.args[2])
+            if not isinstance(node, ast.Call):
+                continue
+            at = {"emit": 2, "message": 1}.get(getattr(node.func, "attr", None))
+            if at is not None and len(node.args) > at:
+                kinds.update(c.value for c in ast.walk(node.args[at])
                              if isinstance(c, ast.Constant)
                              and isinstance(c.value, str))
     return kinds
