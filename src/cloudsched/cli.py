@@ -6,7 +6,8 @@
 
 Config files are JSON objects holding exactly the ScenarioConfig fields;
 unknown fields are rejected. Exit code 0 on success, 2 on a config error or
-an output path that cannot be opened (outputs are opened before the run).
+an output path that cannot be opened. Arguments are checked, then outputs
+opened, before the run; an output file is replaced only once it is written.
 """
 
 import argparse
@@ -77,37 +78,47 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    created: list[str] = []     # the outputs opened; an error removes them
+    created: list[str] = []     # outputs new to this command; exit 2 removes them
     files = contextlib.ExitStack()
 
-    def create(path: str, **kw) -> TextIO:
-        """Open an output now, so that a bad path fails before the run."""
-        fh = files.enter_context(open(path, "w", **kw))
-        created.append(path)
-        return fh
+    def output(path: str | None, **kw) -> TextIO | None:
+        """Open an output before the run, so that a bad path fails first. It
+        is opened to append: what it holds stays until it is truncated."""
+        if path is not None:
+            if not Path(path).exists():
+                created.append(path)
+            return files.enter_context(open(path, "a", **kw))
 
     try:
         config = ScenarioConfig.from_json(args.config)
         if args.command == "run" and args.seed is not None:
             config = config.replaced(seed=args.seed)
+        if args.command == "sweep":
+            values = _tidy(parse_values(args.values))
+            harness.check_grid(config, args.axis, values, args.reps)
+        elif args.command == "compare":
+            schedulers = [s for s in args.schedulers.split(",") if s]
+            probabilities = parse_values(args.probability, step=0.1)
+            harness.check_grid(config, "probability", probabilities,
+                               args.reps, schedulers)
         with files:
-            out = create(args.out, newline="")
+            out = output(args.out, newline="")
             if args.command == "run":
-                sink = create(args.trace) if args.trace else None
-                dump = create(args.dump_events) if args.dump_events else None
+                sink, dump = output(args.trace), output(args.dump_events)
+                if sink is not None:
+                    sink.truncate(0)
                 result = harness.run_simulation(config, trace_sink=sink)
                 harness.warn_if_cut(result)
                 if dump is not None:
+                    dump.truncate(0)
                     json.dump([e.to_json() for e in result.events], dump, indent=1)
                 rows = [harness.result_row(result)]
             elif args.command == "sweep":
-                values = _tidy(parse_values(args.values))
                 rows = harness.sweep(config, args.axis, values, reps=args.reps)
             else:
-                schedulers = [s for s in args.schedulers.split(",") if s]
-                probabilities = parse_values(args.probability, step=0.1)
                 rows = harness.compare(config, schedulers, probabilities,
                                        reps=args.reps)
+            out.truncate(0)
             harness.write_csv(rows, out)
     except (ConfigError, ValueError, OSError) as exc:
         for path in created:

@@ -220,33 +220,45 @@ def _grid_row(cfg: ScenarioConfig, templates: dict[int, _Template],
     return result_row(result, axis=axis, axis_value=value)
 
 
+def check_grid(config: ScenarioConfig, axis: str, values: list, reps: int,
+               schedulers: list[str] | None = None) -> None:
+    """Raise ValueError or ConfigError, before any run, for a sweep grid or
+    (with `schedulers`) a compare grid that cannot run."""
+    if axis not in AXES:
+        raise ValueError(f"axis must be one of {AXES}")
+    if schedulers is None and not values:
+        raise ValueError("sweep requires at least one axis value")
+    if schedulers is not None and not (schedulers and values):
+        raise ConfigError("compare requires a scheduler and a probability")
+    if reps < 1:
+        raise ConfigError(f"reps must be at least 1, got {reps}")
+    for value in values:
+        _cell(config, axis, value)
+    for scheduler in schedulers or ():
+        config.replaced(scheduler=scheduler)
+
+
+def _cell(config: ScenarioConfig, axis: str, value, **changes) -> ScenarioConfig:
+    """The config of a grid cell: `axis` set to `value`, and `changes`."""
+    if axis == "probability":
+        return config.replaced(event_probability=float(value), **changes)
+    if not float(value).is_integer():
+        raise ConfigError(f"{axis}: {value} is not an integer")
+    return config.replaced(**{axis: int(value)}, **changes)
+
+
 def sweep(config: ScenarioConfig, axis: str, values: list,
           reps: int = 1) -> list[dict]:
     """One run per (axis value, repetition seed); rows in (value, seed) order.
     Runs share one template per seed until the axis changes the world."""
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}")
-    if not values:
-        raise ValueError("sweep requires at least one axis value")
-    if reps < 1:
-        raise ConfigError(f"reps must be at least 1, got {reps}")
-    if axis != "probability":
-        for value in values:
-            if not float(value).is_integer():
-                raise ConfigError(f"{axis}: {value} is not an integer")
+    check_grid(config, axis, values, reps)
     rows = []
     probed: dict[tuple[str, int], float] = {}
     templates: dict[int, _Template] = {}
     shape = None
     for value in values:
         for rep in range(reps):
-            seed = config.seed + rep
-            if axis == "theta":
-                cfg = config.replaced(theta=int(value), seed=seed)
-            elif axis == "hosts":
-                cfg = config.replaced(hosts=int(value), seed=seed)
-            else:
-                cfg = config.replaced(event_probability=float(value), seed=seed)
+            cfg = _cell(config, axis, value, seed=config.seed + rep)
             if world_key(cfg) != shape:
                 shape, templates = world_key(cfg), {}
             rows.append(_grid_row(cfg, templates, probed, axis, value))
@@ -259,19 +271,15 @@ def compare(config: ScenarioConfig, schedulers: list[str],
     """Grid of scheduler x event probability x repetition seed; the no-event
     probe runs once per (scheduler, seed), not once per probability. Seeds
     go outermost, so one template is held at a time."""
-    if not schedulers or not probabilities:
-        raise ConfigError("compare requires a scheduler and a probability")
-    if reps < 1:
-        raise ConfigError(f"reps must be at least 1, got {reps}")
+    check_grid(config, "probability", probabilities, reps, schedulers)
     rows = []
     probed: dict[tuple[str, int], float] = {}
     for rep in range(reps):
         templates: dict[int, _Template] = {}
         for scheduler in schedulers:
             for p in probabilities:
-                cfg = config.replaced(scheduler=scheduler,
-                                      event_probability=float(p),
-                                      seed=config.seed + rep)
+                cfg = _cell(config, "probability", p, scheduler=scheduler,
+                            seed=config.seed + rep)
                 rows.append(_grid_row(cfg, templates, probed, "probability", p))
     rows.sort(key=lambda r: (r["scheduler"], float(r["axis_value"]), r["seed"]))
     return rows

@@ -29,27 +29,23 @@ _encode = c_make_encoder(None, json.JSONEncoder().default, _esc,
                          None, ": ", ", ", True, False, True)
 
 
+def _time(t: Any) -> str:
+    """`t` as the encoder writes it: a finite float by its repr."""
+    if t.__class__ is float and isfinite(t):
+        return float.__repr__(t)
+    return "".join(_encode(t, 0))
+
+
 class TraceLog:
     def __init__(self, enabled: bool = True, sink: TextIO | None = None):
         self.enabled = enabled
         self.sink = sink
         self.lines: list[str] = []
-        self._t, self._t_text = None, "null"
 
     @property
     def records(self) -> list[dict]:
         """The held lines parsed back into records (for tests and debugging)."""
         return [json.loads(line) for line in self.lines]
-
-    def _time(self, t: Any) -> str:
-        """`t` encoded (a finite float by its repr, as the encoder does),
-        kept for the last object seen: one kernel entry's records share it."""
-        if t is not self._t:
-            self._t_text = (float.__repr__(t)
-                            if t.__class__ is float and isfinite(t)
-                            else "".join(_encode(t, 0)))
-            self._t = t
-        return self._t_text
 
     def _add(self, line: str) -> None:
         self.lines.append(line)
@@ -60,7 +56,7 @@ class TraceLog:
         if self.enabled:
             self._add(f'{{"agent": {_esc(agent)}, '
                       f'"detail": {"".join(_encode(detail, 0))}, '
-                      f'"kind": {_esc(kind)}, "t": {self._time(t)}}}\n')
+                      f'"kind": {_esc(kind)}, "t": {_time(t)}}}\n')
 
     def message(self, t: float, kind: str, agent: str, key: str, peer: str,
                 performative: str, conversation: str) -> None:
@@ -71,7 +67,7 @@ class TraceLog:
                       f'"detail": {{"conversation": {_esc(conversation)}, '
                       f'"performative": {_esc(performative)}, '
                       f'{_esc(key)}: {_esc(peer)}}}, '
-                      f'"kind": {_esc(kind)}, "t": {self._time(t)}}}\n')
+                      f'"kind": {_esc(kind)}, "t": {_time(t)}}}\n')
 
     def write(self) -> None:
         """Write the held lines into the sink and drop them."""

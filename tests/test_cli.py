@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +302,46 @@ class TestOutputPaths:
                             "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "missing" in line
+
+
+class TestExistingOutputs:
+    """A command that exits 2 leaves an existing --out or --dump-events file
+    as it was, and no output file that it made."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["sweep", "--axis", "theta", "--values", "1..x"], {}),
+        (["sweep", "--axis", "theta", "--values", "2", "--reps", "0"], {}),
+        (["compare", "--schedulers", ",", "--probability", "0"], {}),
+        (["compare", "--schedulers", "mct,bogus", "--probability", "0"], {}),
+        (["run", "--trace", "missing/t.jsonl"], {}),
+        (["run", "--dump-events", "events.json", "--trace", "missing/t.jsonl"],
+         {}),
+        (["run", "--trace", "new.jsonl", "--dump-events", "events.json"],
+         {"events": [degrade(target_id="h000v99")]}),
+    ], ids=["bad-values", "reps-0", "no-scheduler", "unknown-scheduler",
+            "trace-in-missing-directory", "dump-then-missing-trace",
+            "unknown-event-target"])
+    def test_survive_an_exit_2(self, tmp_path, monkeypatch, capsys, argv,
+                               config):
+        monkeypatch.chdir(tmp_path)
+        Path("results.csv").write_text("kept\n")
+        Path("events.json").write_text("[]\n")
+        assert main(argv + ["--config", write_config(tmp_path, **config),
+                            "--out", "results.csv"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert Path("results.csv").read_text() == "kept\n"
+        assert Path("events.json").read_text() == "[]\n"
+        assert not Path("new.jsonl").exists()
+
+    def test_are_replaced_on_success(self, tmp_path):
+        out, trace = tmp_path / "results.csv", tmp_path / "trace.jsonl"
+        out.write_text("x" * 10_000)
+        trace.write_text("x" * 10_000)
+        assert main(["run", "--config", write_config(tmp_path),
+                     "--trace", str(trace), "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 1
+        assert all(json.loads(line) for line in trace.open())
 
 
 class TestEmptyGrid:

@@ -88,6 +88,18 @@ def test_empty_grids_are_config_errors():
             compare(config, schedulers, probabilities)
 
 
+@pytest.mark.parametrize("grid", [
+    lambda config: compare(config, ["mct", "bogus"], [0.0, 0.5]),
+    lambda config: compare(config, ["mct"], [0.5, 2.0]),
+    lambda config: sweep(config, "hosts", [1, 0]),
+], ids=["unknown-scheduler", "probability-above-1", "hosts-0"])
+def test_bad_grid_cell_fails_before_any_run(monkeypatch, grid):
+    executions = count_calls(monkeypatch, harness, "_execute")
+    with pytest.raises(ConfigError):
+        grid(ScenarioConfig(users=5, hosts=1))
+    assert executions == []
+
+
 def test_hosts_axis_changes_world_size():
     config = ScenarioConfig(seed=10, users=20, hosts=2, arrival_window=(0, 10))
     rows = sweep(config, "hosts", [1, 3])
