@@ -7,14 +7,15 @@ outstanding request still handles every other inbound message in arrival
 order. The callback runs exactly once: with the reply, or with None once the
 runtime's `collect_timeout` has passed.
 
-The runtime pays per send instant, not per message: the messages sent for one
-delivery instant share one kernel entry (the kernel's open batch), and the
-reply timers ride one kernel timer lane, so an ask that is answered costs the
-kernel nothing.
+Messages and reply timers ride two kernel timer lanes, one of delay
+`latency` and one of delay `collect_timeout`: every message takes the same
+delay, so a lane's items fire in the order they were set, and a lane holds
+one heap entry at a time however many messages or asks it holds. An ask
+that is answered costs the kernel nothing.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -110,19 +111,19 @@ def deliberate(agent: Agent, desire: str, ladder: tuple[str, ...],
 class AgentRuntime:
     """Mailbox router on top of the kernel: constant per-hop latency, reply
     callbacks that time out `collect_timeout` after their ask, FAILURE bounce
-    for unknown recipients. A kernel serves one runtime: its open delivery
-    batch belongs to this runtime."""
+    for unknown recipients."""
 
     def __init__(self, kernel: Kernel, latency: float = 0.01,
                  collect_timeout: float = 1.0, trace: TraceLog | None = None):
         self.kernel = kernel
-        self.latency = latency
         self.trace = trace if trace is not None else NULL_TRACE
         self.agents: dict[AgentId, Agent] = {}
         # (sender, conversation) -> its timer's lane item, whose value is the
         # reply callback
         self._listeners: dict[tuple[AgentId, str], tuple] = {}
         self._timers = kernel.lane(self._listeners, self._expire, collect_timeout)
+        self._mail = kernel.lane({}, self._deliver, latency)
+        self._sends = count()       # keys of the messages in flight
         self.drop_filter: Callable[[AgentMessage], bool] | None = None
         self.listeners_registered = 0
         self.listeners_resolved = 0
@@ -157,51 +158,34 @@ class AgentRuntime:
             self.trace.message(kernel.now, "drop" if dropped else "send",
                                msg.sender.label, "to", msg.to.label,
                                msg.performative, msg.conversation_id)
-        if dropped:
-            return
-        at = kernel.now + self.latency
-        if at == kernel.batch_at:
-            kernel.batch.append(msg)
-            kernel.batched += 1
-        else:
-            batch = [msg]
-            kernel.schedule(at, partial(self._deliver, batch), kind="deliver")
-            kernel.batch_at = at
-            kernel.batch = batch
+        if not dropped:
+            kernel.timer(self._mail, next(self._sends), msg)
 
-    def _deliver(self, batch: list[AgentMessage]) -> None:
-        """Deliver one instant's messages in the order they were sent."""
-        kernel = self.kernel
-        if kernel.batch is batch:
-            kernel.batch_at = -1.0      # a send from now on opens a new entry
-        agents, listeners, trace = self.agents, self._listeners, self.trace
-        kernel.batched += 1             # the loop counts the first one down too
-        for msg in batch:
-            kernel.batched -= 1
-            to = msg.to
-            recipient = agents.get(to)
-            if recipient is None:
-                bounce = AgentMessage(msg.conversation_id, to, msg.sender,
-                                      FAILURE, body={"reason": "unknown-recipient"},
-                                      reply=True)
-                if trace.enabled:
-                    trace.emit(kernel.now, to.label, "bounce",
-                               conversation=msg.conversation_id)
-                kernel.schedule(kernel.now + self.latency,
-                                partial(self._deliver, [bounce]), kind="deliver")
-                continue
+    def _deliver(self, send_number: int, msg: AgentMessage) -> None:
+        """Deliver one message; one to an unknown agent bounces back."""
+        kernel, trace, to = self.kernel, self.trace, msg.to
+        recipient = self.agents.get(to)
+        if recipient is None:
+            bounce = AgentMessage(msg.conversation_id, to, msg.sender,
+                                  FAILURE, body={"reason": "unknown-recipient"},
+                                  reply=True)
             if trace.enabled:
-                trace.message(kernel.now, "deliver", to.label, "sender",
-                              msg.sender.label, msg.performative,
-                              msg.conversation_id)
-            timer = listeners.pop((to, msg.conversation_id), None)
-            if timer is not None:
-                self.listeners_resolved += 1
-                timer[3](msg)               # its value: the reply callback
-            elif msg.reply:
-                # reply arriving after its ask timed out: discard
-                if trace.enabled:
-                    trace.emit(kernel.now, to.label, "late_reply",
-                               conversation=msg.conversation_id)
-            else:
-                recipient.handle_message(msg)
+                trace.emit(kernel.now, to.label, "bounce",
+                           conversation=msg.conversation_id)
+            kernel.timer(self._mail, next(self._sends), bounce)
+            return
+        if trace.enabled:
+            trace.message(kernel.now, "deliver", to.label, "sender",
+                          msg.sender.label, msg.performative,
+                          msg.conversation_id)
+        timer = self._listeners.pop((to, msg.conversation_id), None)
+        if timer is not None:
+            self.listeners_resolved += 1
+            timer[3](msg)               # its value: the reply callback
+        elif msg.reply:
+            # reply arriving after its ask timed out: discard
+            if trace.enabled:
+                trace.emit(kernel.now, to.label, "late_reply",
+                           conversation=msg.conversation_id)
+        else:
+            recipient.handle_message(msg)

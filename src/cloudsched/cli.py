@@ -91,8 +91,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = ScenarioConfig.from_json(args.config)
-        if args.command == "run" and args.seed is not None:
-            config = config.replaced(seed=args.seed)
+        if args.command == "run":
+            if args.seed is not None:
+                config = config.replaced(seed=args.seed)
+            paths = [p for p in (args.out, args.trace, args.dump_events) if p]
+            if len({Path(p).resolve() for p in paths}) < len(paths):
+                raise ConfigError("--out, --trace and --dump-events must name "
+                                  "different files")
         if args.command == "sweep":
             values = _tidy(parse_values(args.values))
             harness.check_grid(config, args.axis, values, args.reps)

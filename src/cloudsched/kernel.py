@@ -18,13 +18,13 @@ class SchedulingInPastError(Exception):
 
 
 class TimerLane(deque):
-    """Timers of one kind, each set `delay` ahead of the clock, held as
+    """Actions of one kind, each set `delay` ahead of the clock, held as
     (fire_at, seq, key, value) items in the order they were set, which is
-    fire order. A timer is live while `live[key]` is its item: its owner
+    fire order. An item is live while `live[key]` is the item: its owner
     cancels it by removing the key, with no kernel work. Only the first item
     has a heap entry, (fire_at, seq, lane), whose seq is never pending; when
-    it surfaces, the kernel fires that timer if it is live and arms the next
-    live one."""
+    it surfaces, the kernel fires the lane's live items that come before the
+    heap's top entry and arms the lane at the next live one."""
 
     __slots__ = ("live", "expire", "delay")
 
@@ -47,14 +47,9 @@ class Kernel:
     in `_pending`, so cancelling only forgets the seq and the loop skips the
     stale tuple when it surfaces.
 
-    Two cheaper forms keep the same (fire_at, seq) order:
-    - the open batch: one pending entry at `batch_at` that runs the items of
-      `batch` in order. An item may join it only while no other entry or
-      timer has been set for that instant since it opened, and its action
-      closes it as it starts to fire, so each item runs where an entry of its
-      own would have. `batched` counts the items beyond each batch's first.
-    - timer lanes (`lane`, `timer`): a timer reserves its seq when set and
-      costs a heap entry only once it is the first live one of its lane.
+    Timer lanes (`lane`, `timer`) keep the same (fire_at, seq) order for
+    actions set a fixed delay ahead: each reserves its seq when set, and a
+    lane holds one heap entry at a time however many live items it holds.
     """
 
     def __init__(self):
@@ -62,15 +57,11 @@ class Kernel:
         self._heap: list[tuple[float, int, Any]] = []
         self._seq = 0
         self._pending: set[int] = set()
-        self.batch_at = -1.0        # no instant: the clock never goes negative
-        self.batch: list = []
-        self.batched = 0
         self._lives: list[dict] = []
 
     def __len__(self) -> int:
-        """Actions still to run: pending entries, the later items of their
-        batches, and live timers."""
-        return len(self._pending) + self.batched + sum(map(len, self._lives))
+        """Actions still to run: pending entries and live lane items."""
+        return len(self._pending) + sum(map(len, self._lives))
 
     def schedule(self, fire_at: float, action: Callable[[], Any], kind: str = "timer") -> int:
         """Enqueue an action at a future (or current) virtual time; returns the
@@ -78,8 +69,6 @@ class Kernel:
         if not fire_at >= self.now:      # a NaN time raises too
             raise SchedulingInPastError(
                 f"schedule at t={fire_at} before now={self.now}")
-        if fire_at == self.batch_at:
-            self.batch_at = -1.0
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (fire_at, seq, action))
@@ -107,8 +96,6 @@ class Kernel:
         """Arm a timer for `value` at now + the lane's delay, in the place
         `schedule` would give it, and make it `live[key]`."""
         fire_at = self.now + lane.delay
-        if fire_at == self.batch_at:
-            self.batch_at = -1.0
         seq = self._seq
         self._seq = seq + 1
         item = lane.live[key] = (fire_at, seq, key, value)
@@ -117,27 +104,31 @@ class Kernel:
         lane.append(item)
 
     def _surface(self, lane: TimerLane, limit: float) -> bool:
-        """The lane's first timer came due: fire it if live, after arming the
-        next live one. A live timer past `limit` stays armed instead and cuts
-        the run (True). Dead timers are dropped without moving the clock."""
-        fire_at, seq, key, value = item = lane.popleft()
-        live = lane.live
-        fire = live.get(key) is item
-        if fire and fire_at > limit:
-            lane.appendleft(item)
-            heapq.heappush(self._heap, (fire_at, seq, lane))
-            self.now = limit
-            return True
+        """The lane's first item came due: fire its live items in order while
+        each comes before the heap's top entry, then arm the lane at its
+        first live item. A live item past `limit` stays armed instead and
+        cuts the run (True). Dead items are dropped without moving the clock.
+        An action that refills the lane it emptied arms it through `timer`."""
+        heap, live = self._heap, lane.live
         while lane:
-            head = lane[0]
-            if live.get(head[2]) is head:
-                heapq.heappush(self._heap, (head[0], head[1], lane))
-                break
-            lane.popleft()
-        if fire:
-            del live[key]
-            self.now = fire_at
-            lane.expire(key, value)
+            fire_at, seq, key, value = item = lane[0]
+            if live.get(key) is not item:
+                lane.popleft()
+            elif heap and heap[0] < item:      # seqs are unique: no tie
+                heapq.heappush(heap, (fire_at, seq, lane))
+                return False
+            elif fire_at > limit:
+                heapq.heappush(heap, (fire_at, seq, lane))
+                self.now = limit
+                return True
+            else:
+                lane.popleft()
+                emptied = not lane
+                del live[key]
+                self.now = fire_at
+                lane.expire(key, value)
+                if emptied:
+                    return False
         return False
 
     def run_until_quiescent(self, limit: float = float("inf")) -> float:

@@ -13,6 +13,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields
+from types import UnionType
+from typing import get_args, get_origin
 
 from .model import (MI_EPS, Datacenter, Host, SimWorld, TaskSpec, UserRequest,
                     VmDescriptor)
@@ -24,16 +26,6 @@ SCHEDULERS = ("ara", "mct", "met", "min_min", "round_robin")
 
 class ConfigError(Exception):
     """Invalid scenario configuration (bad range, unknown field, bad value)."""
-
-
-# The numeric fields, scalars and [min, max] ranges alike.
-INT_FIELDS = ("seed", "hosts", "users", "theta", "vms_per_host",
-              "tasks_per_user")
-FLOAT_FIELDS = ("vm_cpu", "vm_ram", "vm_storage", "vm_bandwidth",
-                "task_workload", "task_ram", "task_storage", "task_bandwidth",
-                "deadline", "arrival_window", "event_probability", "latency",
-                "retry_period", "collect_timeout", "lease_timeout",
-                "minmin_interval", "realloc_cost_per_pair", "time_limit")
 
 
 # (field, lower bound, strict): a range is bounded through its min, and an
@@ -93,22 +85,34 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        # each value's type before its comparisons: NaN fails every
-        # comparison, so it would pass them all
-        for integer, names in ((True, INT_FIELDS), (False, FLOAT_FIELDS)):
-            for name in names:
-                value = getattr(self, name)
-                if value is None:                   # an unbounded deadline
+        # each value's shape and type, read from its field's annotation,
+        # before its comparisons: NaN fails every comparison, so it would
+        # pass them all
+        for f in fields(self):
+            name, value, want = f.name, getattr(self, f.name), f.type
+            optional = isinstance(want, UnionType)      # `X | None`
+            if optional:
+                if value is None:       # an unbounded deadline, no pinned events
                     continue
-                ranged = isinstance(value, (tuple, list))
-                if not all(_is_number(x, integer)
-                           for x in (value if ranged else (value,))):
-                    kind = "integers" if integer else "finite numbers"
-                    raise ConfigError(f"{name} must hold {kind} only")
-                if ranged:
-                    lo, hi = value
-                    if lo > hi:
-                        raise ConfigError(f"{name}: min {lo} > max {hi}")
+                want = get_args(want)[0]
+            kind, parts = get_origin(want) or want, get_args(want)
+            listed = isinstance(value, (tuple, list))
+            if kind is tuple and (not listed or parts and len(value) != len(parts)):
+                shape = "a [min, max] range" if parts else "a list"
+                raise ConfigError(f"{name} must be {shape}"
+                                  + (" or null" if optional else ""))
+            if kind is not tuple and listed:
+                raise ConfigError(f"{name} must be a single value, not a list")
+            if kind is bool and not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false")
+            number = parts[0] if parts else kind
+            if number in (int, float):
+                if not all(_is_number(x, number is int)
+                           for x in (value if parts else (value,))):
+                    what = "integers" if number is int else "finite numbers"
+                    raise ConfigError(f"{name} must hold {what} only")
+                if parts and value[0] > value[1]:
+                    raise ConfigError(f"{name}: min {value[0]} > max {value[1]}")
         for name, bound, strict in BOUNDS:
             value = getattr(self, name)
             if value is None:
@@ -155,15 +159,14 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "deadline" in kwargs:
-            if kwargs["deadline"] == UNBOUNDED or kwargs["deadline"] is None:
-                kwargs["deadline"] = None
-            else:
-                kwargs["deadline"] = tuple(float(x) for x in kwargs["deadline"])
-        for key, value in list(kwargs.items()):
-            if isinstance(value, list):
-                kwargs[key] = tuple(value)
+        kwargs = {key: tuple(value) if isinstance(value, list) else value
+                  for key, value in raw.items()}
+        deadline = kwargs.get("deadline")
+        if deadline == UNBOUNDED:
+            kwargs["deadline"] = None
+        elif isinstance(deadline, tuple) and all(_is_number(x, False)
+                                                 for x in deadline):
+            kwargs["deadline"] = tuple(map(float, deadline))
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:

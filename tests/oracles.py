@@ -11,7 +11,7 @@ one-pass versions must match bit for bit.
 
 The messaging references at the end are the kernel and runtime with one
 kernel entry per message and per reply timer, each timer cancelled when its
-reply arrives; delivery batches and timer lanes must keep their firing
+reply arrives; the kernel's message and timer lanes must keep their firing
 order, clock and pending count exactly.
 """
 

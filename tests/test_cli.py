@@ -154,6 +154,21 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith(f"error: {field}")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("deadline", "5"), ("deadline", "true"), ("vm_cpu", "5"),
+        ("users", "[10, 20]"), ("latency", "[0.1, 0.2]"),
+        ("vms_per_host", "5"), ("events", "5"),
+        ("realloc_cost_enabled", '"no"')])
+    def test_wrong_shape_is_one_error_line(self, tmp_path, capsys, field,
+                                           value):
+        path = tmp_path / "bad.json"
+        path.write_text('{"users": 20, "%s": %s}' % (field, value))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith(f"error: {field} must be")
+        assert not (tmp_path / "r.csv").exists()
+
 
 def degrade(**changes):
     """A pinned VM degrade of the first VM; `changes` replace its fields, and
@@ -318,9 +333,13 @@ class TestExistingOutputs:
          {}),
         (["run", "--trace", "new.jsonl", "--dump-events", "events.json"],
          {"events": [degrade(target_id="h000v99")]}),
+        (["run", "--trace", "results.csv", "--dump-events", "results.csv"], {}),
+        (["run", "--trace", "new.jsonl", "--dump-events", "./results.csv"], {}),
+        (["run", "--trace", "events.json", "--dump-events", "events.json"], {}),
     ], ids=["bad-values", "reps-0", "no-scheduler", "unknown-scheduler",
             "trace-in-missing-directory", "dump-then-missing-trace",
-            "unknown-event-target"])
+            "unknown-event-target", "one-path-for-all-three",
+            "dump-events-is-out", "trace-is-dump-events"])
     def test_survive_an_exit_2(self, tmp_path, monkeypatch, capsys, argv,
                                config):
         monkeypatch.chdir(tmp_path)

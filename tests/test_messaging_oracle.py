@@ -1,5 +1,5 @@
-"""The kernel's delivery batches and timer lanes against the one-entry-per-
-action references in `oracles`. Random programs of schedules, cancels, sends
+"""The kernel's timer lanes, which carry every message and timer, against
+the one-entry-per-action references in `oracles`. Random programs of schedules, cancels, sends
 (with and without a reply callback, dropped or not, to known and unknown
 agents), timers of a test lane whose delay differs from the runtime's
 `collect_timeout`, and runs with a limit go through both; every fired action,
@@ -38,10 +38,12 @@ class Side:
     their key; the reference schedules and cancels an entry for each."""
 
     def __init__(self, reference: bool, latency: float, timeout: float,
-                 delay: float):
+                 delay: float, kernel=None):
         self.reference = reference
         self.delay = delay
-        self.kernel = oracles.ReferenceKernel() if reference else Kernel()
+        if kernel is None:      # an empty kernel is falsy: its len is 0
+            kernel = oracles.ReferenceKernel() if reference else Kernel()
+        self.kernel = kernel
         runtime = oracles.ReferenceRuntime if reference else AgentRuntime
         self.runtime = runtime(self.kernel, latency=latency,
                                collect_timeout=timeout, trace=TraceLog())
@@ -181,6 +183,14 @@ EXPIRY_TIE = [send("a", "b", "c0"), send("a", "c", "c1", wait=True),
 OUT_OF_ORDER = [send("a", "b", "c0", wait=True, drop=True), ("timer", "k0"),
                 ("schedule", 1.0, (("timer", "k1"),
                                    send("b", "c", "c1", wait=True, drop=True)))]
+# sends at three successive instants (latency 1.5) that come due with nothing
+# else queued, so one surfacing of the lane delivers all three
+RUN = [send("a", "b", "c0"), ("run", 0.5), send("b", "c", "c1"), ("run", 0.5),
+       send("c", "a", "c2")]
+# an entry set at t=1 for t=2, after the send that comes due then (latency
+# 1.5), splits the lane's run in two
+SPLIT = [send("a", "b", "c0"), ("run", 0.5), send("b", "c", "c1"),
+         ("run", 0.5), ("schedule", 1.0, ()), send("c", "a", "c2")]
 # a cut with a live timer and an expiring reply timer beyond the limit
 # (timeout 3.0, delay 1.5)
 CUT = [send("a", "b", "c0", wait=True, drop=True), ("timer", "k0"),
@@ -193,6 +203,8 @@ CUT = [send("a", "b", "c0", wait=True, drop=True), ("timer", "k0"),
 @example(latency=1.0, timeout=1.0, delay=1.0, program=EXPIRY_TIE)
 @example(latency=0.5, timeout=3.0, delay=0.5, program=OUT_OF_ORDER)
 @example(latency=0.5, timeout=3.0, delay=1.5, program=CUT)
+@example(latency=1.5, timeout=3.0, delay=1.0, program=RUN)
+@example(latency=1.5, timeout=3.0, delay=1.0, program=SPLIT)
 def test_batches_and_lanes_match_reference(latency, timeout, delay, program):
     assert execute(False, latency, timeout, delay, program) == \
         execute(True, latency, timeout, delay, program)
@@ -207,29 +219,56 @@ def test_lane_rejects_a_delay_that_is_negative_nan_or_infinite(delay):
 
 
 class CountingKernel(Kernel):
+    """Records the kind of every `schedule` call and counts the times a
+    lane's heap entry surfaces."""
+
     def __init__(self):
         super().__init__()
         self.kinds = []
+        self.surfacings = 0
 
     def schedule(self, fire_at, action, kind="timer"):
         self.kinds.append(kind)
         return super().schedule(fire_at, action, kind)
 
+    def _surface(self, lane, limit):
+        self.surfacings += 1
+        return super()._surface(lane, limit)
+
+
+def surfacings_to_drain(latency, program):
+    """Run `program`, then the surfacings that drain the kernel and what
+    they fire."""
+    side = Side(False, latency, 3.0, 1.0, kernel=CountingKernel())
+    side.steps(program)
+    side.kernel.surfacings, side.out = 0, []
+    side.kernel.run_until_quiescent()
+    assert side.kernel.kinds == ["timer"] * program.count(("schedule", 1.0, ()))
+    return side.kernel.surfacings, [o[:2] + o[-2:-1] for o in side.out]
+
 
 def test_examples_reach_their_edges():
-    """The examples above batch, tie, cross and cut as named."""
-    side = Side(False, 0.0, 1.0, 1.0)
-    side.kernel = side.runtime.kernel = CountingKernel()
+    """The examples above ride the lane, tie, cross, cut, run and split as
+    named."""
+    side = Side(False, 0.0, 1.0, 1.0, kernel=CountingKernel())
     side.steps(LATENCY_ZERO)
     side.kernel.run_until_quiescent()
-    # two sends at t=0, then the two sends their deliveries make
-    assert side.kernel.kinds == ["deliver", "deliver"]
+    # two sends at t=0, then the two sends their deliveries make: no message
+    # makes a kernel entry
+    assert side.kernel.kinds == []
     assert [o[:3] for o in side.out] == [
         ("handle", "b", "c0"), ("handle", "c", "c2"),
         ("handle", "c", "c1"), ("handle", "a", "c0")]
 
+    assert surfacings_to_drain(1.5, RUN) == (1, [
+        ("handle", "b", 1.5), ("handle", "c", 2.0), ("handle", "a", 2.5)])
+    assert surfacings_to_drain(1.5, SPLIT) == (2, [
+        ("handle", "b", 1.5), ("handle", "c", 2.0), ("fire", 0, 2.0),
+        ("handle", "a", 2.5)])
+
     out, *_, timed_out = execute(False, 1.0, 1.0, 1.0, EXPIRY_TIE)
-    # the timer and the lane timer split the instant's sends into three entries
+    # the reply timer and the lane timer split the instant's messages into
+    # three runs
     assert ("timeout", "a", "c1", 1.0, 4) in out and timed_out == 1
     assert [o[0] for o in out if o[0] in ("handle", "expire", "timeout")] == \
         ["handle", "timeout", "handle", "handle", "expire", "handle"]
@@ -244,8 +283,9 @@ def test_examples_reach_their_edges():
 
 
 def test_resolved_listeners_cost_no_heap_entry():
-    """Each delivery instant takes one heap entry and an answered ask takes
-    none: the lane's first timer holds the only timer entry."""
+    """No message and no answered ask takes a heap entry of its own: the
+    first item of each lane, messages and reply timers, holds its one
+    entry."""
     kernel = CountingKernel()
     runtime = AgentRuntime(kernel, latency=0.5)
     side_nodes = [Agent(AgentId(USER, name), runtime) for name in NAMES]
@@ -257,7 +297,7 @@ def test_resolved_listeners_cost_no_heap_entry():
         a.send(AgentMessage(f"c{n}", a.id, b.id, "REQUEST"), lambda m: None)
         b.send(AgentMessage(f"c{n}", b.id, a.id, "PROPOSE", reply=True))
     assert len(kernel) == 150 and len(kernel._heap) == 2
-    assert kernel.kinds == ["deliver"]
+    assert kernel.kinds == []
     assert kernel.run_until_quiescent() == 0.5
     assert runtime.listeners_resolved == 50 and len(kernel) == 0
     assert not kernel._heap

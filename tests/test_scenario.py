@@ -4,9 +4,11 @@ with `rng.random` bound once. The reference below is the plain form, one
 field for field.
 
 `ScenarioConfig.validate` rejects a NaN or infinite number in every float
-field and range, and a non-integer in every integer field and range."""
+field and range, a non-integer in every integer field and range, and a value
+whose shape does not fit its field's annotation."""
 
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -125,6 +127,52 @@ def test_non_integer_field_rejected(name, bad):
 def test_non_integer_range_bound_rejected(name, bounds):
     with pytest.raises(ConfigError, match=name):
         ScenarioConfig.from_dict({name: bounds})
+
+
+RANGE = "must be a [min, max] range"
+SINGLE = "must be a single value, not a list"
+
+
+@pytest.mark.parametrize("name", INT_RANGES + FLOAT_RANGES)
+@pytest.mark.parametrize("bad", [5, True, "soon", [], [1, 2, 3]])
+def test_range_field_must_be_two_numbers(name, bad):
+    with pytest.raises(ConfigError, match=re.escape(f"{name} {RANGE}")):
+        ScenarioConfig.from_dict({name: bad})
+
+
+@pytest.mark.parametrize("name", INT_FIELDS + FLOAT_FIELDS + ("scheduler",))
+@pytest.mark.parametrize("bad", [[10, 20], [], ["ara"]])
+def test_scalar_field_is_not_a_list(name, bad):
+    with pytest.raises(ConfigError, match=f"^{name} {SINGLE}$"):
+        ScenarioConfig.from_dict({name: bad})
+    with pytest.raises(ConfigError, match=f"^{name} {SINGLE}$"):
+        ScenarioConfig().replaced(**{name: tuple(bad)})
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("deadline", 5, f"deadline {RANGE} or null"),
+    ("deadline", ["10", "20"], "deadline must hold finite numbers only"),
+    ("vm_cpu", 5, f"vm_cpu {RANGE}"),
+    ("events", 5, "events must be a list or null"),
+    ("events", {"event_id": 0}, "events must be a list or null"),
+    ("realloc_cost_enabled", "no", "realloc_cost_enabled must be true or false"),
+    ("realloc_cost_enabled", 0, "realloc_cost_enabled must be true or false"),
+])
+def test_wrong_shape_names_its_field(name, bad, message):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict({name: bad})
+    assert str(err.value) == message
+
+
+def test_valid_configs_keep_their_hash():
+    """An integral deadline is read as floats, as before the shape checks,
+    so the config files and golden rows keep their `config_hash`."""
+    hashes = {name: ScenarioConfig.from_json(str(ROOT / "configs" / name))
+              .config_hash() for name in ("desk.json", "uncertain.json")}
+    assert hashes == {"desk.json": "156cde5dab46",
+                      "uncertain.json": "5a0bfc2f96a4"}
+    assert ScenarioConfig.from_dict({"deadline": [2000, 5000]}) == \
+        ScenarioConfig(deadline=(2000.0, 5000.0))
 
 
 def test_integral_numbers_and_unbounded_deadline_still_accepted():
