@@ -17,7 +17,7 @@ from typing import Callable
 from .kernel import Kernel
 
 EPS = 1e-9
-MI_EPS = 1e-6    # workload slack (MI) treated as zero; ~1e3 x float error at run scale
+REL = 1e-9       # a leftover at most this share of its work counts as none
 
 
 class RequestStatus(str, Enum):
@@ -260,10 +260,8 @@ class BatchState:
         return self.request.status in (RequestStatus.COMPLETED, RequestStatus.FAILED)
 
     def incomplete_indices(self) -> list[int]:
-        """Indices of the tasks whose remaining work exceeds MI_EPS."""
-        fractions = self.fractions
-        return [i for i, task in enumerate(self.request.tasks)
-                if task.workload * (1.0 - fractions[i]) > MI_EPS]
+        """Indices of the tasks that `checkpoint` has not finished."""
+        return [i for i, f in enumerate(self.fractions) if f != 1.0]
 
     def remaining_requirements(self) -> Requirements:
         """Aggregate view of the work still to execute, at current ground truth."""
@@ -273,10 +271,9 @@ class BatchState:
         idx, workloads = [], []
         ram = storage = bandwidth = 0.0
         for i, task in enumerate(self.request.tasks):
-            remaining = task.workload * (1.0 - fractions[i])
-            if remaining > MI_EPS:
+            if fractions[i] != 1.0:
                 idx.append(i)
-                workloads.append(remaining)
+                workloads.append(task.workload * (1.0 - fractions[i]))
                 if task.ram > ram:
                     ram = task.ram
                 if task.storage > storage:
@@ -289,16 +286,23 @@ class BatchState:
         return self.view
 
 
+def negligible(rest: float, workload: float, cpu: float, t: float) -> bool:
+    """The completion rule: `rest` MI left of `workload` MI, on a VM of `cpu`
+    MIPS at clock `t`, counts as no work when it is at most REL of the work
+    or the clock cannot represent its run time. Both halves are scale-free."""
+    return rest <= REL * workload or t + rest / cpu == t
+
+
 def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
     """Advance execution progress up to time tau; returns indices of newly finished tasks.
 
     Work accrues at vm.cpu within the reservation's written interval, poured
-    sequentially into the remaining tasks in one pass, and the batch is
-    COMPLETED once no task has more than MI_EPS left. A partial pour that
-    leaves its task at most MI_EPS finishes that task at the interval's end,
-    so no task counts as done without a finish time. Task success is judged
-    against the deadline in force now, so callers must checkpoint BEFORE
-    mutating ground truth (deadline changes at most once per batch).
+    in one pass into the unfinished tasks; a task whose leftover is
+    `negligible` at the interval's end finishes (fraction 1.0, written only
+    here), and the batch is COMPLETED once all have. Every window pours, so a
+    zero-length slot completes at its end; one that changes nothing leaves the
+    view and status alone. Task success is judged against the deadline in
+    force now, so callers must checkpoint BEFORE mutating ground truth.
     """
     res = batch.reservation
     newly_done: list[int] = []
@@ -308,41 +312,32 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
     lo = max(batch.last_checkpoint, res.start)
     hi = min(tau, res.effective_end)
     batch.last_checkpoint = max(batch.last_checkpoint, tau)
-    if hi <= lo + EPS:
+    if hi < lo:
         return newly_done
     request = batch.request
-    if request.status is RequestStatus.SCHEDULED:
-        request.status = RequestStatus.EXECUTING
-    batch.view = None
     cpu, deadline, cursor = vm.cpu, request.deadline, lo
     budget = cpu * (hi - lo)
     tasks, fractions = request.tasks, batch.fractions
     finishes, successes = batch.finishes, batch.successes
     for i, task in enumerate(tasks):
-        need = task.workload * (1.0 - fractions[i])
-        if need <= MI_EPS:
+        if fractions[i] == 1.0:
             continue
-        if need <= budget + MI_EPS:
-            budget -= need
-            cursor += need / cpu
-            fractions[i] = 1.0
-            finishes[i] = cursor
-            successes[i] = cursor <= deadline
-            newly_done.append(i)
-        else:
+        need = task.workload * (1.0 - fractions[i])
+        if not negligible(need - budget, task.workload, cpu, hi):
             fractions[i] += budget / task.workload
-            if task.workload * (1.0 - fractions[i]) > MI_EPS:
-                return newly_done
-            # the pour left at most MI_EPS by rounding: the task is done at hi
-            fractions[i] = 1.0
-            finishes[i] = hi
-            successes[i] = hi <= deadline
-            newly_done.append(i)
-            for j in range(i + 1, len(tasks)):
-                if tasks[j].workload * (1.0 - fractions[j]) > MI_EPS:
-                    return newly_done
             break
-    request.status = RequestStatus.COMPLETED
+        budget -= need
+        cursor += need / cpu
+        fractions[i] = 1.0
+        finishes[i] = cursor
+        successes[i] = cursor <= deadline
+        newly_done.append(i)
+    else:
+        request.status = RequestStatus.COMPLETED
+    if hi > lo or newly_done:
+        batch.view = None
+        if request.status is RequestStatus.SCHEDULED:
+            request.status = RequestStatus.EXECUTING
     return newly_done
 
 

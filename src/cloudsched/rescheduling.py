@@ -17,8 +17,8 @@ fires. Capacity degradation repairs the timeline first, so a degraded-but-slack
 contract stays valid and triggers nothing.
 """
 
-import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,8 +75,8 @@ class UncertainEvent:
         """An event from its `to_json` form. ValueError names the first flaw:
         a wrong shape or kind, a mutation that does not fit its target kind,
         a missing or non-positive factor, a task_inflate workload factor
-        below 1 (one that shrinks tasks to nothing completes them unrun), a
-        negative or non-finite time."""
+        below 1 (an inflation only grows work), a negative or non-finite
+        time."""
         if not isinstance(body, dict) or not isinstance(body.get("mutation"), dict):
             raise ValueError("an event must be an object with a mutation object")
         m = body["mutation"]
@@ -87,20 +87,20 @@ class UncertainEvent:
         if body.get("target_kind") != target_kind:
             raise ValueError(f"a {kind} event must target a {target_kind}")
         event_id, fire_at = body.get("event_id"), body.get("fire_at")
-        if not (_finite(event_id) and float(event_id).is_integer()):
+        if not (finite(event_id) and float(event_id).is_integer()):
             raise ValueError("event_id must be an integer")
         if not isinstance(body.get("target_id"), str):
             raise ValueError("target_id must be a string")
-        if not _finite(fire_at) or fire_at < 0:
+        if not finite(fire_at) or fire_at < 0:
             raise ValueError("fire_at must be a finite number >= 0")
         if names is None:
-            if not _finite(m.get("delta")):
+            if not finite(m.get("delta")):
                 raise ValueError("delta must be a finite number")
             mutation: TaskInflate | DeadlineCut | VmDegrade = DeadlineCut(float(m["delta"]))
         else:
             factors = m.get("factors")
             if not isinstance(factors, dict) or not all(
-                    _finite(factors.get(f)) and factors[f] > 0 for f in names):
+                    finite(factors.get(f)) and factors[f] > 0 for f in names):
                 raise ValueError(f"{kind} factors must give {', '.join(names)} "
                                  f"as finite positive numbers")
             if kind == "task_inflate" and factors["workload"] < 1:
@@ -110,8 +110,10 @@ class UncertainEvent:
                               body["target_id"], mutation)
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def finite(x) -> bool:
+    """A number, not a bool, that converts to a finite float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
 
 
 # mutation kind -> (the target kind it applies to, its factor fields or None)
@@ -190,7 +192,8 @@ def validate_contract(batch: BatchState, vm: VmDescriptor, now: float) -> bool:
     if res.end > batch.request.deadline:
         return False
     window = res.end - max(now, res.start)
-    return reqs.total_workload <= vm.cpu * window + 1e-6 * max(1.0, reqs.total_workload)
+    return model.negligible(reqs.total_workload - vm.cpu * window,
+                            reqs.total_workload, vm.cpu, res.end)
 
 
 def apply_user_event(batch: BatchState, vm: VmDescriptor | None,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields
 from types import UnionType
 from typing import get_args, get_origin
 
-from .model import (MI_EPS, Datacenter, Host, SimWorld, TaskSpec, UserRequest,
+from .model import (Datacenter, Host, SimWorld, TaskSpec, UserRequest,
                     VmDescriptor)
-from .rescheduling import UncertainEvent
+from .rescheduling import UncertainEvent, finite
 
 UNBOUNDED = "unbounded"
 SCHEDULERS = ("ara", "mct", "met", "min_min", "round_robin")
@@ -45,10 +45,8 @@ BOUNDS = (
 
 
 def _is_number(value, integer: bool) -> bool:
-    """An int (not a bool), or when not `integer` also a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or (not integer and math.isfinite(value))
+    """A number that converts to a finite float, and an int when `integer`."""
+    return finite(value) and (not integer or isinstance(value, int))
 
 
 @dataclass
@@ -126,9 +124,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}{': min' if ranged else ''} {rule}")
         if self.vms_per_host[1] < 1:
             raise ConfigError("vms_per_host: max must be at least 1")
-        if self.task_workload[0] <= MI_EPS:
-            # such a task counts as done before it runs, and its batch never ends
-            raise ConfigError(f"task_workload: min must exceed {MI_EPS}")
         if self.event_probability > 1.0:
             raise ConfigError("event_probability must lie in [0, 1]")
         if self.scheduler not in SCHEDULERS:

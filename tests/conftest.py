@@ -52,6 +52,13 @@ def placed(pairs):
     return [(user_id, None if res is None else res.vm_id) for user_id, res in pairs]
 
 
+def ledger_rows(result):
+    """Every ledger entry of a run as (user_id, vm_id, start, effective end),
+    sorted."""
+    return sorted((res.user_id, res.vm_id, res.start, res.effective_end)
+                  for vm in result.world.vms.values() for res in vm.reservations)
+
+
 @pytest.fixture
 def emit_only_when_enabled(monkeypatch):
     """Makes `TraceLog.emit` and `TraceLog.message` fail on a disabled log:

@@ -5,9 +5,10 @@ A VM is (vm_id, cpu, ram, storage, bandwidth, available_time); a batch is
 (user_id, total_workload, max_ram, max_storage, max_bandwidth). All four
 policies return [(user_id, vm_id | None), ...] in commit order.
 
-The batch-progress references are the per-task-call forms of
-`model.checkpoint` and `BatchState.remaining_requirements`, which the
-one-pass versions must match bit for bit.
+The batch-progress references are `model.checkpoint` and
+`BatchState.remaining_requirements` written from the completion rule's
+definition through per-task calls; the one-pass versions must match them bit
+for bit.
 
 The messaging references at the end are the kernel and runtime with one
 kernel entry per message and per reply timer, each timer cancelled when its
@@ -19,7 +20,7 @@ import heapq
 
 from cloudsched.bdi import FAILURE, AgentMessage
 from cloudsched.kernel import SchedulingInPastError
-from cloudsched.model import EPS, MI_EPS, RequestStatus, Requirements
+from cloudsched.model import REL, RequestStatus, Requirements
 from cloudsched.tracelog import NULL_TRACE
 
 
@@ -106,33 +107,41 @@ def _remaining_workload(batch, i):
     return batch.request.tasks[i].workload * (1.0 - batch.fractions[i])
 
 
+def reference_negligible(rest, workload, cpu, t):
+    """The completion rule as defined: a leftover counts as no work when it
+    is at most REL of its task's work, or when adding its run time to the
+    clock at t leaves the clock where it was."""
+    if rest <= REL * workload:
+        return True
+    return t + rest / cpu == t
+
+
 def reference_incomplete_indices(batch):
-    return [i for i in range(len(batch.fractions))
-            if _remaining_workload(batch, i) > MI_EPS]
+    """Done is state: a task is done once a checkpoint set its fraction to
+    exactly 1.0, however little work any other task has left."""
+    return [i for i, fraction in enumerate(batch.fractions) if fraction != 1.0]
 
 
 def reference_remaining_requirements(batch):
     """The remaining-work view, computed afresh with `max` calls."""
-    idx, workloads = [], []
-    ram = storage = bandwidth = 0.0
-    for i, task in enumerate(batch.request.tasks):
-        remaining = task.workload * (1.0 - batch.fractions[i])
-        if remaining > MI_EPS:
-            idx.append(i)
-            workloads.append(remaining)
-            ram = max(ram, task.ram)
-            storage = max(storage, task.storage)
-            bandwidth = max(bandwidth, task.bandwidth)
-    return Requirements(batch.request.user_id, sum(workloads), ram, storage,
-                        bandwidth, batch.request.deadline, tuple(workloads),
-                        tuple(idx))
+    idx = reference_incomplete_indices(batch)
+    tasks = batch.request.tasks
+    workloads = [_remaining_workload(batch, i) for i in idx]
+    return Requirements(batch.request.user_id, sum(workloads),
+                        max([0.0] + [tasks[i].ram for i in idx]),
+                        max([0.0] + [tasks[i].storage for i in idx]),
+                        max([0.0] + [tasks[i].bandwidth for i in idx]),
+                        batch.request.deadline, tuple(workloads), tuple(idx))
 
 
 def reference_checkpoint(batch, vm, tau):
-    """`model.checkpoint` as it read the batch through per-task calls: the
-    incomplete indices up front, each task's remaining work again in the
-    pour, and every task once more to decide COMPLETED. A partial pour that
-    leaves a task at most MI_EPS finishes it at the end of the interval."""
+    """`model.checkpoint` through per-task calls. The window [lo, hi] is the
+    part of the reservation since the last checkpoint; it pours unless it is
+    empty (hi < lo). Each unfinished task in order takes the work it needs:
+    it finishes when what it still lacks after the window's work is
+    negligible at hi, and otherwise keeps the window's remaining work and
+    ends the pour. Status and view move only when time passed or a task
+    finished; the batch is COMPLETED once no task is unfinished."""
     res = batch.reservation
     newly_done = []
     if res is None or batch.terminal:
@@ -141,32 +150,26 @@ def reference_checkpoint(batch, vm, tau):
     lo = max(batch.last_checkpoint, res.start)
     hi = min(tau, res.effective_end)
     batch.last_checkpoint = max(batch.last_checkpoint, tau)
-    if hi <= lo + EPS:
+    if hi < lo:
         return newly_done
-    if batch.request.status is RequestStatus.SCHEDULED:
-        batch.request.status = RequestStatus.EXECUTING
-    batch.view = None
     budget = vm.cpu * (hi - lo)
     cursor = lo
     for i in reference_incomplete_indices(batch):
         need = _remaining_workload(batch, i)
-        if need <= budget + MI_EPS:
-            budget -= need
-            cursor += need / vm.cpu
-            batch.fractions[i] = 1.0
-            batch.finishes[i] = cursor
-            batch.successes[i] = cursor <= batch.request.deadline
-            newly_done.append(i)
-        else:
-            batch.fractions[i] += budget / batch.request.tasks[i].workload
-            budget = 0.0
-            if _remaining_workload(batch, i) <= MI_EPS:
-                # a partial pour that leaves at most MI_EPS finishes the task
-                batch.fractions[i] = 1.0
-                batch.finishes[i] = hi
-                batch.successes[i] = hi <= batch.request.deadline
-                newly_done.append(i)
+        workload = batch.request.tasks[i].workload
+        if not reference_negligible(need - budget, workload, vm.cpu, hi):
+            batch.fractions[i] += budget / workload
             break
+        budget -= need
+        cursor += need / vm.cpu
+        batch.fractions[i] = 1.0
+        batch.finishes[i] = cursor
+        batch.successes[i] = cursor <= batch.request.deadline
+        newly_done.append(i)
+    if hi > lo or newly_done:
+        if batch.request.status is RequestStatus.SCHEDULED:
+            batch.request.status = RequestStatus.EXECUTING
+        batch.view = None
     if not reference_incomplete_indices(batch):
         batch.request.status = RequestStatus.COMPLETED
     return newly_done

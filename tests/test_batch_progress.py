@@ -1,5 +1,5 @@
 """The one-pass `model.checkpoint` and `BatchState.remaining_requirements`
-against their per-task-call references in `oracles`. Twin batches take the
+against their references in `oracles`, written from the completion rule. Twin batches take the
 same steps (checkpoints, TaskInflates and DeadlineCuts), one through the model
 and one through the reference, and must agree bit for bit after every step:
 progress, outcomes, status, clock, returned indices and the remaining view."""
@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudsched import model
-from cloudsched.model import (EPS, MI_EPS, BatchState, RequestStatus,
-                              TaskSpec, UserRequest, VmDescriptor)
+from cloudsched.model import (EPS, REL, BatchState, RequestStatus, TaskSpec,
+                              UserRequest, VmDescriptor)
 from cloudsched.rescheduling import (DeadlineCut, TaskInflate, UncertainEvent,
                                      apply_user_event)
 
@@ -91,14 +91,20 @@ def task(workload, fraction=0.0):
     return (workload, 900.0, 2.0, 300.0, fraction)
 
 
-# need exceeds the budget by just over MI_EPS, and the part-filled task's
-# remaining work then rounds to just under it
-PART_POUR_TASK = (24777.577267760105, 900.0, 2.0, 300.0, 0.9111850307401649)
-PART_POUR_BUDGET = 2200.6197623693024
+# REL * EXACT_WORK is 2**-20 exactly, so a checkpoint at EXACT_WORK - 2**-20
+# on a 1-MIPS VM leaves exactly REL of the task (cpu and clock subtract exactly)
+EXACT_WORK = 953.67431640625
+EXACT_REST = 2.0 ** -20
+# at the clock 2**20 one ulp is 2**-32: a task of 5 * 2**-34 MI on a 1-MIPS VM
+# books a 1-ulp slot and leaves a quarter ulp of run time, a leftover the clock
+# cannot represent; a task of 2**-34 MI books a zero-length slot
+CLOCK = 2.0 ** 20
+SUB_ULP_WORK = 5 * 2.0 ** -34
 
 task_specs = st.tuples(
-    st.one_of(st.sampled_from([MI_EPS, 2 * MI_EPS, 2.0 + MI_EPS, 10000.0]),
-              st.floats(MI_EPS / 2, 40000.0)),
+    st.one_of(st.sampled_from([EXACT_WORK, SUB_ULP_WORK, 2.0 ** -34, 1e-300,
+                               10000.0]),
+              st.floats(1e-12, 40000.0)),
     st.floats(0.0, 1500.0), st.floats(0.0, 10.0), st.floats(0.0, 600.0),
     st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
 
@@ -112,7 +118,7 @@ steps = st.lists(st.one_of(
 cases = st.fixed_dictionaries({
     "tasks": st.lists(task_specs, min_size=1, max_size=6),
     "cpu": st.one_of(st.sampled_from([1.0, 1000.0]), st.floats(1.0, 3000.0)),
-    "start": st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    "start": st.one_of(st.sampled_from([0.0, CLOCK]), st.floats(0.0, 50.0)),
     "deadline": st.one_of(st.just(math.inf), st.floats(1.0, 500.0)),
     "release": st.one_of(st.none(), st.floats(0.0, 1.0)),
     "status": st.sampled_from([RequestStatus.SCHEDULED, RequestStatus.SCHEDULED,
@@ -124,20 +130,25 @@ cases = st.fixed_dictionaries({
 
 @settings(max_examples=300, deadline=None)
 @given(case=cases)
-# a remaining amount of exactly MI_EPS, whole and half-run, counts as done
-@example(case=case_of([task(MI_EPS), task(2 * MI_EPS, 0.5), task(10000.0)],
-                      steps=[("checkpoint", 4.0), ("checkpoint", 20.0)]))
-# need == budget + MI_EPS finishes the task and leaves a negative budget
-@example(case=case_of([task(2.0 + MI_EPS), task(5.0)], cpu=1.0,
-                      steps=[("checkpoint", 2.0), ("checkpoint", 10.0)]))
+# a leftover of exactly REL * workload finishes the task, and the work it
+# lacked is charged to the next task
+@example(case=case_of([task(EXACT_WORK), task(5.0)], cpu=1.0,
+                      steps=[("checkpoint", EXACT_WORK - EXACT_REST),
+                             ("checkpoint", 10.0)]))
+# one ulp more leftover pours into the task and leaves it unfinished
+@example(case=case_of([task(EXACT_WORK)], cpu=1.0,
+                      steps=[("checkpoint", math.nextafter(
+                          EXACT_WORK - EXACT_REST, 0.0))]))
+# a leftover whose run time the clock cannot represent finishes the task
+@example(case=case_of([task(SUB_ULP_WORK)], cpu=1.0, start=CLOCK,
+                      steps=[("checkpoint", 2 * CLOCK)]))
+# a zero-length slot completes at its end
+@example(case=case_of([task(2.0 ** -34)], cpu=1.0, start=CLOCK,
+                      steps=[("checkpoint", CLOCK)]))
 # a task ending at cursor == deadline succeeds, the next one fails
 @example(case=case_of([task(10000.0), task(10000.0)], deadline=10.0,
                       steps=[("checkpoint", 20.0)]))
-# a partial pour that leaves at most MI_EPS (by rounding) finishes the task
-# at the end of the interval, so the batch completes with every finish set
-@example(case=case_of([PART_POUR_TASK], cpu=1.0,
-                      steps=[("checkpoint", PART_POUR_BUDGET)]))
-# hi <= lo + EPS pours nothing: at the start, and EPS / 2 after a checkpoint
+# an empty window at the start changes nothing; an EPS / 2 window pours
 @example(case=case_of([task(10000.0)], start=5.0,
                       steps=[("checkpoint", 5.0), ("checkpoint", 3.0),
                              ("checkpoint", EPS / 2)]))
@@ -155,20 +166,30 @@ def test_one_pass_matches_per_task_reference(case):
 
 
 def test_edge_examples_reach_their_edges():
-    """The explicit examples above hit the branches they are named for."""
-    batch = run_twins(case_of([task(MI_EPS), task(2 * MI_EPS, 0.5),
-                               task(10000.0)], steps=[("checkpoint", 20.0)]))
-    assert batch.finishes == [None, None, 10.0]
+    """The explicit examples above hit the edges they are named for."""
+    assert REL * EXACT_WORK == EXACT_REST
+    batch = run_twins(case_of([task(EXACT_WORK), task(5.0)], cpu=1.0,
+                              steps=[("checkpoint", EXACT_WORK - EXACT_REST)]))
+    assert batch.fractions == [1.0, -EXACT_REST / 5.0]
+    assert batch.finishes == [EXACT_WORK, None]
+
+    batch = run_twins(case_of([task(EXACT_WORK)], cpu=1.0, steps=[(
+        "checkpoint", math.nextafter(EXACT_WORK - EXACT_REST, 0.0))]))
+    assert 0.0 < 1.0 - batch.fractions[0] < 2 * REL
+    assert batch.request.status is RequestStatus.EXECUTING
+
+    batch = run_twins(case_of([task(SUB_ULP_WORK)], cpu=1.0, start=CLOCK,
+                              steps=[("checkpoint", 2 * CLOCK)]))
+    end = batch.reservation.end
+    assert end == math.nextafter(CLOCK, math.inf)
+    assert SUB_ULP_WORK - (end - CLOCK) > REL * SUB_ULP_WORK
+    assert batch.finishes == [end] and batch.fractions == [1.0]
     assert batch.request.status is RequestStatus.COMPLETED
 
-    batch = run_twins(case_of([task(2.0 + MI_EPS), task(5.0)], cpu=1.0,
-                              steps=[("checkpoint", 2.0)]))
-    assert batch.fractions[0] == 1.0 and batch.fractions[1] < 0.0
-
-    batch = run_twins(case_of([PART_POUR_TASK], cpu=1.0,
-                              steps=[("checkpoint", PART_POUR_BUDGET)]))
-    assert batch.fractions == [1.0] and batch.finishes == [PART_POUR_BUDGET]
-    assert batch.successes == [True]
+    batch = run_twins(case_of([task(2.0 ** -34)], cpu=1.0, start=CLOCK,
+                              steps=[("checkpoint", CLOCK)]))
+    assert batch.reservation.end == batch.reservation.start == CLOCK
+    assert batch.finishes == [CLOCK]
     assert batch.request.status is RequestStatus.COMPLETED
 
     batch = run_twins(case_of([task(10000.0), task(10000.0)], deadline=10.0,
@@ -176,10 +197,16 @@ def test_edge_examples_reach_their_edges():
     assert batch.finishes == [10.0, 20.0]
     assert batch.successes == [True, False]
 
+    batch, vm = make_batch(case_of([task(10000.0)], start=5.0))
+    view = batch.remaining_requirements()
+    assert model.checkpoint(batch, vm, 5.0) == []
+    assert batch.view is view
+    assert batch.request.status is RequestStatus.SCHEDULED
+
     batch = run_twins(case_of([task(10000.0)],
                               steps=[("checkpoint", 5.0),
                                      ("checkpoint", EPS / 2)]))
-    assert batch.fractions == [0.5]
+    assert batch.fractions[0] > 0.5
     assert batch.last_checkpoint == 5.0 + EPS / 2
 
     batch = run_twins(case_of([task(10000.0)], status=RequestStatus.FAILED,

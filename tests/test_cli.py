@@ -113,16 +113,22 @@ class TestRunCommand:
         assert main(["run", "--config", path,
                      "--out", str(tmp_path / "r.csv")]) == 2
 
-    @pytest.mark.parametrize("scheduler", ["ara", "mct"])
-    def test_task_done_before_it_runs_is_one_error_line(self, tmp_path, capsys,
-                                                        scheduler):
-        # every task at most MI_EPS: the run used to go on until time_limit
+    @pytest.mark.parametrize("workload", [[1e-7, 2e-7], [1e-300, 1e-299]],
+                             ids=["1e-7", "1e-300"])
+    @pytest.mark.parametrize("scheduler", ["ara", "mct", "min_min"])
+    def test_tiny_task_workloads_run_to_quiescence(self, tmp_path, capsys,
+                                                   scheduler, workload):
+        # tasks far below any absolute work tolerance: each slot must finish
+        # its task or pour into it, or the run goes on until time_limit
+        out = tmp_path / "r.csv"
         path = write_config(tmp_path, seed=1, users=5, hosts=1,
-                            task_workload=[1e-7, 2e-7], scheduler=scheduler)
-        assert main(["run", "--config", path,
-                     "--out", str(tmp_path / "r.csv")]) == 2
-        assert capsys.readouterr().err.splitlines() == \
-            ["error: task_workload: min must exceed 1e-06"]
+                            task_workload=workload, scheduler=scheduler,
+                            time_limit=5000)
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert warnings_in(capsys) == []
+        (row,) = read_rows(out)
+        assert row["successful_tasks"] == row["total_tasks"]
+        assert float(row["makespan"]) < 5000
 
     @pytest.mark.parametrize("scheduler", ["ara", "mct"])
     def test_drawn_datacenter_without_vms_is_config_error(self, tmp_path,
@@ -148,6 +154,18 @@ class TestRunCommand:
         # json.dumps writes no NaN or Infinity unasked; json.load reads them
         path = tmp_path / "bad.json"
         path.write_text('{"users": 20, "%s": %s}' % (field, value))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("field", ["deadline", "vm_cpu", "task_workload"])
+    def test_int_too_large_for_a_float_is_one_error_line(self, tmp_path,
+                                                         capsys, field):
+        # float(10**400) raises OverflowError
+        path = tmp_path / "bad.json"
+        path.write_text('{"users": 20, "%s": [1, 1%s]}' % (field, "0" * 400))
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err.splitlines()

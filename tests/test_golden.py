@@ -7,11 +7,13 @@ import golden
 
 
 def test_golden_rows_byte_identical():
-    expected = golden.GOLDEN.read_bytes().splitlines()
-    actual = golden.golden_bytes().splitlines()
+    """Names every moved row as its (old, new) pair, not only the first."""
+    expected = golden.GOLDEN.read_bytes().decode().splitlines()
+    actual = golden.golden_bytes().decode().splitlines()
     assert len(actual) == len(expected)
-    for want, got in zip(expected, actual):
-        assert got == want
+    moved = [f"old {want}\nnew {got}"
+             for want, got in zip(expected, actual) if got != want]
+    assert not moved, f"{len(moved)} rows moved:\n" + "\n".join(moved)
 
 
 def test_trace_digests_match():

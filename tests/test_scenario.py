@@ -211,14 +211,11 @@ def inflate(workload_factor):
                                      "storage": 1.2, "bandwidth": 1.2}}}
 
 
-def test_tasks_done_before_they_run_rejected():
-    """A task of at most MI_EPS counts as done before it runs, whether it is
-    drawn that small or a pinned inflation shrinks it: a central run then
-    books zero-length slots until its cut, and an `ara` run leaves every
-    batch PENDING."""
-    with pytest.raises(ConfigError, match="task_workload: min must exceed"):
-        ScenarioConfig.from_dict({"task_workload": [1e-7, 2e-7]})
+def test_shrinking_inflation_rejected_tiny_workloads_accepted():
+    """A pinned task_inflate may only grow work, so a workload factor below 1
+    is rejected. A task workload has no floor but zero: tiny tasks run to
+    quiescence (see test_cli's test_tiny_task_workloads_run_to_quiescence)."""
     with pytest.raises(ConfigError, match="events.0.: task_inflate workload"):
         ScenarioConfig.from_dict({"events": [inflate(1e-12)]})
-    assert ScenarioConfig.from_dict({"task_workload": [2e-6, 3e-6],
+    assert ScenarioConfig.from_dict({"task_workload": [1e-300, 1e-299],
                                      "events": [inflate(1.0)]})
