@@ -113,7 +113,8 @@ def main(argv: list[str] | None = None) -> int:
                 if sink is not None:
                     sink.truncate(0)
                 result = harness.run_simulation(config, trace_sink=sink)
-                harness.warn_if_cut(result)
+                if warning := harness.cut_warning(result):
+                    print(warning, file=sys.stderr)
                 if dump is not None:
                     dump.truncate(0)
                     json.dump([e.to_json() for e in result.events], dump, indent=1)

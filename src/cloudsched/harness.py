@@ -7,14 +7,16 @@ seed to estimate the horizon; event fire times are then drawn uniformly over
 `compare` probe each (config, seed) once and share the horizon across
 probabilities. They also generate each seed's world and draw its events once,
 as a template that no run writes, and run every cell and probe on a copy.
+Their cells run in groups that share a probe, spread over forked processes.
 """
 
 import csv
 import io
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import TextIO
+from typing import NoReturn, TextIO
 
 from . import rescheduling
 from .agents import HostAgent, SuperviseAgent, UserAgent
@@ -177,13 +179,14 @@ def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
             trace.write()
 
 
-def warn_if_cut(result: RunResult, label: str = "") -> None:
-    """One stderr warning for a run cut at time_limit; `label` names the run
-    within a grid."""
-    if result.truncated:
-        print(f"warning: run{label} cut at time_limit "
-              f"{result.config.time_limit:g} before quiescence; the row counts "
-              f"only work finished by then", file=sys.stderr)
+def cut_warning(result: RunResult, label: str = "") -> str:
+    """The stderr warning of a run cut at time_limit, else ""; `label` names
+    the run within a grid."""
+    if not result.truncated:
+        return ""
+    return (f"warning: run{label} cut at time_limit "
+            f"{result.config.time_limit:g} before quiescence; the row counts "
+            f"only work finished by then")
 
 
 def result_row(result: RunResult, axis: str = "", axis_value="") -> dict:
@@ -206,18 +209,176 @@ def result_row(result: RunResult, axis: str = "", axis_value="") -> dict:
 AXES = ("theta", "hosts", "probability")
 
 
-def _grid_row(cfg: ScenarioConfig, templates: dict[int, _Template],
-              probed: dict[tuple[str, int], float], axis: str, value) -> dict:
-    """Run one grid cell on its seed's template, made on first use and kept
-    in `templates`, sharing its probe horizon; return its row."""
-    template = templates.get(cfg.seed)
-    if template is None:
-        template = templates[cfg.seed] = _Template(cfg)
-    result = _run(cfg, template, _shared_horizon(cfg, template, probed),
-                  TraceLog(enabled=False))
-    warn_if_cut(result, f" (scheduler {cfg.scheduler}, seed {cfg.seed}, "
-                        f"{axis} {value})")
-    return result_row(result, axis=axis, axis_value=value)
+class _GridWorker:
+    """One process's share of a grid: the template of the world and seed it
+    ran last, and the probe horizons it has measured."""
+
+    def __init__(self):
+        self.key: tuple | None = None
+        self.template: _Template | None = None
+        self.probed: dict[tuple[str, int], float] = {}
+
+    def row(self, cfg: ScenarioConfig, axis: str, value) -> tuple[dict, str]:
+        """Run one grid cell; its row and its cut warning ("" if none). An
+        error raised gets a note naming the cell."""
+        label = f"scheduler {cfg.scheduler}, seed {cfg.seed}, {axis} {value}"
+        try:
+            key = (world_key(cfg), cfg.seed)
+            if key != self.key:
+                self.key = self.template = None     # drop the old world first
+                self.template, self.key = _Template(cfg), key
+            result = _run(cfg, self.template,
+                          _shared_horizon(cfg, self.template, self.probed),
+                          TraceLog(enabled=False))
+        except Exception as exc:
+            exc.add_note(f"in grid cell ({label})")
+            raise
+        return (result_row(result, axis=axis, axis_value=value),
+                cut_warning(result, f" ({label})"))
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_groups(groups: list[list[tuple]], claim) -> dict[int, list | Exception]:
+    """Run the groups that this process claims, by index, until none is left
+    or one raises; a group that raises stops the claims of every process."""
+    worker = _GridWorker()
+    done: dict[int, list | Exception] = {}
+    while (i := claim()) < len(groups):
+        try:
+            done[i] = [worker.row(*cell) for cell in groups[i]]
+        except Exception as exc:
+            done[i] = exc
+            claim(stop=True)
+            break
+    return done
+
+
+def _fork_map(groups: list[list[tuple]], claim,
+              children: int) -> dict[int, list | Exception]:
+    """Run the groups on this process and `children` forked ones; what each
+    ran, merged. Every child is reaped before this returns or raises, and
+    killed first if this process fails outside a cell."""
+    import pickle
+    import signal
+    pids: list[int] = []        # the children not yet reaped
+    reads: list[int] = []       # the read end of each child's result pipe
+    try:
+        for _ in range(children):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(groups, claim, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        done = _run_groups(groups, claim)
+        for pid, r in list(zip(pids, reads)):
+            with open(r, "rb", closefd=False) as fh:
+                payload = fh.read()
+            if not payload:
+                pids.remove(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"grid worker process {pid} ended by {how} "
+                                   f"without sending its rows")
+            done.update(pickle.loads(payload))
+        return done
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _child(groups: list[list[tuple]], claim, out: int) -> NoReturn:
+    """A forked grid worker: run the groups it claims, write what it ran as
+    one pickle to `out`, and end with os._exit, so that it never returns
+    into its caller nor flushes the stdio buffers it inherited."""
+    status = 1
+    try:
+        import pickle
+        done = _run_groups(groups, claim)
+        for i, result in done.items():
+            if isinstance(result, Exception):
+                done[i] = _portable(result)
+        payload = pickle.dumps(done)
+        with open(out, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _portable(exc: Exception) -> Exception:
+    """`exc` with its traceback added as a note, since a pickle keeps the
+    notes but not the traceback; if `exc` does not come back whole from a
+    pickle, a RuntimeError with its repr and notes instead."""
+    import pickle
+    import traceback
+    exc.add_note("traceback in the grid worker process (most recent call "
+                 "last):\n" + "".join(traceback.format_tb(exc.__traceback__))
+                 .rstrip())
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        stand_in = RuntimeError(f"a grid cell raised {exc!r}, which cannot be "
+                                f"sent between processes")
+        for note in exc.__notes__:
+            stand_in.add_note(note)
+        return stand_in
+
+
+def _grid(groups: list[list[tuple]], key) -> list[dict]:
+    """The rows of every cell, sorted by `key`; their cut warnings go to
+    stderr in that order. Each group of (config, axis, value) cells runs
+    whole in one process. One process per usable core, at most one per
+    group, this one included, each claim the next unclaimed group: its
+    index is a token in a pipe that one process holds at a time. One
+    process runs them all when one core is usable (`taskset -c 0` makes it
+    so), when there is one group, or when fork is missing or unsafe (the
+    process runs other threads). The first group in order that raised
+    raises here."""
+    import threading
+    n = len(groups)
+    workers = min(usable_cores(), n)
+    token = os.pipe()
+
+    def claim(stop: bool = False) -> int:
+        i = int.from_bytes(os.read(token[0], 4), "little")
+        os.write(token[1], (n if stop else min(i + 1, n)).to_bytes(4, "little"))
+        return i
+
+    try:
+        os.write(token[1], (0).to_bytes(4, "little"))
+        if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+            done = _fork_map(groups, claim, workers - 1)
+        else:
+            done = _run_groups(groups, claim)
+    finally:
+        os.close(token[0])
+        os.close(token[1])
+    for i in sorted(done):
+        if isinstance(done[i], Exception):
+            raise done[i]
+    cells = sorted((cell for i in range(n) for cell in done[i]),
+                   key=lambda cell: key(cell[0]))
+    for _, warning in cells:
+        if warning:
+            print(warning, file=sys.stderr)
+    return [row for row, _ in cells]
 
 
 def check_grid(config: ScenarioConfig, axis: str, values: list, reps: int,
@@ -250,39 +411,30 @@ def _cell(config: ScenarioConfig, axis: str, value, **changes) -> ScenarioConfig
 def sweep(config: ScenarioConfig, axis: str, values: list,
           reps: int = 1) -> list[dict]:
     """One run per (axis value, repetition seed); rows in (value, seed) order.
-    Runs share one template per seed until the axis changes the world."""
+    A group is one cell, or one seed on the probability axis, where its
+    cells share a probe; `_grid` spreads the groups over the usable cores."""
     check_grid(config, axis, values, reps)
-    rows = []
-    probed: dict[tuple[str, int], float] = {}
-    templates: dict[int, _Template] = {}
-    shape = None
-    for value in values:
-        for rep in range(reps):
-            cfg = _cell(config, axis, value, seed=config.seed + rep)
-            if world_key(cfg) != shape:
-                shape, templates = world_key(cfg), {}
-            rows.append(_grid_row(cfg, templates, probed, axis, value))
-    rows.sort(key=lambda r: (float(r["axis_value"]), r["seed"]))
-    return rows
+    groups = []
+    for rep in range(reps):
+        cells = [(_cell(config, axis, value, seed=config.seed + rep), axis, value)
+                 for value in values]
+        groups += [cells] if axis == "probability" else [[c] for c in cells]
+    return _grid(groups, lambda r: (float(r["axis_value"]), r["seed"]))
 
 
 def compare(config: ScenarioConfig, schedulers: list[str],
             probabilities: list[float], reps: int = 1) -> list[dict]:
     """Grid of scheduler x event probability x repetition seed; the no-event
-    probe runs once per (scheduler, seed), not once per probability. Seeds
-    go outermost, so one template is held at a time."""
+    probe runs once per (scheduler, seed), not once per probability. A
+    group is one (seed, scheduler); `_grid` spreads the groups over the
+    usable cores."""
     check_grid(config, "probability", probabilities, reps, schedulers)
-    rows = []
-    probed: dict[tuple[str, int], float] = {}
-    for rep in range(reps):
-        templates: dict[int, _Template] = {}
-        for scheduler in schedulers:
-            for p in probabilities:
-                cfg = _cell(config, "probability", p, scheduler=scheduler,
-                            seed=config.seed + rep)
-                rows.append(_grid_row(cfg, templates, probed, "probability", p))
-    rows.sort(key=lambda r: (r["scheduler"], float(r["axis_value"]), r["seed"]))
-    return rows
+    groups = [[(_cell(config, "probability", p, scheduler=scheduler,
+                      seed=config.seed + rep), "probability", p)
+               for p in probabilities]
+              for rep in range(reps) for scheduler in schedulers]
+    return _grid(groups, lambda r: (r["scheduler"], float(r["axis_value"]),
+                                    r["seed"]))
 
 
 def write_csv(rows: list[dict], fh: TextIO) -> None:

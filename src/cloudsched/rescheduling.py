@@ -75,8 +75,8 @@ class UncertainEvent:
         """An event from its `to_json` form. ValueError names the first flaw:
         a wrong shape or kind, a mutation that does not fit its target kind,
         a missing or non-positive factor, a task_inflate workload factor
-        below 1 (an inflation only grows work), a negative or non-finite
-        time."""
+        below 1 (an inflation only grows work), a vm_degrade factor above 1
+        (a degrade only lowers a capacity), a negative or non-finite time."""
         if not isinstance(body, dict) or not isinstance(body.get("mutation"), dict):
             raise ValueError("an event must be an object with a mutation object")
         m = body["mutation"]
@@ -105,6 +105,8 @@ class UncertainEvent:
                                  f"as finite positive numbers")
             if kind == "task_inflate" and factors["workload"] < 1:
                 raise ValueError("task_inflate workload factor must be at least 1")
+            if kind == "vm_degrade" and any(factors[f] > 1 for f in names):
+                raise ValueError("vm_degrade factors must be at most 1")
             mutation = (TaskInflate if kind == "task_inflate" else VmDegrade)(dict(factors))
         return UncertainEvent(int(event_id), float(fire_at), target_kind,
                               body["target_id"], mutation)

@@ -222,8 +222,13 @@ class TestPinnedEvents:
                         "factors": {"workload": 1e-12, "ram": 1.2,
                                     "storage": 1.2, "bandwidth": 1.2}}),
          "task_inflate workload factor must be at least 1"),
+        (degrade(factors={"cpu": 3.0, "ram": 3.0, "storage": 3.0,
+                          "bandwidth": 3.0}), "vm_degrade factors must be at most 1"),
+        (degrade(factors={"cpu": 0.5, "ram": 0.5, "storage": 0.5,
+                          "bandwidth": 1.01}), "vm_degrade factors must be at most 1"),
     ], ids=["empty-mutation", "negative-fire-at", "factor-missing",
-            "zero-cpu-factor", "shrinking-workload-factor"])
+            "zero-cpu-factor", "shrinking-workload-factor", "growing-factors",
+            "growing-bandwidth-factor"])
     @pytest.mark.parametrize("scheduler", ["ara", "mct"])
     def test_malformed_event_is_one_error_line(self, tmp_path, capsys,
                                                 scheduler, event, message):
@@ -298,6 +303,25 @@ class TestCompareCommand:
             f"at time_limit 50 before quiescence; the row counts only work "
             f"finished by then" for scheduler in ("mct", "round_robin")]
         assert len(read_rows(out)) == 2
+
+
+class TestCores:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis", "theta", "--values", "2,5", "--reps", "2"],
+        ["compare", "--schedulers", "mct,round_robin,met",
+         "--probability", "0,0.5"],
+    ], ids=["sweep", "compare"])
+    def test_output_and_warnings_do_not_depend_on_cores(
+            self, tmp_path, capsys, monkeypatch, argv):
+        outputs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(harness, "usable_cores", lambda: cores)
+            out = tmp_path / f"cores{cores}.csv"
+            assert main(argv + ["--config", write_cut_config(tmp_path),
+                                "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), warnings_in(capsys)))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == len(read_rows(tmp_path / "cores1.csv"))
 
 
 class TestOutputPaths:

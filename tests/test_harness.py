@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import threading
+import time
+from functools import partial
 
 import pytest
 
@@ -116,6 +121,12 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def cores(monkeypatch, n: int) -> None:
+    """Make the grids see `n` usable cores, so that they run on `n`
+    processes; with 1 they run in this one, where calls can be counted."""
+    monkeypatch.setattr(harness, "usable_cores", lambda: n)
+
+
 def test_compare_rows_equal_per_cell_runs(monkeypatch):
     """compare probes once per (scheduler, seed) and generates one world per
     seed; every row must still equal the row of its cell run on its own,
@@ -125,6 +136,7 @@ def test_compare_rows_equal_per_cell_runs(monkeypatch):
     schedulers, probabilities = ["ara", "mct", "min_min"], [0.0, 0.5, 1.0]
     executions = count_calls(monkeypatch, harness, "_execute")
     generated = count_calls(monkeypatch, harness, "generate_scenario")
+    cores(monkeypatch, 1)
     rows = compare(config, schedulers, probabilities, reps=2)
     # 18 cells plus one probe per (scheduler, seed), not one per p > 0
     assert len(executions) == 18 + 3 * 2
@@ -162,6 +174,7 @@ def test_sweep_rows_equal_per_cell_runs(monkeypatch, axis, values, scheduler,
                             scheduler=scheduler, event_probability=0.6,
                             arrival_window=(0, 20), deadline=(300.0, 800.0))
     generated = count_calls(monkeypatch, harness, "generate_scenario")
+    cores(monkeypatch, 1)
     rows = sweep(config, axis, values, reps=2)
     assert len(generated) == worlds
     monkeypatch.undo()
@@ -170,6 +183,196 @@ def test_sweep_rows_equal_per_cell_runs(monkeypatch, axis, values, scheduler,
                     axis=axis, axis_value=value)
                 for value in values for seed in (3, 4)]
     assert csv_bytes(rows) == csv_bytes(expected)
+
+
+def forks(monkeypatch) -> list:
+    """Count the processes forked from this one."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, reaped or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+GRID = ScenarioConfig(seed=7, users=40, hosts=2, theta=2,
+                      arrival_window=(0, 20), deadline=(300.0, 800.0))
+
+
+def on_cores(monkeypatch, n: int, grid) -> list[dict]:
+    """The rows of `grid()` run with `n` usable cores."""
+    cores(monkeypatch, n)
+    return grid()
+
+
+def test_compare_rows_do_not_depend_on_cores(monkeypatch):
+    grid = partial(compare, GRID, ["ara", "mct", "min_min"], [0.0, 0.5, 1.0],
+                   reps=2)
+    forked = forks(monkeypatch)
+    assert csv_bytes(on_cores(monkeypatch, 2, grid)) == \
+        csv_bytes(on_cores(monkeypatch, 1, grid))
+    assert len(forked) == 1 and no_child_left()
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("theta", [1, 3]), ("hosts", [1, 2]), ("probability", [0.0, 0.5, 1.0])])
+def test_sweep_rows_do_not_depend_on_cores(monkeypatch, axis, values):
+    grid = partial(sweep, GRID.replaced(scheduler="ara", event_probability=0.6),
+                   axis, values, reps=2)
+    forked = forks(monkeypatch)
+    assert csv_bytes(on_cores(monkeypatch, 2, grid)) == \
+        csv_bytes(on_cores(monkeypatch, 1, grid))
+    assert len(forked) == 1 and no_child_left()
+
+
+def test_five_processes_run_each_group_once(monkeypatch):
+    """Five processes claim eight one-cell groups from one token: a group
+    claimed twice or never would add or lose a row."""
+    config = ScenarioConfig(seed=3, users=10, hosts=1, scheduler="mct",
+                            arrival_window=(0, 5))
+    grid = partial(sweep, config, "theta", list(range(1, 9)))
+    forked = forks(monkeypatch)
+    started = time.monotonic()
+    rows = on_cores(monkeypatch, 5, grid)
+    assert time.monotonic() - started < 60
+    assert len(forked) == 4 and no_child_left()
+    assert csv_bytes(rows) == csv_bytes(on_cores(monkeypatch, 1, grid))
+
+
+def test_grid_with_other_threads_does_not_fork(monkeypatch):
+    cores(monkeypatch, 2)
+    forked = forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        rows = compare(GRID, ["mct", "met"], [0.0])
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive() and forked == []
+    assert csv_bytes(rows) == csv_bytes(on_cores(
+        monkeypatch, 1, partial(compare, GRID, ["mct", "met"], [0.0])))
+
+
+def in_child_only(monkeypatch, tmp_path, child, parent=None):
+    """Run the grids on two processes and patch `_execute`: in the forked
+    one it marks `tmp_path` and calls `child()`; this process waits for the
+    mark (so that the child has claimed a group), then calls `parent()` if
+    given, else runs the cell."""
+    cores(monkeypatch, 2)
+    me, execute = os.getpid(), harness._execute
+    mark = tmp_path / "child-ran"
+
+    def patched(*args):
+        if os.getpid() != me:
+            mark.touch()
+            child()
+        deadline = time.monotonic() + 60
+        while not mark.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        if parent is not None:
+            parent()
+        return execute(*args)
+    monkeypatch.setattr(harness, "_execute", patched)
+    return mark
+
+
+def test_child_error_reaches_the_caller_naming_its_cell(monkeypatch, tmp_path):
+    def boom():
+        raise RuntimeError("boom in a child")
+    mark = in_child_only(monkeypatch, tmp_path, boom)
+    with pytest.raises(RuntimeError, match="boom in a child") as caught:
+        compare(GRID, ["mct", "met"], [0.0])
+    assert mark.exists()
+    assert_from_child_cell(caught.value.__notes__, "boom")
+    assert no_child_left()
+
+
+def assert_from_child_cell(notes: list[str], function: str) -> None:
+    """`notes` name the one cell a child ran, and hold the child's traceback
+    down to the frame of `function`."""
+    cell = [n for n in notes if n.startswith("in grid cell")]
+    assert cell in (["in grid cell (scheduler mct, seed 7, probability 0.0)"],
+                    ["in grid cell (scheduler met, seed 7, probability 0.0)"])
+    traceback = [n for n in notes if n.startswith("traceback in the grid "
+                                                  "worker process")]
+    assert len(traceback) == 1
+    assert f", in {function}\n" in traceback[0]
+    assert ", in row\n" in traceback[0]         # the worker's own frame
+
+
+class TwoPartError(Exception):
+    """An error that a pickle cannot rebuild: its constructor takes two
+    arguments, but it keeps one."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("error", [
+    lambda: TwoPartError("boom", "a child"),        # fails to unpickle
+    lambda: RuntimeError("boom", lambda: None),     # fails to pickle
+], ids=["not-rebuilt", "not-pickled"])
+def test_child_error_that_cannot_be_pickled_reaches_the_caller(
+        monkeypatch, tmp_path, error):
+    def boom():
+        raise error()
+    in_child_only(monkeypatch, tmp_path, boom)
+    with pytest.raises(RuntimeError, match="cannot be sent between "
+                                           "processes") as caught:
+        compare(GRID, ["mct", "met"], [0.0])
+    assert repr(error()).split("(")[0] in str(caught.value)
+    assert "boom" in str(caught.value)
+    assert_from_child_cell(caught.value.__notes__, "boom")
+    assert no_child_left()
+
+
+def test_killed_child_is_named_with_its_signal(monkeypatch, tmp_path):
+    in_child_only(monkeypatch, tmp_path,
+                  lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match=r"grid worker process \d+ ended "
+                       r"by signal 9 without sending its rows"):
+        compare(GRID, ["mct", "met"], [0.0])
+    assert no_child_left()
+
+
+def test_interrupted_parent_kills_and_reaps_its_children(monkeypatch, tmp_path):
+    def interrupt():
+        raise KeyboardInterrupt
+    in_child_only(monkeypatch, tmp_path, lambda: time.sleep(60), interrupt)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        compare(GRID, ["mct", "met"], [0.0])
+    assert time.monotonic() - started < 30
+    assert no_child_left()
+
+
+def test_first_failing_group_raises_on_any_cores(monkeypatch):
+    """Every group from the first one that raises on is skipped or fails,
+    so the error is the one the serial loop meets first. The failing cells
+    wait before they raise, so that both processes claim one."""
+    execute = harness._execute
+
+    def fails_from_seed_8(config, *rest):
+        if config.seed >= 8:
+            time.sleep(0.2)
+            raise ConfigError(f"seed {config.seed} fails")
+        return execute(config, *rest)
+    monkeypatch.setattr(harness, "_execute", fails_from_seed_8)
+    for n in (1, 2):
+        cores(monkeypatch, n)
+        with pytest.raises(ConfigError, match="seed 8 fails") as caught:
+            sweep(GRID.replaced(scheduler="mct"), "theta", [1, 2], reps=3)
+        assert "in grid cell (scheduler mct, seed 8, theta 1)" in \
+            caught.value.__notes__
+        assert no_child_left()
 
 
 def ground_truth(world) -> tuple:
@@ -193,6 +396,7 @@ def test_compare_leaves_its_template_as_generated(monkeypatch):
                         lambda cfg: made.append(make(cfg)) or made[-1])
     monkeypatch.setattr(harness, "_execute",
                         lambda *a: runs.append(execute(*a)) or runs[-1])
+    cores(monkeypatch, 1)
     compare(config, list(SCHEDULERS), [1.0])
     fresh = generate_scenario(config, RngStreams(4).scenario)
     tasks, vms, users = ground_truth(fresh)
