@@ -133,9 +133,8 @@ class VmRegistry:
                 self.busy.add(vm_id)
                 self._leased.setdefault(conversation_id, []).append(vm_id)
                 if self.trace.enabled:
-                    self.trace.emit(tau, "supervise", "lease", vm=vm_id,
-                                    state="BUSY", holder=reqs.user_id,
-                                    conversation=conversation_id)
+                    self.trace.lease(tau, vm_id, "BUSY", conversation_id,
+                                     reqs.user_id)
                 collected.append(snap)
                 if len(collected) >= theta:
                     break
@@ -149,8 +148,7 @@ class VmRegistry:
         for vm_id in sorted(leased, key=self._rank.__getitem__):
             self.busy.discard(vm_id)
             if self.trace.enabled:
-                self.trace.emit(tau, "supervise", "lease", vm=vm_id, state="READY",
-                                conversation=conversation_id)
+                self.trace.lease(tau, vm_id, "READY", conversation_id)
         return len(leased)
 
 

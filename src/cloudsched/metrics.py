@@ -8,7 +8,7 @@ scheduled count as failures in the success rate.
 
 from dataclasses import dataclass, field
 
-from .model import SimWorld
+from .model import SimWorld, add_up
 
 
 @dataclass
@@ -26,8 +26,8 @@ def utilization_variance(utilizations: list[float]) -> float:
     """Population variance of the per-VM busy fractions."""
     if not utilizations:
         return 0.0
-    mean = sum(utilizations) / len(utilizations)
-    return sum((u - mean) ** 2 for u in utilizations) / len(utilizations)
+    mean = add_up(utilizations) / len(utilizations)
+    return add_up((u - mean) ** 2 for u in utilizations) / len(utilizations)
 
 
 def compute_metrics(world: SimWorld) -> RunMetrics:

@@ -68,7 +68,7 @@ class Reservation:
 
     per_task_finish holds cumulative finish times for the covered tasks, computed
     with the VM's cpu at contract time; the last element equals `end` up to float
-    rounding (`reserve` sums the workloads before dividing, a degrade repair takes
+    rounding (`reserve` divides the total workload, a degrade repair takes
     the last finish). A released reservation keeps its executed prefix in the
     ledger for utilization accounting.
     """
@@ -170,6 +170,17 @@ def feasible(cap, reqs: Requirements, start: float) -> bool:
             and start + reqs.total_workload / cap.cpu <= reqs.deadline)
 
 
+def add_up(values) -> float:
+    """The floats added left to right from 0.0, as the builtin `sum` adds
+    them up to Python 3.11; from 3.12 on `sum` compensates, which moves the
+    last digits of a result. `remaining_requirements` adds its workloads the
+    same way, in the loop that collects them."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def timeline(start: float, workloads, cpu: float) -> list[float]:
     """Cumulative finish time of each workload, run back to back from `start`."""
     finishes = []
@@ -200,7 +211,7 @@ def reserve(vm: VmDescriptor, reqs: Requirements, start: float) -> Reservation:
         user_id=reqs.user_id,
         vm_id=vm.vm_id,
         start=start,
-        end=start + sum(reqs.workloads) / vm.cpu,
+        end=start + reqs.total_workload / vm.cpu,
         task_indices=list(reqs.task_indices),
         per_task_finish=timeline(start, reqs.workloads, vm.cpu),
         deadline_at_formation=reqs.deadline,
@@ -269,18 +280,20 @@ class BatchState:
             return self.view
         fractions = self.fractions
         idx, workloads = [], []
-        ram = storage = bandwidth = 0.0
+        total = ram = storage = bandwidth = 0.0
         for i, task in enumerate(self.request.tasks):
             if fractions[i] != 1.0:
                 idx.append(i)
-                workloads.append(task.workload * (1.0 - fractions[i]))
+                workload = task.workload * (1.0 - fractions[i])
+                workloads.append(workload)
+                total += workload
                 if task.ram > ram:
                     ram = task.ram
                 if task.storage > storage:
                     storage = task.storage
                 if task.bandwidth > bandwidth:
                     bandwidth = task.bandwidth
-        self.view = Requirements(self.request.user_id, sum(workloads), ram,
+        self.view = Requirements(self.request.user_id, total, ram,
                                  storage, bandwidth, self.request.deadline,
                                  tuple(workloads), tuple(idx))
         return self.view

@@ -61,10 +61,10 @@ def ledger_rows(result):
 
 @pytest.fixture
 def emit_only_when_enabled(monkeypatch):
-    """Makes `TraceLog.emit` and `TraceLog.message` fail on a disabled log:
+    """Makes `TraceLog.emit`, `message` and `lease` fail on a disabled log:
     with tracing off, every emit site must skip the call, and building its
     arguments with it."""
-    for name in ("emit", "message"):
+    for name in ("emit", "message", "lease"):
         monkeypatch.setattr(TraceLog, name, _strict(name, getattr(TraceLog, name)))
 
 

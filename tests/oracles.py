@@ -17,6 +17,8 @@ order, clock and pending count exactly.
 """
 
 import heapq
+from functools import reduce
+from operator import add
 
 from cloudsched.bdi import FAILURE, AgentMessage
 from cloudsched.kernel import SchedulingInPastError
@@ -123,11 +125,12 @@ def reference_incomplete_indices(batch):
 
 
 def reference_remaining_requirements(batch):
-    """The remaining-work view, computed afresh with `max` calls."""
+    """The remaining-work view, computed afresh with `max` calls; the total
+    adds the workloads left to right, as Python 3.11's `sum` does."""
     idx = reference_incomplete_indices(batch)
     tasks = batch.request.tasks
     workloads = [_remaining_workload(batch, i) for i in idx]
-    return Requirements(batch.request.user_id, sum(workloads),
+    return Requirements(batch.request.user_id, reduce(add, workloads, 0.0),
                         max([0.0] + [tasks[i].ram for i in idx]),
                         max([0.0] + [tasks[i].storage for i in idx]),
                         max([0.0] + [tasks[i].bandwidth for i in idx]),

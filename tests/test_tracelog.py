@@ -1,9 +1,9 @@
 """The streamed trace: a run with a sink writes the same bytes as the lines
 the same run holds in memory, and holds at most one chunk of lines at a time.
-Each line, written by `emit` or by the `message` template, is byte-identical
-to `json.dumps(record, sort_keys=True)`. The last tests hold every record to
-the README's schema table, and every row of that table to a kind the source
-still emits."""
+Each line, written by `emit` or by the `message` or `lease` template, is
+byte-identical to `json.dumps(record, sort_keys=True)`. The last tests hold
+every record to the README's schema table, and every row of that table to a
+kind the source still emits."""
 
 import ast
 import io
@@ -43,7 +43,7 @@ def in_memory(config):
 
 
 def buffer_peak(monkeypatch):
-    """Records the largest buffer seen after any emit or message."""
+    """Records the largest buffer seen after any emit, message or lease."""
     peak = [0]
 
     def watch(method):
@@ -51,7 +51,7 @@ def buffer_peak(monkeypatch):
             method(self, *args, **detail)
             peak[0] = max(peak[0], len(self.lines))
         return watched
-    for name in ("emit", "message"):
+    for name in ("emit", "message", "lease"):
         monkeypatch.setattr(TraceLog, name, watch(getattr(TraceLog, name)))
     return peak
 
@@ -143,6 +143,55 @@ def test_message_template_matches_json_dumps(monkeypatch):
         for t, kind, agent, key, peer, performative, conversation in cases)
 
 
+def lease_record(t, vm, state, conversation, holder=None):
+    detail = {"vm": vm, "state": state, "conversation": conversation}
+    if holder is not None:
+        detail["holder"] = holder
+    return {"t": t, "agent": "supervise", "kind": "lease", "detail": detail}
+
+
+def test_lease_template_matches_json_dumps(monkeypatch):
+    monkeypatch.setattr(tracelog, "CHUNK_RECORDS", 3)
+    sink = io.StringIO()
+    log = TraceLog(sink=sink)
+    odd = 'q"uo\\te\n\t\x00\x1f\x7f ü☃\U0001f600 ÿ\ud800'
+    cases = [
+        (2.5, odd, "BUSY", odd, odd),
+        (2.5, "h000v00", "READY", "u1#r0", None),
+        (0.25, "", "", "", ""),
+        (0.25, odd, odd, odd, None),
+    ] + [(t, "h001v02", state, "u00007#r3", holder)
+         for t in (7, True, 1, 1.0, 0.0, -0.0, 0, False, 5e-324, 1e16,
+                   float("inf"), float("-inf"), float("nan"))
+         for state, holder in (("BUSY", "u00007"), ("READY", None))]
+    for case in cases:
+        log.lease(*case)
+    log.write()
+    assert sink.getvalue() == encoded(lease_record(*case) for case in cases)
+
+
+def test_templates_share_the_stamp_by_identity():
+    # each `t` object is shared by emit, message and lease; the next one, an
+    # equal stamp of another type or sign, follows a lease line
+    log = TraceLog()
+    expected = []
+    for t in (3.5, 3.5, -0.0, 0.0, 0, False, 1, True, 1.0, float("nan"),
+              float("nan"), 2.0):
+        log.emit(t, "host:h0", "contract", vm="h0v0")
+        log.message(t, "send", "user:u1", "to", "host:h0", "REQUEST", "c")
+        log.lease(t, "h0v0", "READY", "c")
+        log.lease(t, "h0v0", "BUSY", "c", "u1")
+        expected += [
+            {"t": t, "agent": "host:h0", "kind": "contract",
+             "detail": {"vm": "h0v0"}},
+            {"t": t, "agent": "user:u1", "kind": "send",
+             "detail": {"to": "host:h0", "performative": "REQUEST",
+                        "conversation": "c"}},
+            lease_record(t, "h0v0", "READY", "c"),
+            lease_record(t, "h0v0", "BUSY", "c", "u1")]
+    assert "".join(log.lines) == encoded(expected)
+
+
 @pytest.mark.parametrize("scheduler", ["ara", "mct"])
 def test_untraced_run_never_emits(scheduler, emit_only_when_enabled):
     # uncertain.json draws events at p=0.5: reschedule cycles, rescues,
@@ -175,13 +224,17 @@ def test_records_follow_documented_schema(scheduler):
 def emitted_kinds() -> set[str]:
     """Every string literal passed as the `kind` argument of an `emit(...)`
     call (the third) or a `message(...)` call (the second) in the package
-    source, both branches of a conditional kind included."""
+    source, both branches of a conditional kind included, and `lease` if a
+    `lease(...)` call on a trace log is there."""
     kinds = set()
     for path in (ROOT / "src" / "cloudsched").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
-            at = {"emit": 2, "message": 1}.get(getattr(node.func, "attr", None))
+            attr = getattr(node.func, "attr", None)
+            if attr == "lease" and ast.unparse(node.func.value).endswith("trace"):
+                kinds.add("lease")
+            at = {"emit": 2, "message": 1}.get(attr)
             if at is not None and len(node.args) > at:
                 kinds.update(c.value for c in ast.walk(node.args[at])
                              if isinstance(c, ast.Constant)
