@@ -189,17 +189,10 @@ class HostAgent(Agent):
 
     def _best_sibling(self, reqs: Requirements,
                       exclude_vm: str) -> HostProposal | None:
-        best: HostProposal | None = None
-        for vm in self.host.vms:
-            if vm.vm_id == exclude_vm:
-                continue
-            proposal = make_proposal(vm, reqs, self.now)
-            if proposal is None:
-                continue
-            if best is None or (proposal.completion, proposal.vm_id) < \
-                    (best.completion, best.vm_id):
-                best = proposal
-        return best
+        """`select_best` over this host's quotes but `exclude_vm`'s, or None."""
+        proposals = [p for vm in self.host.vms if vm.vm_id != exclude_vm
+                     if (p := make_proposal(vm, reqs, self.now)) is not None]
+        return select_best(proposals) if proposals else None
 
     def _accept(self, msg: AgentMessage) -> None:
         """Answer an ACCEPT of a proposal, the user's own or a rescue offer's:
@@ -361,15 +354,27 @@ class UserAgent(Agent):
         self._start_round(self._initial_done)
 
     def _initial_done(self, ok: bool) -> None:
-        if ok or self.batch.terminal or self.batch.reservation is not None:
-            return
-        reqs = self.world.fresh_requirements(self.batch, self.now)
-        if self.now >= self.request.deadline or \
-                not self.world.any_capacity_feasible(reqs):
+        if not (ok or self.batch.terminal or self.batch.reservation is not None):
+            self._retry(self.start, "round-retry")
+
+    def _retry(self, step, kind: str) -> None:
+        """The one give-up rule, after a failed round or pass, the batch
+        checkpointed to now: fail at the deadline, or when no VM holds the
+        remaining tasks and the batch is unbound or has no deadline to end
+        its polling; else run `step` after `retry_period`."""
+        batch, deadline = self.batch, self.request.deadline
+        reqs = batch.remaining_requirements()
+        if self.now >= deadline or (
+                (batch.reservation is None or deadline == float("inf"))
+                and not any(model.capacity_feasible(vm, reqs)
+                            for vm in self.world.vms.values())):
             self._fail_batch()
+            self._end_cycle(False)
             return
-        self.runtime.kernel.schedule(self.now + self.retry_period, self.start,
-                                     kind="round-retry")
+        entry = self.runtime.kernel.schedule(self.now + self.retry_period,
+                                             step, kind=kind)
+        if self._cycle is not None:     # cancelled when the cycle ends
+            self._retry_entry = entry
 
     def _fail_batch(self) -> None:
         batch = self.batch
@@ -518,14 +523,7 @@ class UserAgent(Agent):
         if intention is None:
             self._rung = 0
             cycle.passes += 1
-            # _contract_holds has checkpointed the batch at this instant
-            if self.request.deadline == float("inf") and not \
-                    self.world.any_capacity_feasible(batch.remaining_requirements()):
-                self._fail_batch()
-                self._end_cycle(False)
-                return
-            self._retry_entry = self.runtime.kernel.schedule(
-                self.now + self.retry_period, self._cycle_step, kind="cycle-retry")
+            self._retry(self._cycle_step, "cycle-retry")
             return
         self._in_flight = True
         cycle.attempts += 1

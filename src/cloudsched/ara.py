@@ -10,7 +10,7 @@ committing, so a stale snapshot costs at worst one declined round.
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .model import Requirements, VmDescriptor, available_time, feasible
+from .model import Requirements, VmDescriptor, available_time, quote
 from .tracelog import NULL_TRACE, TraceLog
 
 
@@ -128,7 +128,7 @@ class VmRegistry:
                 if vm_id in self.busy:
                     continue
                 snap = self.snapshots[vm_id]
-                if not feasible(snap, reqs, start):
+                if quote(snap, reqs, start) is None:
                     continue
                 self.busy.add(vm_id)
                 self._leased.setdefault(conversation_id, []).append(vm_id)
@@ -161,14 +161,12 @@ def select_best(proposals: list[HostProposal]) -> HostProposal:
 
 def make_proposal(vm: VmDescriptor | None, reqs: Requirements, tau: float,
                   exclude=None) -> HostProposal | None:
-    """Host-side quote against ground truth (not the registry snapshot).
-    Returns None to decline: unknown VM, capacity shortfall, or a completion
-    past the deadline after the snapshot went stale. `exclude` lets a re-quote
+    """Host-side `quote` against ground truth, not the registry's snapshot;
+    None declines (unknown VM, or `quote` is None). `exclude` lets a re-quote
     on the batch's own VM ignore its current reservation."""
     if vm is None:
         return None
     start = available_time(vm, tau, exclude=exclude)
-    if not feasible(vm, reqs, start):
-        return None
-    return HostProposal(reqs.user_id, vm.vm_id, start,
-                        start + reqs.total_workload / vm.cpu)
+    completion = quote(vm, reqs, start)
+    return None if completion is None else \
+        HostProposal(reqs.user_id, vm.vm_id, start, completion)

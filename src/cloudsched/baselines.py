@@ -35,16 +35,14 @@ def _assign_in_order(pending: list[BatchState], vms: list[VmDescriptor],
     assignments: list[Placement] = []
     for batch in pending:
         reqs = batch.remaining_requirements()
-        ram, storage, bandwidth = reqs.max_ram, reqs.max_storage, reqs.max_bandwidth
         workload = reqs.total_workload
         best = None
-        for vm in vms:
-            if vm.ram >= ram and vm.storage >= storage and vm.bandwidth >= bandwidth:
-                completion = ((model.available_time(vm, tau) if queue_aware else 0.0)
-                              + workload / vm.cpu)
-                if best is None or completion < best_completion or (
-                        completion == best_completion and vm.vm_id < best.vm_id):
-                    best, best_completion = vm, completion
+        for vm in model.fitting(vms, reqs):
+            completion = ((model.available_time(vm, tau) if queue_aware else 0.0)
+                          + workload / vm.cpu)
+            if best is None or completion < best_completion or (
+                    completion == best_completion and vm.vm_id < best.vm_id):
+                best, best_completion = vm, completion
         reservation = None if best is None else model.reserve(
             best, reqs, model.available_time(best, tau))
         assignments.append((batch.request.user_id, reservation))
@@ -82,10 +80,9 @@ def assign_min_min(pending: list[BatchState], vms: list[VmDescriptor],
     assignments: list[Placement] = []
     avail = {vm.vm_id: model.available_time(vm, tau) for vm in vms}
     def quotes(reqs: model.Requirements) -> list[tuple[float, str, VmDescriptor]]:
-        ram, storage, bandwidth = reqs.max_ram, reqs.max_storage, reqs.max_bandwidth
         workload = reqs.total_workload
-        return [(avail[vm.vm_id] + workload / vm.cpu, vm.vm_id, vm) for vm in vms
-                if vm.ram >= ram and vm.storage >= storage and vm.bandwidth >= bandwidth]
+        return [(avail[vm.vm_id] + workload / vm.cpu, vm.vm_id, vm)
+                for vm in model.fitting(vms, reqs)]
     options: dict[str, list] = {}   # user -> [reqs, its heap once stale]
     heap: list[tuple[float, str, str, VmDescriptor]] = []
     for batch in pending:

@@ -132,12 +132,17 @@ registry_ops = st.lists(st.one_of(
 
 
 def reference_walk(snaps, busy, want, theta, tau):
-    """The first theta READY VMs, by (available_time, vm_id), that `feasible`
-    accepts: recommend's definition, re-sorted from scratch."""
+    """The first theta READY VMs, by (available_time, vm_id), whose snapshot
+    covers the request's maxima and, started at max(tau, available_time),
+    completes by its deadline: recommend's definition, re-sorted from
+    scratch and written out here rather than through `model.quote`."""
+    def serves(s):
+        return (s.ram >= want.max_ram and s.storage >= want.max_storage
+                and s.bandwidth >= want.max_bandwidth
+                and max(tau, s.available_time) + want.total_workload / s.cpu
+                <= want.deadline)
     order = sorted(snaps, key=lambda v: (snaps[v].available_time, v))
-    return [v for v in order if v not in busy and
-            model.feasible(snaps[v], want,
-                           max(tau, snaps[v].available_time))][:theta]
+    return [v for v in order if v not in busy and serves(snaps[v])][:theta]
 
 
 @given(registry_ops)
@@ -279,6 +284,18 @@ class TestMakeProposal:
         bad = requirements(make_request(workloads=(100.0,), ram=1000.0))
         assert make_proposal(vm, bad, 0.0) is None
         assert make_proposal(None, reqs(), 0.0) is None
+
+    def test_best_sibling_tie_goes_to_the_lower_vm_id(self):
+        # two idle siblings of one cpu quote the same completion
+        world = make_world(
+            [("h000", [make_vm("h000v02", "h000"), make_vm("h000v00", "h000"),
+                       make_vm("h000v01", "h000")])],
+            [make_request(workloads=(10000.0,))])
+        kernel, runtime, sa, hosts, users = build_sim(world)
+        want = requirements(world.users[0])
+        best = hosts["h000"]._best_sibling(want, exclude_vm="h000v00")
+        assert (best.vm_id, best.completion) == ("h000v01", 10.0)
+        assert make_proposal(world.vms["h000v02"], want, 0.0).completion == 10.0
 
 
 def build_sim(world, theta=2, latency=0.01, lease_timeout=10.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import model
-from cloudsched.ara import make_proposal
+from cloudsched.ara import VmSnapshot, make_proposal
 from cloudsched.kernel import Kernel
 from cloudsched.model import (BatchState, OverlapError, RequestStatus,
                               checkpoint, reserve)
@@ -36,8 +37,8 @@ class TestAvailableTime:
 
 class TestExpectedCompletion:
     """A quote's completion is its start (the VM's available time) plus the
-    summed workload at the VM's cpu; `feasible` meets the deadline exactly
-    at that completion."""
+    summed workload at the VM's cpu; `quote` meets the deadline exactly at
+    that completion."""
 
     def quote(self, vm, workload, tau=0.0):
         return make_proposal(vm, reqs_for(vm, workloads=(workload,)), tau)
@@ -45,8 +46,8 @@ class TestExpectedCompletion:
     def test_direct_formula(self):
         vm = make_vm(cpu=1000.0)
         assert self.quote(vm, 20000.0).completion == pytest.approx(20.0)
-        assert model.feasible(vm, reqs_for(vm, (20000.0,), deadline=20.0), 0.0)
-        assert not model.feasible(vm, reqs_for(vm, (20000.0,), deadline=19.9), 0.0)
+        assert model.quote(vm, reqs_for(vm, (20000.0,), deadline=20.0), 0.0) == 20.0
+        assert model.quote(vm, reqs_for(vm, (20000.0,), deadline=19.9), 0.0) is None
 
     def test_queued_vm(self):
         vm = make_vm(cpu=2500.0)
@@ -55,10 +56,10 @@ class TestExpectedCompletion:
         quote = self.quote(vm, 10000.0)
         assert quote.start == pytest.approx(50.0)
         assert quote.completion == pytest.approx(54.0)
-        assert model.feasible(vm, reqs_for(vm, (10000.0,), deadline=54.0),
-                              quote.start)
-        assert not model.feasible(vm, reqs_for(vm, (10000.0,), deadline=53.9),
-                                  quote.start)
+        assert model.quote(vm, reqs_for(vm, (10000.0,), deadline=54.0),
+                           quote.start) == quote.completion
+        assert model.quote(vm, reqs_for(vm, (10000.0,), deadline=53.9),
+                           quote.start) is None
 
     def test_extreme_task_on_weakest_vm(self):
         # largest workload at the slowest cpu of the configured ranges
@@ -89,17 +90,70 @@ class TestFeasible:
         reqs = requirements(make_request(
             workloads=(25000.0, 25000.0), ram=1200.0, storage=8.0,
             bandwidth=500.0, deadline=5000.0))
-        assert model.feasible(vm, reqs, 0.0) is True
+        assert model.quote(vm, reqs, 0.0) == 20.0
 
     def test_deadline_violation(self):
         vm = make_vm(cpu=2500.0)
         reqs = requirements(make_request(workloads=(50000.0,), deadline=10.0))
-        assert model.feasible(vm, reqs, 0.0) is False
+        assert model.quote(vm, reqs, 0.0) is None
 
     def test_capacity_violation(self):
         vm = make_vm(ram=1250.0)
         reqs = requirements(make_request(workloads=(1000.0,), ram=1251.0))
-        assert model.feasible(vm, reqs, 0.0) is False
+        assert model.quote(vm, reqs, 0.0) is None
+
+
+# Capacities and maxima come from one small set, so a capacity often equals
+# the maximum it is tested against; a batch with no tasks left has maxima 0.
+LEVELS = (100.0, 800.0, 1740.0)
+capacities = st.sampled_from(LEVELS)
+cpus = st.sampled_from((500.0, 1000.0, 2500.0))
+holders = st.one_of(
+    st.builds(make_vm, cpu=cpus, ram=capacities, storage=capacities,
+              bandwidth=capacities),
+    st.builds(VmSnapshot, st.just("h000v00"), st.just("h000"), cpus,
+              capacities, capacities, capacities, st.sampled_from((0.0, 9.0))))
+
+
+@st.composite
+def views(draw):
+    """A batch's requirements view with an unbounded deadline."""
+    workloads = tuple(draw(st.lists(st.sampled_from((500.0, 2000.0, 10000.0)),
+                                    max_size=3)))
+    maxima = [draw(st.sampled_from(LEVELS + (2000.0,))) if workloads else 0.0
+              for _ in range(3)]
+    return model.Requirements("u00000", model.add_up(workloads), *maxima,
+                              math.inf, workloads, tuple(range(len(workloads))))
+
+
+def covers(cap, reqs):
+    return (cap.ram >= reqs.max_ram and cap.storage >= reqs.max_storage
+            and cap.bandwidth >= reqs.max_bandwidth)
+
+
+@given(st.lists(holders, max_size=6), views())
+def test_fitting_keeps_what_capacity_feasible_accepts_in_order(caps, reqs):
+    kept = [id(c) for c in model.fitting(caps, reqs)]
+    assert kept == [id(c) for c in caps if model.capacity_feasible(c, reqs)]
+    assert kept == [id(c) for c in caps if covers(c, reqs)]
+
+
+@given(holders, views(), st.sampled_from((0.0, 0.1, 3.0, 1e6)),
+       st.sampled_from(("unbounded", "at", "after", "before")))
+def test_quote_is_the_completion_when_it_fits_by_the_deadline(cap, reqs, start,
+                                                              deadline):
+    """The deadline is unbounded, or the completion itself, or one ulp after
+    or before it: only the last is too late."""
+    completion = start + reqs.total_workload / cap.cpu
+    reqs = dataclasses.replace(reqs, deadline={
+        "unbounded": math.inf, "at": completion,
+        "after": math.nextafter(completion, math.inf),
+        "before": math.nextafter(completion, -math.inf)}[deadline])
+    got = model.quote(cap, reqs, start)
+    if covers(cap, reqs) and deadline != "before":
+        assert got == completion
+    else:
+        assert got is None
 
 
 class TestReserve:

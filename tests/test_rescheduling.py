@@ -692,3 +692,61 @@ class TestIntentions:
         a, b = compute_metrics(world_a), compute_metrics(world_b)
         assert (a.makespan, a.utilization_variance, a.success_rate) == \
             (b.makespan, b.utilization_variance, b.success_rate)
+
+
+class TestGiveUpRule:
+    """`UserAgent._retry`, the one rule for a failed initial round and for a
+    pass end: a batch fails at its deadline, or once no VM holds its
+    remaining tasks and it is unbound or has no deadline; it retries
+    otherwise. One host, one VM of ram 1740 and cpu 1000, latency 0.01."""
+
+    def _run(self, deadline, ram=(1200.0, 800.0), event=None):
+        """Two tasks of 10000 MI and the given rams; `event`, when given,
+        fires at 2. Returns the batch, the trace and each entry kind set."""
+        tasks = [model.TaskSpec(f"u00000t{i}", 10000.0, r, 1.0, 100.0)
+                 for i, r in enumerate(ram)]
+        world = make_world([("h000", [make_vm("h000v00", "h000", cpu=1000.0)])],
+                           [model.UserRequest("u00000", tasks, deadline)])
+        kernel, runtime, sa, hosts, users = build_sim(world, theta=1)
+        kinds, schedule = [], kernel.schedule
+        kernel.schedule = lambda at, action, kind="timer": \
+            kinds.append(kind) or schedule(at, action, kind)
+        if event is not None:
+            kernel.schedule(2.0, lambda: users["u00000"].on_user_event(event))
+        kernel.run_until_quiescent()
+        return world.batches["u00000"], runtime.trace.records, kinds
+
+    def _failed_at(self, records):
+        return [r["t"] for r in records if r["kind"] == "failed"]
+
+    def test_unbound_batch_no_vm_holds_fails_at_its_first_round(self):
+        batch, records, kinds = self._run(100.0, ram=(2000.0, 800.0))
+        assert batch.request.status is RequestStatus.FAILED
+        assert self._failed_at(records) == [pytest.approx(0.02)]
+        assert "round-retry" not in kinds
+
+    def test_bound_batch_with_a_deadline_retries_until_its_slot_helps(self):
+        # the inflation lifts task 0's ram to 1800 and task 1's to 1200: no
+        # VM holds the batch until its own slot finishes task 0 (at about
+        # 14.1), and the pass after that re-quotes the VM
+        batch, records, kinds = self._run(
+            200.0, event=inflate_event("u00000", 1.5, fire_at=2.0))
+        assert batch.request.status is RequestStatus.COMPLETED
+        assert batch.successes == [True, True]
+        assert kinds.count("cycle-retry") == 3
+        assert not self._failed_at(records)
+        ends = [r for r in records if r["kind"] == "cycle_end"]
+        assert [(e["detail"]["resolved"], e["detail"]["passes"])
+                for e in ends] == [(True, 3)]
+        assert 14.0 < ends[0]["t"] < 20.0
+
+    def test_bound_batch_with_no_deadline_fails_at_its_first_pass_end(self):
+        batch, records, kinds = self._run(
+            math.inf, event=inflate_event("u00000", 1.5, fire_at=2.0))
+        assert batch.request.status is RequestStatus.FAILED
+        assert "cycle-retry" not in kinds
+        ends = [r for r in records if r["kind"] == "cycle_end"]
+        assert [(e["detail"]["resolved"], e["detail"]["passes"])
+                for e in ends] == [(False, 1)]
+        assert self._failed_at(records) == [ends[0]["t"]]
+        assert ends[0]["t"] < 3.0
