@@ -35,7 +35,7 @@ from .bdi import (ACCEPT, FAILURE, HOST, INFORM, PROPOSE, REJECT, REQUEST,
                   SUPERVISE, USER, Agent, AgentId, AgentMessage, AgentRuntime,
                   deliberate)
 from .model import BatchState, Host, Requirements, RequestStatus, SimWorld
-from .rescheduling import RescheduleCycle, validate_contract
+from .rescheduling import RescheduleCycle
 
 LADDER = ("i1", "i2", "i3")   # same VM, same host, global round
 
@@ -96,7 +96,7 @@ class SuperviseAgent(Agent):
                                           msg.conversation_id)
             if rec.vm_refs:
                 self.runtime.kernel.timer(self._lease_timers,
-                                          rec.conversation_id, rec)
+                                          msg.conversation_id, rec)
             self.reply(msg, INFORM, rec)
         elif msg.performative == INFORM and isinstance(body, VmSnapshot):
             self.registry.sync(body)
@@ -170,12 +170,8 @@ class HostAgent(Agent):
         """The batch's remaining work, checkpointed to now; None when the
         batch is unknown, terminal or has nothing left."""
         batch = self.world.batches.get(user_id)
-        if batch is None or batch.terminal:
-            return None
-        reqs = self.world.fresh_requirements(batch, self.now)
-        if batch.terminal or not reqs.task_indices:
-            return None
-        return reqs
+        return None if batch is None else \
+            self.world.fresh_requirements(batch, self.now)
 
     def _quote(self, user_id: str, vm_id: str) -> HostProposal | None:
         """Quote the batch's remaining work on this host's VM `vm_id`, as if
@@ -266,15 +262,12 @@ class HostAgent(Agent):
         while self._rescue_queue:
             user_id, event_id = self._rescue_queue.pop(0)
             batch = self.world.batches.get(user_id)
-            if batch is None or batch.terminal or batch.reservation is None:
+            res = None if batch is None else batch.reservation
+            if res is None or batch.terminal or rescheduling.contract_holds(
+                    batch, self.world.vms[res.vm_id], self.now):
                 continue
-            res = batch.reservation
-            vm = self.world.vms[res.vm_id]
-            model.checkpoint(batch, vm, self.now)
-            if batch.terminal or validate_contract(batch, vm, self.now):
-                continue
-            reqs = batch.remaining_requirements()
-            offer = self._best_sibling(reqs, exclude_vm=res.vm_id)
+            offer = self._best_sibling(batch.remaining_requirements(),
+                                       exclude_vm=res.vm_id)
             user = AgentId(USER, user_id)
             if offer is None:
                 self.send(AgentMessage(self._next_conv("nof"), self.id, user,
@@ -349,9 +342,8 @@ class UserAgent(Agent):
                       for t in self.request.tasks))
 
     def start(self) -> None:
-        if self.batch.terminal or self.batch.reservation is not None:
-            return
-        self._start_round(self._initial_done)
+        if self.batch.reservation is None:
+            self._start_round(self._initial_done)
 
     def _initial_done(self, ok: bool) -> None:
         if not (ok or self.batch.terminal or self.batch.reservation is not None):
@@ -371,10 +363,17 @@ class UserAgent(Agent):
             self._fail_batch()
             self._end_cycle(False)
             return
-        entry = self.runtime.kernel.schedule(self.now + self.retry_period,
-                                             step, kind=kind)
-        if self._cycle is not None:     # cancelled when the cycle ends
+        entry = self.runtime.kernel.schedule(
+            self.now + self.retry_period,
+            lambda: self._retry_fired(entry, step), kind=kind)
+        if self._cycle is not None:     # cancelled if the cycle ends first
             self._retry_entry = entry
+
+    def _retry_fired(self, entry: int, step) -> None:
+        """A retry entry fired: forget it unless a later one replaced it."""
+        if self._retry_entry == entry:
+            self._retry_entry = None
+        step()
 
     def _fail_batch(self) -> None:
         batch = self.batch
@@ -399,12 +398,9 @@ class UserAgent(Agent):
 
     def _start_round(self, done) -> None:
         """A recommendation round: the supervise agent names the VMs to ask."""
-        if self.batch.terminal:
-            done(False)
-            return
         reqs = self.world.fresh_requirements(self.batch, self.now)
-        if not reqs.task_indices:
-            done(True)
+        if reqs is None:
+            done(self.request.status is RequestStatus.COMPLETED)
             return
         state = self._negotiation("r", done)
         self.send(AgentMessage(state.conversation, self.id, self.supervise,
@@ -496,8 +492,6 @@ class UserAgent(Agent):
         if self._cycle is not None or self.batch.terminal:
             return
         self._cycle = RescheduleCycle(self.request.user_id, event_id)
-        if self.request.status in (RequestStatus.SCHEDULED, RequestStatus.EXECUTING):
-            self.request.status = RequestStatus.PENDING
         self._rung = 0
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_start",
@@ -546,12 +540,9 @@ class UserAgent(Agent):
     def _contract_holds(self) -> bool:
         """Checkpoint the bound batch to now; True when that finished it or
         its contract still delivers, False when it holds no reservation."""
-        batch = self.batch
-        if batch.reservation is None:
-            return False
-        vm = self.world.vms[batch.reservation.vm_id]
-        model.checkpoint(batch, vm, self.now)
-        return batch.terminal or validate_contract(batch, vm, self.now)
+        res = self.batch.reservation
+        return res is not None and rescheduling.contract_holds(
+            self.batch, self.world.vms[res.vm_id], self.now)
 
     def _intention_done(self, ok: bool) -> None:
         if self._cycle is None:

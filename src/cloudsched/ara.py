@@ -32,7 +32,6 @@ class VmSnapshot:
 
 @dataclass
 class Recommendation:
-    conversation_id: str
     vm_refs: list[VmSnapshot]
     theta: int = 0
 
@@ -138,7 +137,7 @@ class VmRegistry:
                 collected.append(snap)
                 if len(collected) >= theta:
                     break
-        return Recommendation(conversation_id, collected, theta)
+        return Recommendation(collected, theta)
 
     def finalize(self, conversation_id: str, tau: float) -> int:
         """Release every lease held under this conversation back to READY, in

@@ -273,12 +273,8 @@ class CentralScheduler:
         pending = []
         for batch in batches:
             self._pending.discard(batch.request.user_id)
-            if batch.terminal:
+            if self.world.fresh_requirements(batch, now) is None:
                 continue
-            if batch.reservation is not None:
-                model.checkpoint(batch, self.world.vms[batch.reservation.vm_id], now)
-                if batch.terminal:
-                    continue
             model.unbind(batch, self.world.vms, self.kernel, now)
             if now >= batch.request.deadline:
                 self._fail(batch)

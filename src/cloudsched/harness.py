@@ -47,18 +47,21 @@ class RunResult:
 
 
 class _Template:
-    """A generated world that no run writes, and its event draws, made when
-    a run first needs them. Each run takes a copy of the world, except a
-    `run_simulation` run on its own template's last use."""
+    """A generated world that no run writes, and its event draws and probe
+    horizons, made when a run first needs them. Each run takes a copy of the
+    world, except a `run_simulation` run on its own template's last use."""
 
     def __init__(self, config: ScenarioConfig):
         self.world = generate_scenario(config, RngStreams(config.seed).scenario)
         self._draws: list[rescheduling.EventDraw] | None = None
+        self._horizons: dict[str, float] = {}   # no-event twin's config_hash
 
     def events(self, config: ScenarioConfig,
-               horizon: float | None) -> list[UncertainEvent]:
+               horizon: float | None = None) -> list[UncertainEvent]:
         """The events of `config`, whose seed is the template's: its pinned
-        ones, or those drawn for its probability over the horizon."""
+        ones, or those drawn for its probability over the horizon. Without
+        a horizon, it is the makespan of the no-event twin, probed once per
+        twin and kept."""
         if config.events is not None:
             events = [UncertainEvent.from_json(e) for e in config.events]
             for event in events:
@@ -70,6 +73,12 @@ class _Template:
             return events
         if config.event_probability <= 0.0:
             return []
+        if horizon is None:
+            twin = config.replaced(event_probability=0.0)
+            if (key := twin.config_hash()) not in self._horizons:
+                self._horizons[key] = self.run(
+                    twin, TraceLog(enabled=False)).metrics.makespan
+            horizon = self._horizons[key]
         if self._draws is None:
             self._draws = rescheduling.draw_events(
                 self.world.users, list(self.world.vms.values()),
@@ -78,6 +87,14 @@ class _Template:
             horizon = max(1.0, config.arrival_window[1])
         return rescheduling.select_events(self._draws, config.event_probability,
                                           horizon)
+
+    def run(self, config: ScenarioConfig, trace: TraceLog,
+            horizon: float | None = None, last_use: bool = False) -> RunResult:
+        """The one run step: the config on a copy of the world (on the world
+        itself at its last use), with its events."""
+        events = self.events(config, horizon)
+        return _execute(config, self.world if last_use else self.world.copy(),
+                        events, trace)
 
 
 def _execute(config: ScenarioConfig, world: SimWorld,
@@ -130,33 +147,6 @@ def _execute(config: ScenarioConfig, world: SimWorld,
                      runtime=runtime, truncated=len(kernel) > 0)
 
 
-def _run(config: ScenarioConfig, template: _Template, horizon: float | None,
-         trace: TraceLog, last_use: bool = False) -> RunResult:
-    """The one run step: the config on a copy of the template's world (on
-    the world itself at its last use), with the template's events for it."""
-    world = template.world if last_use else template.world.copy()
-    return _execute(config, world, template.events(config, horizon), trace)
-
-
-def _probe_horizon(config: ScenarioConfig, template: _Template) -> float:
-    """Makespan of the no-event twin: the horizon event times are drawn over."""
-    probe = _run(config.replaced(event_probability=0.0), template, None,
-                 TraceLog(enabled=False))
-    return probe.metrics.makespan
-
-
-def _shared_horizon(config: ScenarioConfig, template: _Template,
-                    probed: dict[tuple[str, int], float]) -> float | None:
-    """The probe horizon of a run that draws events, probed once per (config
-    without its probability, seed) and kept in `probed`; else None."""
-    if config.event_probability <= 0.0 or config.events is not None:
-        return None
-    key = (config.replaced(event_probability=0.0).config_hash(), config.seed)
-    if key not in probed:
-        probed[key] = _probe_horizon(config, template)
-    return probed[key]
-
-
 def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
                    horizon: float | None = None,
                    trace_sink: TextIO | None = None) -> RunResult:
@@ -168,12 +158,10 @@ def run_simulation(config: ScenarioConfig, collect_trace: bool = False,
     With `trace_sink` (an open text file) the trace streams into it, and every
     record is in the file when the run returns or raises."""
     template = _Template(config)
-    if horizon is None:
-        horizon = _shared_horizon(config, template, {})
     trace = TraceLog(enabled=collect_trace or trace_sink is not None,
                      sink=trace_sink)
     try:
-        return _run(config, template, horizon, trace, last_use=True)
+        return template.run(config, trace, horizon, last_use=True)
     finally:
         if trace_sink is not None:
             trace.write()
@@ -211,12 +199,11 @@ AXES = ("theta", "hosts", "probability")
 
 class _GridWorker:
     """One process's share of a grid: the template of the world and seed it
-    ran last, and the probe horizons it has measured."""
+    ran last."""
 
     def __init__(self):
         self.key: tuple | None = None
         self.template: _Template | None = None
-        self.probed: dict[tuple[str, int], float] = {}
 
     def row(self, cfg: ScenarioConfig, axis: str, value) -> tuple[dict, str]:
         """Run one grid cell; its row and its cut warning ("" if none). An
@@ -227,9 +214,7 @@ class _GridWorker:
             if key != self.key:
                 self.key = self.template = None     # drop the old world first
                 self.template, self.key = _Template(cfg), key
-            result = _run(cfg, self.template,
-                          _shared_horizon(cfg, self.template, self.probed),
-                          TraceLog(enabled=False))
+            result = self.template.run(cfg, TraceLog(enabled=False))
         except Exception as exc:
             exc.add_note(f"in grid cell ({label})")
             raise

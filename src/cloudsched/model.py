@@ -2,7 +2,7 @@
 reservations, the feasibility and timeline arithmetic used by every
 scheduler, and the batch lifecycle (bind, re-arm, slot end, unbind, fail)
 shared by the host agents and the central scheduler. No other module writes a
-reservation or a VM's ledger.
+reservation, a VM's ledger or a request's status.
 
 Placement is whole-batch: a user's task set goes to exactly one VM and runs
 sequentially in submission order. Capacity fields (ram/storage/bandwidth) are
@@ -472,8 +472,12 @@ class SimWorld:
                              req.arrival) for req in self.users]
         return SimWorld.build(Datacenter(hosts), users)
 
-    def fresh_requirements(self, batch: BatchState, now: float) -> Requirements:
-        """Checkpoint progress up to now, then take the remaining-work view."""
+    def fresh_requirements(self, batch: BatchState, now: float) -> Requirements | None:
+        """Checkpoint progress up to now, then take the remaining-work view;
+        None when the batch is terminal or has nothing left."""
+        if batch.terminal:
+            return None
         if batch.reservation is not None:
             checkpoint(batch, self.vms[batch.reservation.vm_id], now)
-        return batch.remaining_requirements()
+        reqs = batch.remaining_requirements()
+        return reqs if reqs.task_indices else None

@@ -198,17 +198,22 @@ def validate_contract(batch: BatchState, vm: VmDescriptor, now: float) -> bool:
                             reqs.total_workload, vm.cpu, res.end)
 
 
+def contract_holds(batch: BatchState, vm: VmDescriptor, now: float) -> bool:
+    """Checkpoint the batch bound on `vm` to now; True when that finished it
+    or its contract still delivers."""
+    model.checkpoint(batch, vm, now)
+    return batch.terminal or validate_contract(batch, vm, now)
+
+
 def apply_user_event(batch: BatchState, vm: VmDescriptor | None,
                      event: UncertainEvent, now: float) -> bool:
     """Mutate a batch's ground truth. Progress is checkpointed first so that tasks
     finished before the event keep their outcome under the pre-event deadline.
     Returns False when the target batch is already terminal (vacuous event)."""
+    if vm is not None and not batch.terminal:
+        model.checkpoint(batch, vm, now)
     if batch.terminal:
         return False
-    if vm is not None:
-        model.checkpoint(batch, vm, now)
-        if batch.terminal:
-            return False
     mutation = event.mutation
     batch.view = None
     if isinstance(mutation, TaskInflate):

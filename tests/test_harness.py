@@ -44,12 +44,19 @@ def test_success_rate_non_increasing_in_probability(kind):
     assert srs[0] >= srs[1] >= srs[2]
 
 
-def test_explicit_horizon_matches_probe_path():
+def test_explicit_horizon_matches_probe_path(monkeypatch):
+    """At p > 0 a run executes its no-event twin, then itself; given the
+    twin's makespan as its horizon, it executes itself alone, with the
+    same events and metrics."""
     config = ScenarioConfig(seed=5, users=60, hosts=3, theta=3,
                             deadline=(400.0, 1000.0), event_probability=0.5)
     probe = run_simulation(config.replaced(event_probability=0.0))
+    executions = count_calls(monkeypatch, harness, "_execute")
     auto = run_simulation(config)
+    assert [cfg.event_probability for cfg, *_ in executions] == [0.0, 0.5]
+    executions.clear()
     manual = run_simulation(config, horizon=probe.metrics.makespan)
+    assert [cfg.event_probability for cfg, *_ in executions] == [0.5]
     assert auto.events == manual.events
     assert auto.metrics == manual.metrics
 

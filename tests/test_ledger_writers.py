@@ -1,7 +1,9 @@
 """`model` is the only module that writes a ledger: no other module of the
 package assigns a `Reservation` field or mutates a VM's `.reservations` list.
 The check reads the source, so a new writer elsewhere fails here before it
-can break the tail-append order that `reserve` and `available_time` rely on."""
+can break the tail-append order that `reserve` and `available_time` rely on.
+It holds a request's `status` to the same rule: the batch lifecycle in
+`model` moves it, and every other module only reads it."""
 
 import ast
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import cloudsched
 
 SRC = Path(cloudsched.__file__).parent
-FIELDS = {"start", "end", "released_at", "task_indices", "per_task_finish"}
+FIELDS = {"start", "end", "released_at", "task_indices", "per_task_finish",
+          "status"}
 LISTS = {"reservations", "task_indices", "per_task_finish"}
 MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear", "sort",
             "reverse"}
@@ -65,8 +68,11 @@ def test_guard_sees_every_kind_of_write():
         "vm.reservations.remove(res)",
         "ends = [r.end for r in vm.reservations]",
         "d[res.start] = res.end",
+        "req.status = RequestStatus.PENDING",
+        "done(req.status is RequestStatus.COMPLETED)",
+        "status = 1",
     ])
-    assert ledger_writes(ast.parse(source)) == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert ledger_writes(ast.parse(source)) == [1, 2, 3, 4, 5, 6, 7, 8, 11]
 
 
 def test_model_is_the_only_ledger_writer():

@@ -11,7 +11,8 @@ from cloudsched.kernel import Kernel
 from cloudsched.model import (BatchState, OverlapError, RequestStatus,
                               checkpoint, reserve)
 
-from conftest import assert_no_overlap, make_request, make_vm, requirements
+from conftest import (assert_no_overlap, make_request, make_vm, make_world,
+                      requirements)
 
 
 def reqs_for(vm_or_req, workloads=(10000.0,), deadline=math.inf, **kw):
@@ -286,6 +287,47 @@ class TestReleaseRemainder:
         model.release_remainder(batch, vm, 10.0)
         assert vm.reservations == []
 
+
+
+class TestFreshRequirements:
+    """`SimWorld.fresh_requirements`: the batch checkpointed to now, then its
+    remaining-work view, or None when no work is left to place."""
+
+    def bound(self):
+        """A world with one VM of cpu 1000 and one batch of two tasks
+        (10000 and 20000 MI) bound on it from 0."""
+        vm = make_vm(cpu=1000.0)
+        world = make_world([("h000", [vm])],
+                           [make_request(workloads=(10000.0, 20000.0))])
+        batch = world.batches["u00000"]
+        model.bind(batch, reserve(vm, batch.remaining_requirements(), 0.0),
+                   Kernel(), lambda b: None)
+        return world, batch
+
+    def test_none_for_a_terminal_batch(self):
+        world, batch = self.bound()
+        model.fail(batch, world.vms, Kernel(), 5.0)
+        assert batch.incomplete_indices() == [0, 1]
+        assert world.fresh_requirements(batch, 6.0) is None
+
+    def test_none_when_its_own_checkpoint_completes_the_batch(self):
+        world, batch = self.bound()
+        assert world.fresh_requirements(batch, 30.0) is None
+        assert batch.request.status is RequestStatus.COMPLETED
+        assert batch.finishes == pytest.approx([10.0, 30.0])
+
+    def test_otherwise_the_cached_view_at_now(self):
+        world, batch = self.bound()
+        reqs = world.fresh_requirements(batch, 15.0)
+        assert reqs is batch.view is batch.remaining_requirements()
+        assert reqs.task_indices == (1,)
+        assert reqs.workloads == pytest.approx((15000.0,))
+        assert batch.request.status is RequestStatus.EXECUTING
+        # an unbound batch has nothing to checkpoint: its whole view
+        unbound = BatchState(make_request(workloads=(10000.0, 20000.0)))
+        assert world.fresh_requirements(unbound, 15.0) is \
+            unbound.remaining_requirements()
+        assert unbound.view.task_indices == (0, 1)
 
 
 class TestBatchLifecycle:

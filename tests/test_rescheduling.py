@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import model
-from cloudsched.agents import ReplacementOffer
+from cloudsched.agents import ReplacementOffer, UserAgent
 from cloudsched.harness import run_simulation
 from cloudsched.kernel import Kernel, RngStream
 from cloudsched.model import BatchState, RequestStatus
@@ -14,8 +14,9 @@ from cloudsched.rescheduling import (DEADLINE_CUT_RANGE, TASK_FIELDS,
                                      VM_FIELDS, DeadlineCut, TaskInflate,
                                      UncertainEvent, VmDegrade, apply_event,
                                      apply_user_event, apply_vm_degrade,
-                                     draw_events, generate_events,
-                                     select_events, validate_contract)
+                                     contract_holds, draw_events,
+                                     generate_events, select_events,
+                                     validate_contract)
 from cloudsched.tracelog import TraceLog
 from cloudsched.scenario import ScenarioConfig
 
@@ -223,6 +224,38 @@ class TestValidateContract:
         apply_vm_degrade(vm, degrade_event(vm.vm_id, 0.5), {"u00000": batch}, 0.0)
         assert validate_contract(batch, vm, 0.0) is True
 
+
+class TestContractHolds:
+    """`contract_holds`: the batch checkpointed to now, then True when that
+    finished it or its contract still delivers. One VM of cpu 1000."""
+
+    def test_true_when_the_checkpoint_finishes_the_batch(self):
+        # the cut at 2 leaves the written end (10) past the deadline (5), but
+        # by 10 the batch has run to its end
+        vm = make_vm(cpu=1000.0)
+        batch = contracted_batch(vm, deadline=100.0)
+        apply_user_event(batch, vm, cut_event("u00000", 95.0), 2.0)
+        assert not validate_contract(batch, vm, 10.0)
+        assert contract_holds(batch, vm, 10.0) is True
+        assert batch.request.status is RequestStatus.COMPLETED
+        assert batch.successes == [False]
+
+    def test_true_for_a_valid_contract(self):
+        vm = make_vm(cpu=1000.0)
+        batch = contracted_batch(vm, workloads=(10000.0, 10000.0),
+                                 deadline=100.0)
+        assert contract_holds(batch, vm, 15.0) is True
+        assert batch.incomplete_indices() == [1]
+        assert batch.fractions[1] == pytest.approx(0.5)
+
+    def test_false_for_a_broken_contract(self):
+        # inflated x1.2 at 5: 18000 MI left for the 15 s to the written end
+        vm = make_vm(cpu=1000.0)
+        batch = contracted_batch(vm, workloads=(10000.0, 10000.0),
+                                 deadline=100.0)
+        apply_user_event(batch, vm, inflate_event("u00000", 1.2), 5.0)
+        assert contract_holds(batch, vm, 8.0) is False
+        assert batch.fractions[0] == pytest.approx(0.75)   # checkpointed to 8
 
 
 class TestApplyEventStep:
@@ -739,6 +772,29 @@ class TestGiveUpRule:
         assert [(e["detail"]["resolved"], e["detail"]["passes"])
                 for e in ends] == [(True, 3)]
         assert 14.0 < ends[0]["t"] < 20.0
+
+    def test_cycle_end_cancels_no_retry_entry_that_fired(self, monkeypatch):
+        # the cycle ends in the step that its third retry entry ran: the
+        # entry has fired, so `_end_cycle` has nothing left to cancel
+        inside, cancels = [], []
+        end_cycle, cancel = UserAgent._end_cycle, Kernel.cancel
+
+        def spied_end(agent, resolved):
+            inside.append(True)
+            try:
+                end_cycle(agent, resolved)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(UserAgent, "_end_cycle", spied_end)
+        monkeypatch.setattr(Kernel, "cancel", lambda kernel, entry: (
+            cancels.append(entry) if inside else None) or cancel(kernel, entry))
+        batch, records, kinds = self._run(
+            200.0, event=inflate_event("u00000", 1.5, fire_at=2.0))
+        assert batch.request.status is RequestStatus.COMPLETED
+        assert kinds.count("cycle-retry") == 3
+        assert [r["kind"] for r in records].count("cycle_end") == 1
+        assert cancels == []
 
     def test_bound_batch_with_no_deadline_fails_at_its_first_pass_end(self):
         batch, records, kinds = self._run(
