@@ -2,7 +2,7 @@
 reservations, the feasibility and timeline arithmetic used by every
 scheduler, and the batch lifecycle (bind, re-arm, slot end, unbind, fail)
 shared by the host agents and the central scheduler. No other module writes a
-reservation, a VM's ledger or a request's status.
+reservation, a VM's ledger, a request's status or a batch's progress.
 
 Placement is whole-batch: a user's task set goes to exactly one VM and runs
 sequentially in submission order. Capacity fields (ram/storage/bandwidth) are
@@ -22,8 +22,6 @@ REL = 1e-9       # a leftover at most this share of its work counts as none
 
 class RequestStatus(str, Enum):
     PENDING = "PENDING"
-    SCHEDULED = "SCHEDULED"
-    EXECUTING = "EXECUTING"
     COMPLETED = "COMPLETED"
     FAILED = "FAILED"
 
@@ -250,18 +248,18 @@ def retime(res: Reservation, reqs: Requirements, cpu: float, now: float,
 class BatchState:
     """Runtime execution state of one user batch.
 
-    Progress is tracked as a completed fraction per task so that workload
-    inflation scales only the not-yet-executed remainder. Between checkpoints
-    the VM's cpu and the task workloads are constant, so pouring cpu * dt MI
-    into the remaining tasks reproduces the contract timeline exactly.
+    Progress is the MI each task still lacks (its workload at first, exactly
+    0.0 once done), so a workload inflation scales only the not-yet-executed
+    remainder. Between checkpoints the VM's cpu is constant, so pouring
+    cpu * dt MI into the remaining tasks reproduces the contract timeline.
 
     `view` caches remaining_requirements(); `checkpoint` (when it pours work)
     and `rescheduling.apply_user_event` (before it mutates) reset it to None,
-    as they are the only writers of the fractions, task list and deadline.
+    as they are the only writers of the remaining work, task list and deadline.
     """
 
     request: UserRequest
-    fractions: list[float] = field(init=False)
+    remaining: list[float] = field(init=False)
     finishes: list[float | None] = field(init=False)
     successes: list[bool] = field(init=False)
     reservation: Reservation | None = None
@@ -271,10 +269,9 @@ class BatchState:
                                       compare=False)
 
     def __post_init__(self):
-        n = len(self.request.tasks)
-        self.fractions = [0.0] * n
-        self.finishes = [None] * n
-        self.successes = [False] * n
+        self.remaining = [task.workload for task in self.request.tasks]
+        self.finishes = [None] * len(self.remaining)
+        self.successes = [False] * len(self.remaining)
 
     @property
     def terminal(self) -> bool:
@@ -282,21 +279,21 @@ class BatchState:
 
     def incomplete_indices(self) -> list[int]:
         """Indices of the tasks that `checkpoint` has not finished."""
-        return [i for i, f in enumerate(self.fractions) if f != 1.0]
+        return [i for i, rest in enumerate(self.remaining) if rest != 0.0]
 
     def remaining_requirements(self) -> Requirements:
         """Aggregate view of the work still to execute, at current ground truth."""
         if self.view is not None:
             return self.view
-        fractions = self.fractions
+        tasks = self.request.tasks
         idx, workloads = [], []
         total = ram = storage = bandwidth = 0.0
-        for i, task in enumerate(self.request.tasks):
-            if fractions[i] != 1.0:
+        for i, rest in enumerate(self.remaining):
+            if rest != 0.0:
+                task = tasks[i]
                 idx.append(i)
-                workload = task.workload * (1.0 - fractions[i])
-                workloads.append(workload)
-                total += workload
+                workloads.append(rest)
+                total += rest
                 if task.ram > ram:
                     ram = task.ram
                 if task.storage > storage:
@@ -321,11 +318,12 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
 
     Work accrues at vm.cpu within the reservation's written interval, poured
     in one pass into the unfinished tasks; a task whose leftover is
-    `negligible` at the interval's end finishes (fraction 1.0, written only
-    here), and the batch is COMPLETED once all have. Every window pours, so a
-    zero-length slot completes at its end; one that changes nothing leaves the
-    view and status alone. Task success is judged against the deadline in
-    force now, so callers must checkpoint BEFORE mutating ground truth.
+    `negligible` at the interval's end `hi` finishes (remaining 0.0, written
+    only here) by `hi`; a positive leftover finishes at `hi`, its lack
+    forgiven. The batch is COMPLETED once all have. Every window pours, so a
+    zero-length slot completes at its end; one that changes nothing leaves
+    the view alone. Task success is judged against the deadline in force
+    now, so callers must checkpoint BEFORE mutating ground truth.
     """
     res = batch.reservation
     newly_done: list[int] = []
@@ -340,18 +338,17 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
     request = batch.request
     cpu, deadline, cursor = vm.cpu, request.deadline, lo
     budget = cpu * (hi - lo)
-    tasks, fractions = request.tasks, batch.fractions
+    tasks, remaining = request.tasks, batch.remaining
     finishes, successes = batch.finishes, batch.successes
-    for i, task in enumerate(tasks):
-        if fractions[i] == 1.0:
+    for i, rest in enumerate(remaining):
+        if rest == 0.0:
             continue
-        need = task.workload * (1.0 - fractions[i])
-        if not negligible(need - budget, task.workload, cpu, hi):
-            fractions[i] += budget / task.workload
+        if not negligible(rest - budget, tasks[i].workload, cpu, hi):
+            remaining[i] = rest - budget
             break
-        budget -= need
-        cursor += need / cpu
-        fractions[i] = 1.0
+        cursor = min(cursor + rest / cpu, hi) if rest <= budget else hi
+        budget = max(budget - rest, 0.0)
+        remaining[i] = 0.0
         finishes[i] = cursor
         successes[i] = cursor <= deadline
         newly_done.append(i)
@@ -359,9 +356,20 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
         request.status = RequestStatus.COMPLETED
     if hi > lo or newly_done:
         batch.view = None
-        if request.status is RequestStatus.SCHEDULED:
-            request.status = RequestStatus.EXECUTING
     return newly_done
+
+
+def inflate(batch: BatchState, factors: dict[str, float]) -> None:
+    """A TaskInflate: each unfinished task gets a new spec (copied worlds
+    share the old) grown by `factors`, and its remaining MI by the workload's."""
+    tasks, remaining = batch.request.tasks, batch.remaining
+    for i in batch.incomplete_indices():
+        task = tasks[i]
+        tasks[i] = TaskSpec(task.task_id, task.workload * factors["workload"],
+                            task.ram * factors["ram"],
+                            task.storage * factors["storage"],
+                            task.bandwidth * factors["bandwidth"])
+        remaining[i] *= factors["workload"]
 
 
 def release_remainder(batch: BatchState, vm: VmDescriptor, tau: float) -> None:
@@ -380,10 +388,9 @@ def release_remainder(batch: BatchState, vm: VmDescriptor, tau: float) -> None:
 
 def bind(batch: BatchState, reservation: Reservation, kernel: Kernel,
          on_end: Callable[[BatchState], None]) -> None:
-    """Make `reservation` the batch's contract, mark it SCHEDULED, and re-arm
-    its completion entry."""
+    """Make `reservation` the batch's contract and re-arm its completion
+    entry; the request stays PENDING until it completes or fails."""
     batch.reservation = reservation
-    batch.request.status = RequestStatus.SCHEDULED
     rearm(batch, kernel, on_end)
 
 

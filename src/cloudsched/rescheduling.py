@@ -2,8 +2,8 @@
 
 Three mutation kinds, each hitting at most one target once per run:
   - TaskInflate: every requirement field of a batch's unfinished tasks grows
-    by a per-field factor in [1.10, 1.50]; executed fractions are kept, so
-    only the un-executed remainder inflates.
+    by a per-field factor in [1.10, 1.50], and so does their remaining work
+    (MI), so only the un-executed remainder inflates.
   - DeadlineCut: the batch deadline drops by 100..1000 s, floored at the clock.
   - VmDegrade: every capacity field of a VM shrinks by a per-field factor in
     [0.50, 0.90]; the timelines of all reservations on that VM are rebuilt at
@@ -24,8 +24,7 @@ from typing import Callable
 
 from . import model
 from .kernel import Kernel
-from .model import (BatchState, Reservation, SimWorld, TaskSpec, UserRequest,
-                    VmDescriptor)
+from .model import BatchState, Reservation, SimWorld, UserRequest, VmDescriptor
 from .tracelog import TraceLog
 
 TASK_INFLATE_RANGE = (1.10, 1.50)
@@ -217,14 +216,7 @@ def apply_user_event(batch: BatchState, vm: VmDescriptor | None,
     mutation = event.mutation
     batch.view = None
     if isinstance(mutation, TaskInflate):
-        # a new spec, as the worlds copied from one template share the old one
-        tasks, factors = batch.request.tasks, mutation.factors
-        for i in batch.incomplete_indices():
-            task = tasks[i]
-            tasks[i] = TaskSpec(task.task_id, task.workload * factors["workload"],
-                                task.ram * factors["ram"],
-                                task.storage * factors["storage"],
-                                task.bandwidth * factors["bandwidth"])
+        model.inflate(batch, mutation.factors)
     elif isinstance(mutation, DeadlineCut):
         batch.request.deadline = max(now, batch.request.deadline - mutation.delta)
     else:

@@ -30,13 +30,6 @@ def make_world(vm_specs, requests):
     return SimWorld.build(Datacenter(hosts), list(requests))
 
 
-@pytest.fixture
-def single_vm_world():
-    vm = make_vm()
-    req = make_request(workloads=(10000.0, 20000.0, 10000.0))
-    return make_world([("h000", [vm])], [req])
-
-
 def assert_no_overlap(vm):
     """Pairwise-disjoint executed/active intervals on the VM."""
     spans = sorted((r.start, r.effective_end) for r in vm.reservations)

@@ -105,10 +105,6 @@ def oracle_round_robin(batches, vms, start=0):
     return out
 
 
-def _remaining_workload(batch, i):
-    return batch.request.tasks[i].workload * (1.0 - batch.fractions[i])
-
-
 def reference_negligible(rest, workload, cpu, t):
     """The completion rule as defined: a leftover counts as no work when it
     is at most REL of its task's work, or when adding its run time to the
@@ -119,9 +115,9 @@ def reference_negligible(rest, workload, cpu, t):
 
 
 def reference_incomplete_indices(batch):
-    """Done is state: a task is done once a checkpoint set its fraction to
-    exactly 1.0, however little work any other task has left."""
-    return [i for i, fraction in enumerate(batch.fractions) if fraction != 1.0]
+    """Done is state: a task is done once a checkpoint took its remaining
+    work to exactly 0.0, however little work any other task has left."""
+    return [i for i, rest in enumerate(batch.remaining) if rest != 0.0]
 
 
 def reference_remaining_requirements(batch):
@@ -129,7 +125,7 @@ def reference_remaining_requirements(batch):
     adds the workloads left to right, as Python 3.11's `sum` does."""
     idx = reference_incomplete_indices(batch)
     tasks = batch.request.tasks
-    workloads = [_remaining_workload(batch, i) for i in idx]
+    workloads = [batch.remaining[i] for i in idx]
     return Requirements(batch.request.user_id, reduce(add, workloads, 0.0),
                         max([0.0] + [tasks[i].ram for i in idx]),
                         max([0.0] + [tasks[i].storage for i in idx]),
@@ -142,9 +138,12 @@ def reference_checkpoint(batch, vm, tau):
     part of the reservation since the last checkpoint; it pours unless it is
     empty (hi < lo). Each unfinished task in order takes the work it needs:
     it finishes when what it still lacks after the window's work is
-    negligible at hi, and otherwise keeps the window's remaining work and
-    ends the pour. Status and view move only when time passed or a task
-    finished; the batch is COMPLETED once no task is unfinished."""
+    negligible at hi, and otherwise keeps what it lacks and ends the pour.
+    A task the window's work covers finishes where that work runs out,
+    capped at hi; one it leaves short by a negligible leftover finishes at
+    hi, and the work it lacked is forgiven: the tasks after it get none.
+    The view moves only when time passed or a task finished; the batch is
+    COMPLETED once no task is unfinished."""
     res = batch.reservation
     newly_done = []
     if res is None or batch.terminal:
@@ -156,22 +155,22 @@ def reference_checkpoint(batch, vm, tau):
     if hi < lo:
         return newly_done
     budget = vm.cpu * (hi - lo)
-    cursor = lo
+    finish = lo
     for i in reference_incomplete_indices(batch):
-        need = _remaining_workload(batch, i)
+        need = batch.remaining[i]
         workload = batch.request.tasks[i].workload
         if not reference_negligible(need - budget, workload, vm.cpu, hi):
-            batch.fractions[i] += budget / workload
+            batch.remaining[i] = need - budget
             break
-        budget -= need
-        cursor += need / vm.cpu
-        batch.fractions[i] = 1.0
-        batch.finishes[i] = cursor
-        batch.successes[i] = cursor <= batch.request.deadline
+        if need > budget:
+            finish, budget = hi, 0.0
+        else:
+            finish, budget = min(hi, finish + need / vm.cpu), budget - need
+        batch.remaining[i] = 0.0
+        batch.finishes[i] = finish
+        batch.successes[i] = finish <= batch.request.deadline
         newly_done.append(i)
     if hi > lo or newly_done:
-        if batch.request.status is RequestStatus.SCHEDULED:
-            batch.request.status = RequestStatus.EXECUTING
         batch.view = None
     if not reference_incomplete_indices(batch):
         batch.request.status = RequestStatus.COMPLETED

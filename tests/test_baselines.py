@@ -339,7 +339,7 @@ def test_absorb_binds_the_booked_ledger_tail(kind):
         res = batch.reservation
         assert res is world.vms[res.vm_id].reservations[-1]
         assert res.user_id == batch.request.user_id
-        assert batch.request.status is RequestStatus.SCHEDULED
+        assert batch.request.status is RequestStatus.PENDING
     driver._place(batches[3:])   # one flush of three
     for vm in vms:
         for res in vm.reservations:

@@ -2,8 +2,9 @@
 package assigns a `Reservation` field or mutates a VM's `.reservations` list.
 The check reads the source, so a new writer elsewhere fails here before it
 can break the tail-append order that `reserve` and `available_time` rely on.
-It holds a request's `status` to the same rule: the batch lifecycle in
-`model` moves it, and every other module only reads it."""
+It holds a request's `status` and a batch's progress (`remaining`,
+`finishes`, `successes`) to the same rule: the batch lifecycle in `model`
+moves them, and every other module only reads them."""
 
 import ast
 from pathlib import Path
@@ -11,9 +12,10 @@ from pathlib import Path
 import cloudsched
 
 SRC = Path(cloudsched.__file__).parent
+PROGRESS = {"remaining", "finishes", "successes"}
 FIELDS = {"start", "end", "released_at", "task_indices", "per_task_finish",
-          "status"}
-LISTS = {"reservations", "task_indices", "per_task_finish"}
+          "status"} | PROGRESS
+LISTS = {"reservations", "task_indices", "per_task_finish"} | PROGRESS
 MUTATORS = {"append", "extend", "insert", "remove", "pop", "clear", "sort",
             "reverse"}
 
@@ -71,8 +73,14 @@ def test_guard_sees_every_kind_of_write():
         "req.status = RequestStatus.PENDING",
         "done(req.status is RequestStatus.COMPLETED)",
         "status = 1",
+        "batch.remaining[i] *= 1.5",
+        "batch.finishes[i] = now",
+        "batch.successes = [False]",
+        "batch.remaining.append(0.0)",
+        "left = sum(batch.remaining)",
     ])
-    assert ledger_writes(ast.parse(source)) == [1, 2, 3, 4, 5, 6, 7, 8, 11]
+    assert ledger_writes(ast.parse(source)) == [1, 2, 3, 4, 5, 6, 7, 8, 11,
+                                                14, 15, 16, 17]
 
 
 def test_model_is_the_only_ledger_writer():

