@@ -13,7 +13,9 @@ Rescheduling after an uncertain event invalidates a contract:
   user deliberates over its one intention ladder: i1 re-quote the same VM,
   i2 another VM in the same host (both negotiated with that host alone, with
   no supervise agent and no outcome), i3 a full new round. Passes repeat every
-  retry period until the contract is valid again or the deadline passes.
+  retry period until the contract is valid again or the deadline passes; a
+  pass that no VM can hold waits, on the same chain of instants, until the
+  batch's own slot can finish a task or the deadline comes.
 
 A degraded VM is handled host-side first, affected users in ascending id:
   host --PROPOSE(offer)--> user --ACCEPT(offer's proposal)/REJECT--> host
@@ -25,6 +27,7 @@ and every agent applies its uncertain events through
 `rescheduling.apply_event`: the same functions the central scheduler uses.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,6 +41,7 @@ from .model import BatchState, Host, Requirements, RequestStatus, SimWorld
 from .rescheduling import RescheduleCycle
 
 LADDER = ("i1", "i2", "i3")   # same VM, same host, global round
+WAKE_PASSES = 4096            # the longest walk `UserAgent._wake` makes
 
 
 @dataclass
@@ -328,6 +332,8 @@ class UserAgent(Agent):
         self._rung = 0             # LADDER index: every rung below it failed
         self._in_flight = False    # an intention's negotiation awaits its outcome
         self._retry_entry: int | None = None
+        # (pass end, slot's next finish, wake) of a waiting cycle's entry
+        self._waiting: tuple[float, float, float] | None = None
         self._last_event_id = -1
 
     # -- lifecycle ------------------------------------------------------------
@@ -351,28 +357,79 @@ class UserAgent(Agent):
 
     def _retry(self, step, kind: str) -> None:
         """The one give-up rule, after a failed round or pass, the batch
-        checkpointed to now: fail at the deadline, or when no VM holds the
-        remaining tasks and the batch is unbound or has no deadline to end
-        its polling; else run `step` after `retry_period`."""
+        checkpointed to now. While some VM holds its remaining tasks, `step`
+        runs again after `retry_period`. While none does, a bound batch waits
+        (`_wait`) for its slot's next finish or its deadline, whichever comes
+        first; it fails at its deadline, and at once when it is unbound (an
+        initial round) or has neither a finish left nor a deadline."""
         batch, deadline = self.batch, self.request.deadline
-        reqs = batch.remaining_requirements()
-        if self.now >= deadline or (
-                (batch.reservation is None or deadline == float("inf"))
-                and not any(model.capacity_feasible(vm, reqs)
-                            for vm in self.world.vms.values())):
-            self._fail_batch()
-            self._end_cycle(False)
-            return
+        if self.now < deadline:
+            reqs = batch.remaining_requirements()
+            if any(model.capacity_feasible(vm, reqs)
+                   for vm in self.world.vms.values()):
+                entry = self.runtime.kernel.schedule(
+                    self.now + self.retry_period,
+                    lambda: self._retry_fired(entry, step), kind=kind)
+                if self._cycle is not None:     # cancelled if the cycle ends first
+                    self._retry_entry = entry
+                return
+            res = batch.reservation
+            if res is not None:
+                finish = model.next_finish(batch, self.world.vms[res.vm_id])
+                if min(finish, deadline) < math.inf:
+                    self._wait(self.now, finish)
+                    return
+        self._fail_batch()
+        self._end_cycle(False)
+
+    def _wait(self, pass_end: float, finish: float) -> None:
+        """Set (or move) the cycle's next step to `_wake(pass_end, finish)`.
+        Capacities only fall and requirements only rise, so until its own
+        slot can finish a task (at `finish`, from `model.next_finish`), every
+        pass of a bound batch that no VM holds fails as the last one did."""
+        at = self._wake(pass_end, finish)
+        if self._waiting is not None:
+            if self._waiting[2] == at:
+                return
+            self.runtime.kernel.cancel(self._retry_entry)
         entry = self.runtime.kernel.schedule(
-            self.now + self.retry_period,
-            lambda: self._retry_fired(entry, step), kind=kind)
-        if self._cycle is not None:     # cancelled if the cycle ends first
-            self._retry_entry = entry
+            at, lambda: self._retry_fired(entry, self._cycle_step),
+            kind="cycle-retry")
+        self._retry_entry = entry
+        self._waiting = (pass_end, finish, at)
+        if at > pass_end + self.retry_period and self.runtime.trace.enabled:
+            self.runtime.trace.emit(self.now, str(self.id), "cycle_wait",
+                                    event=self._cycle.triggering_event,
+                                    until=at)
+
+    def _wake(self, pass_end: float, finish: float) -> float:
+        """The instant of the cycle's next step on the chain that polling
+        walks from `pass_end`: a pass starts `retry_period` after the last
+        one ended and takes a step every two `latency` hops (i1, i2 and i3
+        each ask and hear back), summed as the kernel sums them. It is the
+        start of the first pass whose end reaches `finish`, or the first step
+        at or after the deadline, where the batch fails, if that is earlier.
+        The walk stops at the start of its WAKE_PASSES-th pass: a far
+        deadline then costs one more failing pass, not a stalled step."""
+        deadline, latency = self.request.deadline, self.runtime.latency
+        t = pass_end
+        for _ in range(WAKE_PASSES):
+            t = start = t + self.retry_period
+            fails = start if start >= deadline else None
+            for _ in LADDER:
+                t = t + latency + latency
+                if fails is None and t >= deadline:
+                    fails = t
+            if t >= finish:
+                return start
+            if fails is not None:
+                return fails
+        return start
 
     def _retry_fired(self, entry: int, step) -> None:
         """A retry entry fired: forget it unless a later one replaced it."""
         if self._retry_entry == entry:
-            self._retry_entry = None
+            self._retry_entry = self._waiting = None
         step()
 
     def _fail_batch(self) -> None:
@@ -487,6 +544,8 @@ class UserAgent(Agent):
         # cut on an unbounded deadline (inf - delta = inf) triggers nothing
         if broken and self._fingerprint() != before:
             self._begin_cycle(event.event_id)
+        if self._waiting is not None:   # a deadline cut may wake it earlier
+            self._wait(*self._waiting[:2])
 
     def _begin_cycle(self, event_id: int) -> None:
         if self._cycle is not None or self.batch.terminal:
@@ -561,7 +620,7 @@ class UserAgent(Agent):
             return
         if self._retry_entry is not None:
             self.runtime.kernel.cancel(self._retry_entry)
-            self._retry_entry = None
+            self._retry_entry = self._waiting = None
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_end",
                                     event=cycle.triggering_event,

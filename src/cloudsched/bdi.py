@@ -116,6 +116,7 @@ class AgentRuntime:
     def __init__(self, kernel: Kernel, latency: float = 0.01,
                  collect_timeout: float = 1.0, trace: TraceLog | None = None):
         self.kernel = kernel
+        self.latency = latency
         self.trace = trace if trace is not None else NULL_TRACE
         self.agents: dict[AgentId, Agent] = {}
         # (sender, conversation) -> its timer's lane item, whose value is the

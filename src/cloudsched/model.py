@@ -359,6 +359,23 @@ def checkpoint(batch: BatchState, vm: VmDescriptor, tau: float) -> list[int]:
     return newly_done
 
 
+def next_finish(batch: BatchState, vm: VmDescriptor) -> float:
+    """The first instant at which a checkpoint of the batch bound on `vm`
+    can finish one of its tasks: its running task's finish less the leftover
+    `negligible` forgives, or its slot's end if that comes first; inf when
+    the batch is unbound or terminal, or its slot has nothing left to pour.
+    A degrade only delays it, as it lowers the cpu and stretches the slot."""
+    res = batch.reservation
+    if res is None or batch.terminal or batch.last_checkpoint >= res.effective_end:
+        return float("inf")
+    lo = max(batch.last_checkpoint, res.start)
+    for i, rest in enumerate(batch.remaining):
+        if rest != 0.0:
+            rest -= REL * batch.request.tasks[i].workload
+            return min(lo + rest / vm.cpu, res.effective_end)
+    return float("inf")
+
+
 def inflate(batch: BatchState, factors: dict[str, float]) -> None:
     """A TaskInflate: each unfinished task gets a new spec (copied worlds
     share the old) grown by `factors`, and its remaining MI by the workload's."""

@@ -332,6 +332,64 @@ class TestFreshRequirements:
         assert unbound.view.task_indices == (0, 1)
 
 
+class TestNextFinish:
+    """`model.next_finish`: the first instant at which a checkpoint can
+    finish a task of the bound batch, or inf when none can."""
+
+    def bound(self, start=0.0):
+        """As in TestFreshRequirements: two tasks (10000 and 20000 MI) bound
+        on one VM of cpu 1000 from `start`, so they finish at start + 10 and
+        start + 30."""
+        vm = make_vm(cpu=1000.0)
+        world = make_world([("h000", [vm])],
+                           [make_request(workloads=(10000.0, 20000.0))])
+        batch = world.batches["u00000"]
+        model.bind(batch, reserve(vm, batch.remaining_requirements(), start),
+                   Kernel(), lambda b: None)
+        return vm, batch
+
+    def test_the_running_task_less_the_forgiven_leftover(self):
+        vm, batch = self.bound()
+        forgiven = model.REL * 10000.0 / 1000.0
+        assert model.next_finish(batch, vm) == pytest.approx(10.0 - forgiven,
+                                                             abs=1e-12)
+        model.checkpoint(batch, vm, 12.0)
+        assert model.next_finish(batch, vm) == pytest.approx(
+            30.0 - model.REL * 20000.0 / 1000.0, abs=1e-12)
+        # a checkpoint at that instant finishes the task, one before it not
+        vm, batch = self.bound()
+        first = model.next_finish(batch, vm)
+        assert model.checkpoint(batch, vm, first - 1e-6) == []
+        assert model.checkpoint(batch, vm, first) == [0]
+
+    def test_a_queued_slot_counts_from_its_start(self):
+        vm, batch = self.bound(start=50.0)
+        model.checkpoint(batch, vm, 5.0)
+        assert model.next_finish(batch, vm) == pytest.approx(60.0, abs=1e-6)
+
+    def test_the_slot_end_when_it_comes_first(self):
+        vm, batch = self.bound()
+        model.inflate(batch, {"workload": 2.0, "ram": 1.0, "storage": 1.0,
+                              "bandwidth": 1.0})
+        model.checkpoint(batch, vm, 12.0)
+        # task 0 lacks 8000 MI at 12 and the slot ends at 30: it finishes
+        # at 20, task 1 then lacks 30000 MI more than the slot pours
+        assert model.next_finish(batch, vm) == pytest.approx(20.0, abs=1e-6)
+        model.checkpoint(batch, vm, 21.0)
+        assert model.next_finish(batch, vm) == 30.0
+
+    def test_inf_when_no_finish_is_left(self):
+        vm, batch = self.bound()
+        model.inflate(batch, {"workload": 2.0, "ram": 1.0, "storage": 1.0,
+                              "bandwidth": 1.0})
+        model.checkpoint(batch, vm, 30.0)
+        assert batch.incomplete_indices() == [1]
+        assert model.next_finish(batch, vm) == math.inf
+        model.fail(batch, {vm.vm_id: vm}, Kernel(), 31.0)
+        assert model.next_finish(batch, vm) == math.inf
+        assert model.next_finish(BatchState(make_request()), vm) == math.inf
+
+
 class TestBatchLifecycle:
     """bind / rearm / end_slot / fail: the completion-entry bookkeeping the
     host agents and the central scheduler share."""

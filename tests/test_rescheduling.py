@@ -1,11 +1,13 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cloudsched import model
-from cloudsched.agents import ReplacementOffer, UserAgent
+from cloudsched.agents import WAKE_PASSES, ReplacementOffer, UserAgent
+from cloudsched.bdi import PROPOSE, AgentMessage
 from cloudsched.harness import run_simulation
 from cloudsched.kernel import Kernel, RngStream
 from cloudsched.model import BatchState, RequestStatus
@@ -729,12 +731,15 @@ class TestIntentions:
 class TestGiveUpRule:
     """`UserAgent._retry`, the one rule for a failed initial round and for a
     pass end: a batch fails at its deadline, or once no VM holds its
-    remaining tasks and it is unbound or has no deadline; it retries
-    otherwise. One host, one VM of ram 1740 and cpu 1000, latency 0.01."""
+    remaining tasks and it is unbound or its slot has no finish left and no
+    deadline. A bound batch that no VM holds waits for its slot's next finish
+    (`UserAgent._wake`); any other batch retries after the retry period. One
+    host, one VM of ram 1740 and cpu 1000, latency 0.01, retry period 5."""
 
-    def _run(self, deadline, ram=(1200.0, 800.0), event=None):
+    def _run(self, deadline, ram=(1200.0, 800.0), event=None, later=()):
         """Two tasks of 10000 MI and the given rams; `event`, when given,
-        fires at 2. Returns the batch, the trace and each entry kind set."""
+        fires at 2, and each `(t, action)` of `later` calls `action(host,
+        user)` at t. Returns the batch, the trace and each entry kind set."""
         tasks = [model.TaskSpec(f"u00000t{i}", 10000.0, r, 1.0, 100.0)
                  for i, r in enumerate(ram)]
         world = make_world([("h000", [make_vm("h000v00", "h000", cpu=1000.0)])],
@@ -745,11 +750,35 @@ class TestGiveUpRule:
             kinds.append(kind) or schedule(at, action, kind)
         if event is not None:
             kernel.schedule(2.0, lambda: users["u00000"].on_user_event(event))
+        for at, action in later:
+            kernel.schedule(at, partial(action, hosts["h000"], users["u00000"]))
         kernel.run_until_quiescent()
         return world.batches["u00000"], runtime.trace.records, kinds
 
     def _failed_at(self, records):
         return [r["t"] for r in records if r["kind"] == "failed"]
+
+    def _ends(self, records):
+        return [(r["t"], r["detail"]["resolved"], r["detail"]["passes"])
+                for r in records if r["kind"] == "cycle_end"]
+
+    def _polled(self, monkeypatch):
+        """Make every wait end at the plain next poll."""
+        monkeypatch.setattr(UserAgent, "_wake", lambda agent, pass_end, finish:
+                            pass_end + agent.retry_period)
+
+    def test_wake_walks_the_polling_chain(self):
+        world = make_world([("h000", [make_vm("h000v00", "h000")])],
+                           [make_request(deadline=10.09)])
+        user = build_sim(world, theta=1)[4]["u00000"]
+        # from a pass end at 0, passes run 5.0-5.06 and 10.06-10.12, with
+        # steps at 10.06, 10.08, 10.10 and 10.12
+        assert user._wake(0.0, 5.05) == 5.0
+        assert user._wake(0.0, 5.07) == pytest.approx(10.06)
+        assert user._wake(0.0, math.inf) == pytest.approx(10.10)
+        user.request.deadline = 1e9
+        assert user._wake(0.0, math.inf) == pytest.approx(
+            WAKE_PASSES * 5.0 + (WAKE_PASSES - 1) * 0.06)
 
     def test_unbound_batch_no_vm_holds_fails_at_its_first_round(self):
         batch, records, kinds = self._run(100.0, ram=(2000.0, 800.0))
@@ -760,21 +789,36 @@ class TestGiveUpRule:
     def test_bound_batch_with_a_deadline_retries_until_its_slot_helps(self):
         # the inflation lifts task 0's ram to 1800 and task 1's to 1200: no
         # VM holds the batch until its own slot finishes task 0 (at about
-        # 14.1), and the pass after that re-quotes the VM
+        # 14.1). The first pass ends at 2.06; the passes of 7.06 and 12.12
+        # end before that finish and are skipped, and the pass of 17.18
+        # re-quotes the VM
         batch, records, kinds = self._run(
             200.0, event=inflate_event("u00000", 1.5, fire_at=2.0))
         assert batch.request.status is RequestStatus.COMPLETED
         assert batch.successes == [True, True]
-        assert kinds.count("cycle-retry") == 3
+        assert kinds.count("cycle-retry") == 1
         assert not self._failed_at(records)
         ends = [r for r in records if r["kind"] == "cycle_end"]
         assert [(e["detail"]["resolved"], e["detail"]["passes"])
-                for e in ends] == [(True, 3)]
+                for e in ends] == [(True, 1)]
         assert 14.0 < ends[0]["t"] < 20.0
+        waits = [r for r in records if r["kind"] == "cycle_wait"]
+        assert [(w["t"], w["detail"]["event"], w["detail"]["until"])
+                for w in waits] == [(pytest.approx(2.06), 0, pytest.approx(17.18))]
+
+    def test_waiting_ends_where_polling_does(self, monkeypatch):
+        event = inflate_event("u00000", 1.5, fire_at=2.0)
+        batch, records, kinds = self._run(200.0, event=event)
+        self._polled(monkeypatch)
+        polled, polled_records, polled_kinds = self._run(200.0, event=event)
+        assert polled_kinds.count("cycle-retry") == 3
+        assert [t for t, _, _ in self._ends(records)] == \
+            [t for t, _, _ in self._ends(polled_records)]
+        assert batch.finishes == pytest.approx(polled.finishes, rel=1e-12)
 
     def test_cycle_end_cancels_no_retry_entry_that_fired(self, monkeypatch):
-        # the cycle ends in the step that its third retry entry ran: the
-        # entry has fired, so `_end_cycle` has nothing left to cancel
+        # the cycle ends in the step that its one wake entry ran: the entry
+        # has fired, so `_end_cycle` has nothing left to cancel
         inside, cancels = [], []
         end_cycle, cancel = UserAgent._end_cycle, Kernel.cancel
 
@@ -791,17 +835,109 @@ class TestGiveUpRule:
         batch, records, kinds = self._run(
             200.0, event=inflate_event("u00000", 1.5, fire_at=2.0))
         assert batch.request.status is RequestStatus.COMPLETED
-        assert kinds.count("cycle-retry") == 3
+        assert kinds.count("cycle-retry") == 1
         assert [r["kind"] for r in records].count("cycle_end") == 1
         assert cancels == []
 
-    def test_bound_batch_with_no_deadline_fails_at_its_first_pass_end(self):
+    def test_bound_batch_with_no_deadline_waits_for_its_slot(self):
+        # as with a deadline: the slot finishes task 0, and the pass after
+        # that re-quotes the VM
         batch, records, kinds = self._run(
             math.inf, event=inflate_event("u00000", 1.5, fire_at=2.0))
+        assert batch.request.status is RequestStatus.COMPLETED
+        assert batch.successes == [True, True]
+        assert kinds.count("cycle-retry") == 1
+        assert not self._failed_at(records)
+        assert [(resolved, passes) for _, resolved, passes
+                in self._ends(records)] == [(True, 1)]
+
+    def test_bound_batch_with_no_deadline_fails_once_its_slot_has_no_finish(self):
+        # inflated x1.5 at 2, each task's ram tops the VM's 1740. The first
+        # pass waits for task 0 to finish (at 14.05), the second for the
+        # slot's end (at 20.05, task 1 short of its work), and the third finds
+        # no finish left to wait for
+        batch, records, kinds = self._run(
+            math.inf, ram=(1200.0, 1200.0),
+            event=inflate_event("u00000", 1.5, fire_at=2.0))
         assert batch.request.status is RequestStatus.FAILED
-        assert "cycle-retry" not in kinds
-        ends = [r for r in records if r["kind"] == "cycle_end"]
-        assert [(e["detail"]["resolved"], e["detail"]["passes"])
-                for e in ends] == [(False, 1)]
-        assert self._failed_at(records) == [ends[0]["t"]]
-        assert ends[0]["t"] < 3.0
+        assert batch.successes == [True, False]
+        assert batch.finishes[0] is not None and batch.finishes[1] is None
+        (t, resolved, passes), = self._ends(records)
+        assert (resolved, passes) == (False, 3)
+        assert self._failed_at(records) == [t]
+        expired, = [r["t"] for r in records if r["kind"] == "slot_expired"]
+        assert expired == pytest.approx(20.05) and 20.05 < t < 25.5
+
+    @pytest.mark.parametrize("cut_to", [7.09, 10.0])
+    def test_deadline_cut_while_waiting_fails_where_polling_does(
+            self, monkeypatch, cut_to):
+        # the cycle waits from 2.06 to 17.18; a cut at 5 brings the deadline
+        # into the pass of 7.06 (its steps are 7.06, 7.08, 7.10 and 7.12)
+        # or into the gap before the pass of 12.12
+        later = [(5.0, lambda host, user: user.on_user_event(
+            cut_event("u00000", 200.0 - cut_to, fire_at=5.0, event_id=1)))]
+        event = inflate_event("u00000", 1.5, fire_at=2.0)
+        batch, records, _ = self._run(200.0, event=event, later=later)
+        self._polled(monkeypatch)
+        polled, polled_records, _ = self._run(200.0, event=event, later=later)
+        assert batch.request.status is polled.request.status \
+            is RequestStatus.FAILED
+        assert self._failed_at(records) == self._failed_at(polled_records)
+        assert [t for t, _, _ in self._ends(records)] == \
+            [t for t, _, _ in self._ends(polled_records)]
+        failed_at, = self._failed_at(records)
+        assert batch.request.deadline <= failed_at < batch.request.deadline + 5.0
+        waits = [r["detail"]["until"] for r in records if r["kind"] == "cycle_wait"]
+        assert waits[-1] == failed_at
+
+    def test_degrade_of_its_vm_while_waiting_ends_where_polling_does(
+            self, monkeypatch):
+        # at 5 the VM keeps half its cpu and 0.9 of its ram (1566): task 1
+        # (1200) fits it, task 0 (1800) does not, and task 0 now finishes
+        # later than the wait planned for
+        degrade = UncertainEvent(1, 5.0, "vm", "h000v00", VmDegrade(
+            {"cpu": 0.5, "ram": 0.9, "storage": 1.0, "bandwidth": 1.0}))
+        later = [(5.0, lambda host, user: host.on_vm_event(degrade))]
+        event = inflate_event("u00000", 1.5, fire_at=2.0)
+        batch, records, kinds = self._run(200.0, event=event, later=later)
+        self._polled(monkeypatch)
+        polled, polled_records, polled_kinds = self._run(
+            200.0, event=event, later=later)
+        assert batch.request.status is polled.request.status
+        assert batch.successes == polled.successes
+        assert batch.finishes == pytest.approx(polled.finishes, rel=1e-12)
+        assert [(t, resolved) for t, resolved, _ in self._ends(records)] == \
+            [(t, resolved) for t, resolved, _ in self._ends(polled_records)]
+        assert kinds.count("cycle-retry") < polled_kinds.count("cycle-retry")
+
+    def test_rescue_ends_the_cycle_and_cancels_its_wake(self, monkeypatch):
+        # no run raises a capacity; this test does, at 5, so that the host's
+        # offer of the VM commits in a one-VM world while the cycle waits
+        entries, cancelled = [], []
+        wait, cancel = UserAgent._wait, Kernel.cancel
+
+        def spied_wait(agent, pass_end, finish):
+            wait(agent, pass_end, finish)
+            entries.append(agent._retry_entry)
+
+        monkeypatch.setattr(UserAgent, "_wait", spied_wait)
+        monkeypatch.setattr(Kernel, "cancel", lambda kernel, entry: (
+            cancelled.append((entry, cancel(kernel, entry))) or cancelled[-1][1]))
+
+        def rescue(host, user):
+            host.world.vms["h000v00"].ram = 2000.0
+            offer = host._quote("u00000", "h000v00")
+            host.send(AgentMessage("h000:rescue:1", host.id, user.id, PROPOSE,
+                                   ReplacementOffer(offer, 0)),
+                      partial(host._rescue_reply, "u00000", 0))
+
+        batch, records, kinds = self._run(
+            200.0, event=inflate_event("u00000", 1.5, fire_at=2.0),
+            later=[(5.0, rescue)])
+        assert batch.request.status is RequestStatus.COMPLETED
+        assert len(entries) == 1 and (entries[0], True) in cancelled
+        (t, resolved, passes), = self._ends(records)
+        assert (resolved, passes) == (True, 1)
+        assert 5.0 < t < 5.1
+        assert not [r for r in records
+                    if r["kind"] == "cycle_attempt" and r["t"] > 5.0]

@@ -221,6 +221,17 @@ def test_records_follow_documented_schema(scheduler):
     assert sorted(seen - documented_schema()) == []
 
 
+def test_cycle_wait_records_follow_documented_schema():
+    # at 200 users some reschedule cycles find no VM that holds their batch
+    # and wait past their next poll (retry period 5)
+    records = run_simulation(uncertain("ara"), collect_trace=True).trace.records
+    waits = [r for r in records if r["kind"] == "cycle_wait"]
+    assert waits
+    assert {("cycle_wait", frozenset(r["detail"])) for r in waits} <= \
+        documented_schema()
+    assert all(r["detail"]["until"] > r["t"] + 5.0 for r in waits)
+
+
 def emitted_kinds() -> set[str]:
     """Every string literal passed as the `kind` argument of an `emit(...)`
     call (the third) or a `message(...)` call (the second) in the package
