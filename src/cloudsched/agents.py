@@ -17,6 +17,11 @@ Rescheduling after an uncertain event invalidates a contract:
   pass that no VM can hold waits, on the same chain of instants, until the
   batch's own slot can finish a task or the deadline comes.
 
+A user has at most one pending step, one kernel entry: its initial round's
+retry, its cycle's next poll, or its cycle's wait. A poll is a wait whose
+finish is the pass end; a user event re-plans the step (a deadline cut can
+only bring a wait forward), and the end of a cycle cancels it.
+
 A degraded VM is handled host-side first, affected users in ascending id:
   host --PROPOSE(offer)--> user --ACCEPT(offer's proposal)/REJECT--> host
   host --INFORM/FAILURE--> user, as for any ACCEPT
@@ -46,11 +51,10 @@ WAKE_PASSES = 4096            # the longest walk `UserAgent._wake` makes
 
 @dataclass
 class ScheduleRequest:
-    """User-to-host: quote for my remaining work on this VM (or, for purpose
-    "samehost", on any sibling of it)."""
-    user_id: str
+    """User-to-host: quote the sender's remaining work on this VM, or, with
+    `sibling`, on the best of the host's other VMs."""
     vm_id: str
-    purpose: str            # "propose" | "requote" | "samehost"
+    sibling: bool
 
 
 @dataclass
@@ -154,12 +158,12 @@ class HostAgent(Agent):
     def handle_message(self, msg: AgentMessage) -> None:
         body = msg.body
         if msg.performative == REQUEST and isinstance(body, ScheduleRequest):
-            if body.purpose == "samehost":
-                reqs = self._remaining(body.user_id)
+            if body.sibling:
+                reqs = self._remaining(msg.sender.name)
                 proposal = None if reqs is None else \
                     self._best_sibling(reqs, exclude_vm=body.vm_id)
             else:
-                proposal = self._quote(body.user_id, body.vm_id)
+                proposal = self._quote(msg.sender.name, body.vm_id)
             self.reply(msg, REJECT if proposal is None else PROPOSE, proposal)
         elif msg.performative == ACCEPT and isinstance(body, HostProposal):
             self._accept(msg)
@@ -330,10 +334,8 @@ class UserAgent(Agent):
         self._round = 0
         self._cycle: RescheduleCycle | None = None
         self._rung = 0             # LADDER index: every rung below it failed
-        self._in_flight = False    # an intention's negotiation awaits its outcome
-        self._retry_entry: int | None = None
-        # (pass end, slot's next finish, wake) of a waiting cycle's entry
-        self._waiting: tuple[float, float, float] | None = None
+        # the one pending step: (entry, wake, pass end, finish, step, kind)
+        self._next: tuple | None = None
         self._last_event_id = -1
 
     # -- lifecycle ------------------------------------------------------------
@@ -359,44 +361,39 @@ class UserAgent(Agent):
         """The one give-up rule, after a failed round or pass, the batch
         checkpointed to now. While some VM holds its remaining tasks, `step`
         runs again after `retry_period`. While none does, a bound batch waits
-        (`_wait`) for its slot's next finish or its deadline, whichever comes
-        first; it fails at its deadline, and at once when it is unbound (an
-        initial round) or has neither a finish left nor a deadline."""
-        batch, deadline = self.batch, self.request.deadline
+        for its slot's next finish or its deadline, whichever comes first;
+        it fails at its deadline, and at once when it is unbound (an initial
+        round) or has neither a finish left nor a deadline."""
+        batch, deadline, finish = self.batch, self.request.deadline, math.inf
+        res = batch.reservation
         if self.now < deadline:
             reqs = batch.remaining_requirements()
             if any(model.capacity_feasible(vm, reqs)
                    for vm in self.world.vms.values()):
-                entry = self.runtime.kernel.schedule(
-                    self.now + self.retry_period,
-                    lambda: self._retry_fired(entry, step), kind=kind)
-                if self._cycle is not None:     # cancelled if the cycle ends first
-                    self._retry_entry = entry
-                return
-            res = batch.reservation
-            if res is not None:
+                finish = self.now
+            elif res is not None:
                 finish = model.next_finish(batch, self.world.vms[res.vm_id])
-                if min(finish, deadline) < math.inf:
-                    self._wait(self.now, finish)
-                    return
+        # a bound batch with no finish left still waits for a finite deadline
+        if finish < math.inf or \
+                res is not None and self.now < deadline < math.inf:
+            self._wait(self.now, finish, step, kind)
+            return
         self._fail_batch()
         self._end_cycle(False)
 
-    def _wait(self, pass_end: float, finish: float) -> None:
-        """Set (or move) the cycle's next step to `_wake(pass_end, finish)`.
-        Capacities only fall and requirements only rise, so until its own
+    def _wait(self, pass_end: float, finish: float, step, kind: str) -> None:
+        """Set (or move) the one pending step to run `step` at `_wake(pass_end,
+        finish)`. A `finish` at the pass end is the plain next poll. Past it,
+        capacities only fall and requirements only rise, so until its own
         slot can finish a task (at `finish`, from `model.next_finish`), every
         pass of a bound batch that no VM holds fails as the last one did."""
         at = self._wake(pass_end, finish)
-        if self._waiting is not None:
-            if self._waiting[2] == at:
+        if self._next is not None:
+            if self._next[1] == at:
                 return
-            self.runtime.kernel.cancel(self._retry_entry)
-        entry = self.runtime.kernel.schedule(
-            at, lambda: self._retry_fired(entry, self._cycle_step),
-            kind="cycle-retry")
-        self._retry_entry = entry
-        self._waiting = (pass_end, finish, at)
+            self.runtime.kernel.cancel(self._next[0])
+        entry = self.runtime.kernel.schedule(at, self._resume, kind=kind)
+        self._next = (entry, at, pass_end, finish, step, kind)
         if at > pass_end + self.retry_period and self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_wait",
                                     event=self._cycle.triggering_event,
@@ -426,10 +423,10 @@ class UserAgent(Agent):
                 return fails
         return start
 
-    def _retry_fired(self, entry: int, step) -> None:
-        """A retry entry fired: forget it unless a later one replaced it."""
-        if self._retry_entry == entry:
-            self._retry_entry = self._waiting = None
+    def _resume(self) -> None:
+        """The pending step's entry fired: clear it and run the step."""
+        step = self._next[4]
+        self._next = None
         step()
 
     def _fail_batch(self) -> None:
@@ -466,32 +463,28 @@ class UserAgent(Agent):
 
     def _on_recommendation(self, state: _RoundState,
                            msg: AgentMessage | None) -> None:
-        rec = None if msg is None else msg.body
-        if not isinstance(rec, Recommendation) or msg.performative != INFORM \
-                or not rec.vm_refs:
+        if msg is None or not msg.body.vm_refs:
             self._conclude(state, False)
             return
-        state.rec = rec
+        state.rec = rec = msg.body
         self._negotiate(state, [] if self.batch.terminal else
-                        [(AgentId(HOST, s.host_agent), s.vm_id, "propose")
+                        [(AgentId(HOST, s.host_agent), s.vm_id, False)
                          for s in rec.vm_refs])
 
     def _negotiate(self, state: _RoundState, asks) -> None:
-        """Ask each (host, vm_id, purpose) in `asks` for a quote; the
+        """Ask each (host, vm_id, sibling) in `asks` for a quote; the
         decision comes once every quote is in or timed out."""
         state.pending = len(asks)
         if not asks:
             self._decide(state)
-        for idx, (host, vm_id, purpose) in enumerate(asks):
+        for idx, (host, vm_id, sibling) in enumerate(asks):
             self.send(AgentMessage(f"{state.conversation}:{idx}", self.id, host,
-                                   REQUEST, ScheduleRequest(self.request.user_id,
-                                                            vm_id, purpose)),
+                                   REQUEST, ScheduleRequest(vm_id, sibling)),
                       partial(self._collect, state))
 
     def _collect(self, state: _RoundState, msg: AgentMessage | None) -> None:
         state.pending -= 1
-        if msg is not None and msg.performative == PROPOSE and \
-                isinstance(msg.body, HostProposal):
+        if msg is not None and msg.performative == PROPOSE:
             state.proposals.append((msg.body, msg.sender))
         if state.pending == 0:
             self._decide(state)
@@ -544,8 +537,8 @@ class UserAgent(Agent):
         # cut on an unbounded deadline (inf - delta = inf) triggers nothing
         if broken and self._fingerprint() != before:
             self._begin_cycle(event.event_id)
-        if self._waiting is not None:   # a deadline cut may wake it earlier
-            self._wait(*self._waiting[:2])
+        if self._next is not None:   # a deadline cut may wake a wait earlier
+            self._wait(*self._next[2:])
 
     def _begin_cycle(self, event_id: int) -> None:
         if self._cycle is not None or self.batch.terminal:
@@ -558,10 +551,7 @@ class UserAgent(Agent):
         self._cycle_step()
 
     def _cycle_step(self) -> None:
-        cycle = self._cycle
-        if cycle is None:
-            return
-        batch = self.batch
+        cycle, batch = self._cycle, self.batch
         if batch.terminal:
             self._end_cycle(batch.request.status is RequestStatus.COMPLETED)
             return
@@ -578,7 +568,6 @@ class UserAgent(Agent):
             cycle.passes += 1
             self._retry(self._cycle_step, "cycle-retry")
             return
-        self._in_flight = True
         cycle.attempts += 1
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_attempt",
@@ -590,11 +579,12 @@ class UserAgent(Agent):
         elif batch.reservation is None:
             self._intention_done(False)
         else:
-            # i1 ("requote") and i2 ("samehost") ask the VM's own host
-            purpose = "requote" if intention == "i1" else "samehost"
+            # i1 re-quotes the VM, i2 asks its host for a sibling
+            sibling = intention == "i2"
+            tag = "samehost" if sibling else "requote"
             vm = self.world.vms[batch.reservation.vm_id]
-            self._negotiate(self._negotiation(purpose, self._intention_done),
-                            [(AgentId(HOST, vm.host_id), vm.vm_id, purpose)])
+            self._negotiate(self._negotiation(tag, self._intention_done),
+                            [(AgentId(HOST, vm.host_id), vm.vm_id, sibling)])
 
     def _contract_holds(self) -> bool:
         """Checkpoint the bound batch to now; True when that finished it or
@@ -604,23 +594,19 @@ class UserAgent(Agent):
             self.batch, self.world.vms[res.vm_id], self.now)
 
     def _intention_done(self, ok: bool) -> None:
-        if self._cycle is None:
-            return
-        if self._in_flight and not ok:
-            self._rung += 1
-        self._in_flight = False
         if ok:
             self._end_cycle(True)
         else:
+            self._rung += 1
             self._cycle_step()
 
     def _end_cycle(self, resolved: bool) -> None:
         cycle = self._cycle
         if cycle is None:
             return
-        if self._retry_entry is not None:
-            self.runtime.kernel.cancel(self._retry_entry)
-            self._retry_entry = self._waiting = None
+        if self._next is not None:
+            self.runtime.kernel.cancel(self._next[0])
+            self._next = None
         if self.runtime.trace.enabled:
             self.runtime.trace.emit(self.now, str(self.id), "cycle_end",
                                     event=cycle.triggering_event,

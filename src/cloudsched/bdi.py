@@ -109,9 +109,10 @@ def deliberate(agent: Agent, desire: str, ladder: tuple[str, ...],
 
 
 class AgentRuntime:
-    """Mailbox router on top of the kernel: constant per-hop latency, reply
-    callbacks that time out `collect_timeout` after their ask, FAILURE bounce
-    for unknown recipients."""
+    """Mailbox router on top of the kernel: constant per-hop latency, and
+    reply callbacks that time out `collect_timeout` after their ask. A
+    message to an agent that was never registered is a program error: its
+    delivery raises KeyError."""
 
     def __init__(self, kernel: Kernel, latency: float = 0.01,
                  collect_timeout: float = 1.0, trace: TraceLog | None = None):
@@ -163,30 +164,21 @@ class AgentRuntime:
             kernel.timer(self._mail, next(self._sends), msg)
 
     def _deliver(self, send_number: int, msg: AgentMessage) -> None:
-        """Deliver one message; one to an unknown agent bounces back."""
+        """Deliver one message: a reply to the listener that awaits it, any
+        other message to its recipient."""
         kernel, trace, to = self.kernel, self.trace, msg.to
-        recipient = self.agents.get(to)
-        if recipient is None:
-            bounce = AgentMessage(msg.conversation_id, to, msg.sender,
-                                  FAILURE, body={"reason": "unknown-recipient"},
-                                  reply=True)
-            if trace.enabled:
-                trace.emit(kernel.now, to.label, "bounce",
-                           conversation=msg.conversation_id)
-            kernel.timer(self._mail, next(self._sends), bounce)
-            return
         if trace.enabled:
             trace.message(kernel.now, "deliver", to.label, "sender",
                           msg.sender.label, msg.performative,
                           msg.conversation_id)
+        if not msg.reply:
+            self.agents[to].handle_message(msg)
+            return
         timer = self._listeners.pop((to, msg.conversation_id), None)
         if timer is not None:
             self.listeners_resolved += 1
             timer[3](msg)               # its value: the reply callback
-        elif msg.reply:
-            # reply arriving after its ask timed out: discard
-            if trace.enabled:
-                trace.emit(kernel.now, to.label, "late_reply",
-                           conversation=msg.conversation_id)
-        else:
-            recipient.handle_message(msg)
+        elif trace.enabled:
+            # a reply arriving after its ask timed out is discarded
+            trace.emit(kernel.now, to.label, "late_reply",
+                       conversation=msg.conversation_id)

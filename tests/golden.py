@@ -17,6 +17,13 @@ seed 2, 300 users on 2 hosts with the deadlines of configs/uncertain.json.
 There most users cannot be served, so `ara` retries its initial round
 thousands of times and its empty recommendations dominate the run.
 
+tests/data/kernel_calls_sha256.txt pins, for `ara` at p {0, 0.5} on the
+worlds of the trace and saturated matrices, the sha256 of every
+`Kernel.schedule` call (`repr(fire_at)`, `kind`) and every `Kernel.cancel`
+(the cancelled entry's `repr(fire_at)` and `kind`, and whether it was still
+pending), in call order. A trace cannot see an entry that is scheduled twice
+or cancelled unfired; this digest can.
+
 A change that moves a row or a trace must say so and regenerate every file:
 
   PYTHONPATH=src python tests/golden.py --write
@@ -27,8 +34,10 @@ import io
 import json
 import pathlib
 import sys
+from unittest import mock
 
 from cloudsched.harness import csv_bytes, result_row, run_simulation
+from cloudsched.kernel import Kernel
 from cloudsched.scenario import SCHEDULERS, ScenarioConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,6 +47,7 @@ SEEDS = (1, 2, 3)
 PROBABILITIES = (0.0, 0.5)
 SATURATED_ROWS = ROOT / "tests" / "data" / "saturated_rows.csv"
 SATURATED_DIGESTS = ROOT / "tests" / "data" / "saturated_trace_sha256.txt"
+KERNEL_DIGESTS = ROOT / "tests" / "data" / "kernel_calls_sha256.txt"
 TRACE_SEED = 2
 
 
@@ -102,6 +112,37 @@ def trace_digest_lines() -> list[str]:
     return traced_runs(trace_cells())[1]
 
 
+def kernel_call_digest(cfg: ScenarioConfig) -> str:
+    """The sha256 of the run's `Kernel.schedule` and `Kernel.cancel` calls."""
+    calls, entries = [], {}
+    schedule, cancel = Kernel.schedule, Kernel.cancel
+
+    def spied_schedule(kernel, fire_at, action, kind="timer"):
+        entry = schedule(kernel, fire_at, action, kind)
+        entries[entry] = f"{fire_at!r} {kind}"
+        calls.append(f"schedule {entries[entry]}\n")
+        return entry
+
+    def spied_cancel(kernel, entry_id):
+        pending = cancel(kernel, entry_id)
+        calls.append(f"cancel {entries[entry_id]} {pending}\n")
+        return pending
+
+    with mock.patch.object(Kernel, "schedule", spied_schedule), \
+            mock.patch.object(Kernel, "cancel", spied_cancel):
+        run_simulation(cfg)
+    return hashlib.sha256("".join(calls).encode()).hexdigest()
+
+
+def kernel_call_lines() -> list[str]:
+    """One `<world> p=<p> <sha256>` line per `ara` cell of the trace and
+    saturated matrices."""
+    return [f"{world} p={cfg.event_probability} {kernel_call_digest(cfg)}"
+            for world, configs in (("golden", trace_cells()),
+                                   ("saturated", saturated_cells()))
+            for cfg in configs if cfg.scheduler == "ara"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/golden.py --write")
@@ -110,5 +151,6 @@ if __name__ == "__main__":
     rows, lines = traced_runs(saturated_cells())
     SATURATED_ROWS.write_bytes(rows)
     SATURATED_DIGESTS.write_text("\n".join(lines) + "\n")
-    print(f"wrote {GOLDEN}, {TRACE_DIGESTS}, {SATURATED_ROWS} "
-          f"and {SATURATED_DIGESTS}")
+    KERNEL_DIGESTS.write_text("\n".join(kernel_call_lines()) + "\n")
+    print(f"wrote {GOLDEN}, {TRACE_DIGESTS}, {SATURATED_ROWS}, "
+          f"{SATURATED_DIGESTS} and {KERNEL_DIGESTS}")

@@ -20,7 +20,6 @@ import heapq
 from functools import reduce
 from operator import add
 
-from cloudsched.bdi import FAILURE, AgentMessage
 from cloudsched.kernel import SchedulingInPastError
 from cloudsched.model import REL, RequestStatus, Requirements
 from cloudsched.tracelog import NULL_TRACE
@@ -278,31 +277,19 @@ class ReferenceRuntime:
                                  lambda: self._deliver(msg), kind="deliver")
 
     def _deliver(self, msg):
-        recipient = self.agents.get(msg.to)
-        if recipient is None:
-            bounce = AgentMessage(msg.conversation_id, msg.to, msg.sender,
-                                  FAILURE, body={"reason": "unknown-recipient"},
-                                  reply=True)
-            if self.trace.enabled:
-                self.trace.emit(self.kernel.now, msg.to.label, "bounce",
-                                conversation=msg.conversation_id)
-            self.kernel.schedule(self.kernel.now + self.latency,
-                                 lambda: self._deliver(bounce), kind="deliver")
-            return
         if self.trace.enabled:
             self.trace.emit(self.kernel.now, msg.to.label, "deliver",
                             sender=msg.sender.label, performative=msg.performative,
                             conversation=msg.conversation_id)
+        if not msg.reply:
+            self.agents[msg.to].handle_message(msg)
+            return
         key = (msg.to, msg.conversation_id)
         on_reply = self._listeners.pop(key, None)
         if on_reply is not None:
             self.listeners_resolved += 1
             self.kernel.cancel(self._timer_ids.pop(key))
             on_reply(msg)
-            return
-        if msg.reply:
-            if self.trace.enabled:
-                self.trace.emit(self.kernel.now, msg.to.label, "late_reply",
-                                conversation=msg.conversation_id)
-            return
-        recipient.handle_message(msg)
+        elif self.trace.enabled:
+            self.trace.emit(self.kernel.now, msg.to.label, "late_reply",
+                            conversation=msg.conversation_id)

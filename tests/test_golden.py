@@ -1,7 +1,8 @@
 """Equivalence gate: the pinned matrix must reproduce tests/data/golden_rows.csv
 byte for byte, and the pinned trace matrix the sha256 digests in
 tests/data/golden_trace_sha256.txt, and the saturated matrix both its rows and
-its digests (see tests/golden.py for the matrices and how to regenerate)."""
+its digests, and the `ara` cells their kernel-call digests (see
+tests/golden.py for the matrices and how to regenerate)."""
 
 import golden
 
@@ -25,3 +26,11 @@ def test_saturated_rows_and_digests_match():
     rows, lines = golden.traced_runs(golden.saturated_cells())
     assert rows.splitlines() == golden.SATURATED_ROWS.read_bytes().splitlines()
     assert lines == golden.SATURATED_DIGESTS.read_text().splitlines()
+
+
+def test_kernel_call_digests_match():
+    """Every retry, wake and completion entry the `ara` cells schedule or
+    cancel, in order: a duplicated or needlessly cancelled entry moves no
+    row and no trace record, but it moves this digest."""
+    assert golden.kernel_call_lines() == \
+        golden.KERNEL_DIGESTS.read_text().splitlines()

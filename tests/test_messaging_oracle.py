@@ -1,10 +1,10 @@
 """The kernel's timer lanes, which carry every message and timer, against
-the one-entry-per-action references in `oracles`. Random programs of schedules, cancels, sends
-(with and without a reply callback, dropped or not, to known and unknown
-agents), timers of a test lane whose delay differs from the runtime's
-`collect_timeout`, and runs with a limit go through both; every fired action,
-the clock, `len(kernel)` after every step, the listener counters and the
-trace records must be equal."""
+the one-entry-per-action references in `oracles`. Random programs of
+schedules, cancels, sends (with and without a reply callback, replies or
+not, dropped or not, all to registered agents), timers of a test lane whose
+delay differs from the runtime's `collect_timeout`, and runs with a limit go
+through both; every fired action, the clock, `len(kernel)` after every step,
+the listener counters and the trace records must be equal."""
 
 import math
 
@@ -146,7 +146,7 @@ keys = st.sampled_from(["k0", "k1"])
 
 def sends(children):
     return st.tuples(st.just("send"), st.sampled_from(NAMES),
-                     st.sampled_from(NAMES + ("ghost",)), convs,
+                     st.sampled_from(NAMES), convs,
                      st.booleans(), st.booleans(),
                      st.sampled_from([False, False, False, True]), children)
 

@@ -371,8 +371,8 @@ class TestRequirementsView:
 
 class TestLadder:
     """The user agent's reschedule ladder as plain state: a rung index over
-    i1/i2/i3 and an in-flight flag. Plans are started but never answered (the
-    kernel does not run); each test reports outcomes by hand."""
+    i1/i2/i3. Plans are started but never answered (the kernel does not
+    run); each test reports outcomes by hand."""
 
     def _agent(self):
         world = make_world(
@@ -406,9 +406,8 @@ class TestLadder:
             agent._intention_done(False)
         assert agent._cycle.passes == 1
         assert agent._rung == 0
-        assert not agent._in_flight
-        assert agent._retry_entry is not None
-        agent._cycle_step()              # the retry fires
+        assert agent._next is not None   # the one pending step: the next pass
+        agent._resume()                  # its entry fires
         assert self._attempts(runtime)[-1] == (1, "i1")
 
     def test_begin_cycle_restarts_at_i1(self):
@@ -422,17 +421,6 @@ class TestLadder:
         assert agent._rung == 0
         assert agent._cycle.triggering_event == 1
 
-    def test_done_with_nothing_in_flight_advances_no_rung(self):
-        agent, runtime = self._agent()
-        agent._begin_cycle(0)
-        for _ in range(3):
-            agent._intention_done(False)
-        # waiting out the retry period: a late outcome steps the cycle again
-        # but no rung failed
-        agent._intention_done(False)
-        assert agent._rung == 0
-        assert self._attempts(runtime)[-1] == (1, "i1")
-        assert agent._cycle.passes == 1
 
 
 class TestIntentions:
@@ -916,9 +904,9 @@ class TestGiveUpRule:
         entries, cancelled = [], []
         wait, cancel = UserAgent._wait, Kernel.cancel
 
-        def spied_wait(agent, pass_end, finish):
-            wait(agent, pass_end, finish)
-            entries.append(agent._retry_entry)
+        def spied_wait(agent, pass_end, finish, step, kind):
+            wait(agent, pass_end, finish, step, kind)
+            entries.append(agent._next[0])
 
         monkeypatch.setattr(UserAgent, "_wait", spied_wait)
         monkeypatch.setattr(Kernel, "cancel", lambda kernel, entry: (
